@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.signal import savgol_filter
 
 from .congruence import Congruence, LabelSet, invert_labels
 from .errors import (
@@ -60,10 +59,6 @@ class BiCongruence:
     @property
     def times(self):
         return self.plus.times
-
-    def rho0_labels(self):
-        """Initial density implied by the action profiles."""
-        return self.rho_ref * np.exp((self.S_plus0 - self.S_minus0) / self.params.hbar)
 
     def rho0(self, q):
         sp = CubicSpline(self.labels.values, self.S_plus0)(q)
@@ -109,22 +104,18 @@ class _PartnerView:
 
 
 class _CoupledStepper:
-    def __init__(self, params, labels, potential_fn, smooth_divergence, max_extrapolation):
+    def __init__(self, params, labels, potential_fn, max_extrapolation):
         self.hbar = params.hbar
         self.mass = params.mass
         self.h = labels[1] - labels[0]
         if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
             raise PreconditionError("autonomous propagation needs uniform labels")
         self.potential_fn = potential_fn
-        self.smooth = smooth_divergence
         self.max_extrap = max_extrapolation
         self.max_seen_extrap = 0.0
 
     def _divergence(self, q, v):
-        div = fd_derivative(v, self.h) / fd_derivative(q, self.h)
-        if self.smooth:
-            div = savgol_filter(div, 5, 3)
-        return div
+        return fd_derivative(v, self.h) / fd_derivative(q, self.h)
 
     def evaluate(self, qp, vp, qm, vm, t):
         """Accelerations, own divergences and action rates of both flows."""
@@ -169,8 +160,7 @@ def _label_noise_filter(arr, alpha):
 
 
 def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
-                         store_every=1, smooth_divergence=False,
-                         max_extrapolation=None, rho_ref=1.0,
+                         store_every=1, max_extrapolation=None, rho_ref=1.0,
                          noise_filter=0.2):
     """March the coupled pair from action profiles alone.
 
@@ -203,7 +193,7 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
     sm0 = S_minus0(q0) if callable(S_minus0) else np.asarray(S_minus0, dtype=float).copy()
 
     stepper = _CoupledStepper(params, q0, lambda x: _potential_eval(params, x),
-                              smooth_divergence, max_extrapolation)
+                              max_extrapolation)
 
     qp = q0.copy()
     qm = q0.copy()

@@ -158,10 +158,6 @@ class FieldSource:
     def dvdx(self, x, t):
         return self._eval(x, t, 1)
 
-    def as_rate(self):
-        """Use the sampled values as an action rate (x, t) -> L."""
-        return lambda x, t: self._eval(x, t, 0)
-
 
 class FieldActionRate:
     """Lagrangian rate L = m v^2 / 2 - Q - V sampled from a field series."""
@@ -350,9 +346,9 @@ def integrate_congruence(source, labels, times, action_rate=None, initial_action
 def invert_labels(congruence, x, t):
     """Label of the trajectory passing through x at a stored time.
 
-    Monotone cubic interpolation of the label-to-position map, inverted with
-    bisection plus Newton polish; the residual tolerance is 1e-10 of the
-    instantaneous hull width.
+    Monotone cubic (PCHIP) interpolation of the label-to-position map,
+    inverted by safeguarded Newton steps inside the one interval holding each
+    point; the residual tolerance is 1e-10 of the instantaneous hull width.
     """
     k = congruence.time_index(t)
     pos = congruence.q[k]

@@ -1,288 +1,37 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels, one vectorised numpy implementation each.
 
-The numba path is used by default when numba imports cleanly; set the
-environment variable BIHJ_NUMBA=0 before importing the package to force the
-numpy path (the numpy lane falls back on LAPACK banded solves where a plain
-Python recurrence would be quadratically slower).  ``implementations()``
-exposes both paths side by side for the benchmark script.
+Tridiagonal systems go to LAPACK banded solves; piecewise cubic Hermite
+evaluation and its monotone inversion share one interval locator and one
+cubic formula.
 """
-import os
-
 import numpy as np
 from scipy.linalg import solve_banded
 
-_flag = os.environ.get("BIHJ_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _flag not in ("0", "false", "no", "off")
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - mirror always provides numba
-        NUMBA_ENABLED = False
+# Newton/bisection steps per target in invert_monotone: bisection alone halves
+# the bracket each step, so this bound reaches double precision in s in [0, 1].
+_MAX_INVERT_STEPS = 64
 
 
 # ---------- tridiagonal solves ----------
 
-def _tridiag_solve_loops(dl, d, du, rhs):
-    """Thomas algorithm; dl and du have length n-1, no pivoting."""
-    n = d.shape[0]
-    cp = np.empty(n - 1, dtype=rhs.dtype)
-    xp = np.empty(n, dtype=rhs.dtype)
-    cp[0] = du[0] / d[0]
-    xp[0] = rhs[0] / d[0]
-    for i in range(1, n - 1):
-        den = d[i] - dl[i - 1] * cp[i - 1]
-        cp[i] = du[i] / den
-        xp[i] = (rhs[i] - dl[i - 1] * xp[i - 1]) / den
-    den = d[n - 1] - dl[n - 2] * cp[n - 2]
-    xp[n - 1] = (rhs[n - 1] - dl[n - 2] * xp[n - 2]) / den
-    for i in range(n - 2, -1, -1):
-        xp[i] = xp[i] - cp[i] * xp[i + 1]
-    return xp
-
-
-def _tridiag_solve_np(dl, d, du, rhs):
-    """LAPACK banded solve of the same system (numpy lane)."""
-    n = d.shape[0]
-    dtype = np.result_type(d, rhs)
-    ab = np.zeros((3, n), dtype=dtype)
+def _banded(dl, d, du, dtype):
+    """LAPACK (1, 1) banded storage of the matrix with sub dl, diagonal d, super du."""
+    ab = np.zeros((3, d.shape[0]), dtype=dtype)
     ab[0, 1:] = du
     ab[1, :] = d
     ab[2, :-1] = dl
-    return solve_banded((1, 1), ab, rhs)
+    return ab
 
 
-# ---------- piecewise cubic Hermite evaluation ----------
-
-def _hermite_locate_np(xk, xq):
-    idx = np.searchsorted(xk, xq, side="right") - 1
-    return np.clip(idx, 0, xk.shape[0] - 2)
-
-
-def _hermite_eval_np(xk, yk, dk, xq):
-    """Evaluate the C1 piecewise cubic with knot values yk and slopes dk."""
-    i = _hermite_locate_np(xk, xq)
-    h = xk[i + 1] - xk[i]
-    s = (xq - xk[i]) / h
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00 * yk[i] + h * (h10 * dk[i] + h11 * dk[i + 1]) + h01 * yk[i + 1]
-
-
-def _hermite_deriv_np(xk, yk, dk, xq):
-    """First derivative of the same piecewise cubic."""
-    i = _hermite_locate_np(xk, xq)
-    h = xk[i + 1] - xk[i]
-    s = (xq - xk[i]) / h
-    s2 = s * s
-    g00 = (6.0 * s2 - 6.0 * s) / h
-    g10 = 3.0 * s2 - 4.0 * s + 1.0
-    g01 = (6.0 * s - 6.0 * s2) / h
-    g11 = 3.0 * s2 - 2.0 * s
-    return g00 * yk[i] + g10 * dk[i] + g01 * yk[i + 1] + g11 * dk[i + 1]
-
-
-def _hermite_eval_loops(xk, yk, dk, xq):
-    n = xk.shape[0]
-    out = np.empty(xq.shape[0], dtype=yk.dtype)
-    for j in range(xq.shape[0]):
-        i = np.searchsorted(xk, xq[j], side="right") - 1
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        h = xk[i + 1] - xk[i]
-        s = (xq[j] - xk[i]) / h
-        s2 = s * s
-        s3 = s2 * s
-        out[j] = ((2.0 * s3 - 3.0 * s2 + 1.0) * yk[i]
-                  + h * ((s3 - 2.0 * s2 + s) * dk[i] + (s3 - s2) * dk[i + 1])
-                  + (-2.0 * s3 + 3.0 * s2) * yk[i + 1])
-    return out
-
-
-def _hermite_deriv_loops(xk, yk, dk, xq):
-    n = xk.shape[0]
-    out = np.empty(xq.shape[0], dtype=yk.dtype)
-    for j in range(xq.shape[0]):
-        i = np.searchsorted(xk, xq[j], side="right") - 1
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        h = xk[i + 1] - xk[i]
-        s = (xq[j] - xk[i]) / h
-        s2 = s * s
-        out[j] = ((6.0 * s2 - 6.0 * s) / h * yk[i]
-                  + (3.0 * s2 - 4.0 * s + 1.0) * dk[i]
-                  + (6.0 * s - 6.0 * s2) / h * yk[i + 1]
-                  + (3.0 * s2 - 2.0 * s) * dk[i + 1])
-    return out
-
-
-# ---------- inversion of a monotone increasing piecewise cubic ----------
-
-def _invert_monotone_np(xk, yk, dk, targets, tol):
-    """Solve H(x) = target per entry by vectorised bisection plus Newton polish."""
-    lo = np.full(targets.shape, xk[0])
-    hi = np.full(targets.shape, xk[-1])
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        val = _hermite_eval_np(xk, yk, dk, mid)
-        less = val < targets
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        f = _hermite_eval_np(xk, yk, dk, x) - targets
-        df = _hermite_deriv_np(xk, yk, dk, x)
-        step = np.where(df > 0.0, f / np.where(df > 0.0, df, 1.0), 0.0)
-        x = np.clip(x - step, xk[0], xk[-1])
-    return x
-
-
-def _invert_monotone_loops(xk, yk, dk, targets, tol):
-    n = xk.shape[0]
-    out = np.empty(targets.shape[0], dtype=np.float64)
-    for j in range(targets.shape[0]):
-        t = targets[j]
-        lo = xk[0]
-        hi = xk[n - 1]
-        x = lo + (hi - lo) * 0.5
-        for _ in range(100):
-            # Newton step, bisection fallback when it leaves the bracket
-            fe = _hermite_eval_loops(xk, yk, dk, np.array([x]))[0] - t
-            if abs(fe) <= tol:
-                break
-            if fe > 0.0:
-                hi = x
-            else:
-                lo = x
-            df = _hermite_deriv_loops(xk, yk, dk, np.array([x]))[0]
-            if df > 0.0:
-                xn = x - fe / df
-            else:
-                xn = 0.5 * (lo + hi)
-            if xn <= lo or xn >= hi:
-                xn = 0.5 * (lo + hi)
-            x = xn
-        out[j] = x
-    return out
-
-
-# ---------- path selection ----------
-
-if NUMBA_ENABLED:
-    _tridiag_solve_nb = njit(cache=True)(_tridiag_solve_loops)
-    _hermite_eval_nb = njit(cache=True)(_hermite_eval_loops)
-    _hermite_deriv_nb = njit(cache=True)(_hermite_deriv_loops)
-
-    @njit(cache=True)
-    def _invert_monotone_nb(xk, yk, dk, targets, tol):
-        n = xk.shape[0]
-        out = np.empty(targets.shape[0], dtype=np.float64)
-        for j in range(targets.shape[0]):
-            t = targets[j]
-            lo = xk[0]
-            hi = xk[n - 1]
-            x = 0.5 * (lo + hi)
-            for _ in range(100):
-                i = np.searchsorted(xk, x) - 1
-                if i < 0:
-                    i = 0
-                elif i > n - 2:
-                    i = n - 2
-                h = xk[i + 1] - xk[i]
-                s = (x - xk[i]) / h
-                s2 = s * s
-                s3 = s2 * s
-                fe = ((2.0 * s3 - 3.0 * s2 + 1.0) * yk[i]
-                      + h * ((s3 - 2.0 * s2 + s) * dk[i] + (s3 - s2) * dk[i + 1])
-                      + (-2.0 * s3 + 3.0 * s2) * yk[i + 1]) - t
-                if abs(fe) <= tol:
-                    break
-                if fe > 0.0:
-                    hi = x
-                else:
-                    lo = x
-                df = ((6.0 * s2 - 6.0 * s) / h * yk[i]
-                      + (3.0 * s2 - 4.0 * s + 1.0) * dk[i]
-                      + (6.0 * s - 6.0 * s2) / h * yk[i + 1]
-                      + (3.0 * s2 - 2.0 * s) * dk[i + 1])
-                if df > 0.0:
-                    xn = x - fe / df
-                else:
-                    xn = 0.5 * (lo + hi)
-                if xn <= lo or xn >= hi:
-                    xn = 0.5 * (lo + hi)
-                x = xn
-            out[j] = x
-        return out
-
-    tridiag_solve = _tridiag_solve_nb
-    hermite_eval = _hermite_eval_nb
-    hermite_deriv = _hermite_deriv_nb
-    invert_monotone = _invert_monotone_nb
-else:
-    tridiag_solve = _tridiag_solve_np
-    hermite_eval = _hermite_eval_np
-    hermite_deriv = _hermite_deriv_np
-    invert_monotone = _invert_monotone_np
-
-
-def implementations():
-    """Return {'numpy': {...}} plus a 'numba' entry when jitting is active."""
-    table = {
-        "numpy": {
-            "tridiag_solve": _tridiag_solve_np,
-            "hermite_eval": _hermite_eval_np,
-            "hermite_deriv": _hermite_deriv_np,
-            "invert_monotone": _invert_monotone_np,
-        }
-    }
-    if NUMBA_ENABLED:
-        table["numba"] = {
-            "tridiag_solve": _tridiag_solve_nb,
-            "hermite_eval": _hermite_eval_nb,
-            "hermite_deriv": _hermite_deriv_nb,
-            "invert_monotone": _invert_monotone_nb,
-        }
-    return table
+def tridiag_solve(dl, d, du, rhs):
+    """Solve the tridiagonal system; dl and du have length n-1."""
+    return solve_banded((1, 1), _banded(dl, d, du, np.result_type(d, rhs)), rhs)
 
 
 def make_tridiag_solver(dl, d, du):
-    """Prefactored repeated solver for a fixed tridiagonal matrix.
-
-    On the numba path this precomputes the Thomas elimination coefficients;
-    the numpy path reuses a banded matrix with LAPACK.
-    """
-    dl = np.asarray(dl)
+    """Repeated solver for a fixed tridiagonal matrix, assembled once."""
     d = np.asarray(d)
-    du = np.asarray(du)
-    if NUMBA_ENABLED:
-        n = d.shape[0]
-        cp = np.empty(n - 1, dtype=d.dtype)
-        inv = np.empty(n, dtype=d.dtype)
-        cp[0] = du[0] / d[0]
-        inv[0] = 1.0 / d[0]
-        for i in range(1, n - 1):
-            den = d[i] - dl[i - 1] * cp[i - 1]
-            cp[i] = du[i] / den
-            inv[i] = 1.0 / den
-        inv[n - 1] = 1.0 / (d[n - 1] - dl[n - 2] * cp[n - 2])
-
-        def solve(rhs):
-            return _tridiag_solve_factored_nb(dl, cp, inv, rhs)
-
-        return solve
-
-    ab = np.zeros((3, d.shape[0]), dtype=d.dtype)
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
+    ab = _banded(dl, d, du, d.dtype)
 
     def solve(rhs):
         return solve_banded((1, 1), ab, rhs)
@@ -290,20 +39,73 @@ def make_tridiag_solver(dl, d, du):
     return solve
 
 
-if NUMBA_ENABLED:
-    @njit(cache=True)
-    def _tridiag_solve_factored_nb(dl, cp, inv, rhs):
-        n = rhs.shape[0]
-        x = np.empty(n, dtype=rhs.dtype)
-        x[0] = rhs[0] * inv[0]
-        for i in range(1, n):
-            x[i] = (rhs[i] - dl[i - 1] * x[i - 1]) * inv[i]
-        for i in range(n - 2, -1, -1):
-            x[i] = x[i] - cp[i] * x[i + 1]
-        return x
+# ---------- piecewise cubic Hermite evaluation ----------
+
+def _locate(knots, points):
+    """Index i of the interval [knots[i], knots[i+1]] holding each point,
+    clipped to [0, n-2] so points beyond the ends use the end intervals."""
+    i = np.searchsorted(knots, points, side="right") - 1
+    return np.clip(i, 0, knots.shape[0] - 2)
 
 
-# ---------- interpolation slope builders (single implementation) ----------
+def _cubic(s, h, y0, y1, d0, d1):
+    """Hermite cubic with end values y0, y1 and end slopes d0, d1 over an
+    interval of width h, at the local coordinate s in [0, 1]."""
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return h00 * y0 + h * (h10 * d0 + h11 * d1) + h01 * y1
+
+
+def hermite_eval(xk, yk, dk, xq):
+    """Evaluate the C1 piecewise cubic with knot values yk and slopes dk."""
+    i = _locate(xk, xq)
+    h = xk[i + 1] - xk[i]
+    return _cubic((xq - xk[i]) / h, h, yk[i], yk[i + 1], dk[i], dk[i + 1])
+
+
+# ---------- inversion of a monotone increasing piecewise cubic ----------
+
+def invert_monotone(xk, yk, dk, targets, tol):
+    """Solve H(x) = target per entry for the increasing piecewise cubic H.
+
+    Each target is placed in the knot interval whose values enclose it.  With
+    PCHIP slopes every interval cubic is monotone (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 17:238, 1980), so the root there is unique and no global
+    search is needed.  Newton steps on that one cubic start from the linear
+    guess; a step that leaves the bracket [lo, hi] known to hold the root is
+    replaced by bisection.  A target stops once |H(x) - target| <= tol or its
+    bracket has closed, which maps targets beyond the end values to the end
+    knots.
+    """
+    targets = np.asarray(targets, dtype=float)
+    i = _locate(yk, targets)
+    h = xk[i + 1] - xk[i]
+    y0, y1, d0, d1 = yk[i], yk[i + 1], dk[i], dk[i + 1]
+    dy = y1 - y0
+    s = np.clip((targets - y0) / np.where(dy > 0.0, dy, 1.0), 0.0, 1.0)
+    lo = np.zeros_like(s)
+    hi = np.ones_like(s)
+    for _ in range(_MAX_INVERT_STEPS):
+        f = _cubic(s, h, y0, y1, d0, d1) - targets
+        lo = np.where(f < 0.0, s, lo)
+        hi = np.where(f > 0.0, s, hi)
+        open_ = (np.abs(f) > tol) & (lo < hi)
+        if not open_.any():
+            break
+        # dH/ds of the same cubic
+        df = 6.0 * s * (1.0 - s) * dy + h * ((1.0 - s) * (1.0 - 3.0 * s) * d0
+                                             + s * (3.0 * s - 2.0) * d1)
+        newton = s - f / np.where(df > 0.0, df, 1.0)
+        inside = (df > 0.0) & (newton >= lo) & (newton <= hi)
+        s = np.where(open_, np.where(inside, newton, 0.5 * (lo + hi)), s)
+    return (1.0 - s) * xk[i] + s * xk[i + 1]
+
+
+# ---------- interpolation slope builders ----------
 
 def pchip_slopes(x, y):
     """Monotonicity preserving slopes (weighted harmonic mean construction)."""
@@ -340,8 +142,7 @@ def _pchip_edge(h0, h1, d0, d1):
 def spline_slopes_natural(x, y):
     """Knot slopes of the natural cubic spline (zero end curvature).
 
-    Exact for linear data; routed through the tridiagonal kernel so it runs
-    on the active path.
+    Exact for linear data; one tridiagonal solve.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

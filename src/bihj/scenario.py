@@ -9,6 +9,8 @@ byte-identical data files.  Wall-clock timings are isolated in
 """
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,9 +95,13 @@ def _near_integer(x, tol=1e-9):
     return abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
+_KIND_NAMES = {numbers.Real: "a number", numbers.Integral: "an integer", list: "a list"}
+
+
 def parse_config(doc):
     """Validate a scenario document, reporting every violated constraint."""
     problems = []
+    real, integer = numbers.Real, numbers.Integral
 
     def need(path, default=None, kind=None):
         node = doc
@@ -106,37 +112,51 @@ def parse_config(doc):
                 problems.append(f"missing field {path}")
                 return None
             node = node[part]
-        if kind is not None and not isinstance(node, kind):
-            problems.append(f"field {path} has wrong type")
+        if kind is not None and (isinstance(node, bool) or not isinstance(node, kind)):
+            problems.append(f"field {path} must be {_KIND_NAMES[kind]}, got {node!r}")
+            return default
+        if kind is real and not math.isfinite(node):
+            problems.append(f"field {path} must be finite, got {node!r}")
             return default
         return node
 
-    hbar = need("hbar", 1.0)
-    mass = need("mass", 1.0)
+    hbar = need("hbar", 1.0, real)
+    mass = need("mass", 1.0, real)
     if hbar is not None and hbar <= 0:
         problems.append(f"hbar must be positive, got {hbar}")
     if mass is not None and mass <= 0:
         problems.append(f"mass must be positive, got {mass}")
 
     pot_kind = need("potential.kind", "free")
-    omega = need("potential.omega", 0.0)
+    omega = need("potential.omega", 0.0, real)
     if pot_kind not in ("free", "harmonic", "sampled"):
         problems.append(f"potential.kind must be free|harmonic|sampled, got {pot_kind!r}")
     elif pot_kind == "harmonic" and omega < 0:
         problems.append(f"potential.omega must be nonnegative, got {omega}")
 
-    x_min = need("grid.x_min")
-    x_max = need("grid.x_max")
-    n_points = need("grid.n_points")
+    x_min = need("grid.x_min", kind=real)
+    x_max = need("grid.x_max", kind=real)
+    n_points = need("grid.n_points", kind=integer)
     if x_min is not None and x_max is not None and not x_min < x_max:
         problems.append(f"grid needs x_min < x_max, got [{x_min}, {x_max}]")
     if n_points is not None and n_points < 16:
         problems.append(f"grid.n_points must be at least 16, got {n_points}")
 
+    values = need("potential.values", kind=list) if pot_kind == "sampled" else None
+    if values is not None:
+        if not all(isinstance(v, real) and not isinstance(v, bool) for v in values):
+            problems.append("potential.values must hold numbers only")
+        elif n_points is not None and len(values) != n_points:
+            problems.append(f"potential.values needs grid.n_points = {n_points} entries, "
+                            f"got {len(values)}")
+
     st_kind = need("initial_state.kind", "gaussian")
-    sigma0 = need("initial_state.sigma0")
-    weight = need("initial_state.relative_weight", 0.5)
-    momentum = need("initial_state.momentum", 0.0)
+    sigma0 = need("initial_state.sigma0", kind=real)
+    weight = need("initial_state.relative_weight", 0.5, real)
+    momentum = need("initial_state.momentum", 0.0, real)
+    center = need("initial_state.center", 0.0, real)
+    separation = need("initial_state.separation", 0.0, real)
+    relative_phase = need("initial_state.relative_phase", 0.0, real)
     if st_kind not in ("gaussian", "two_gaussian"):
         problems.append(f"initial_state.kind must be gaussian|two_gaussian, got {st_kind!r}")
     if sigma0 is not None and sigma0 <= 0:
@@ -144,9 +164,9 @@ def parse_config(doc):
     if not 0.0 <= weight <= 1.0:
         problems.append(f"initial_state.relative_weight must be in [0, 1], got {weight}")
 
-    dt_solver = need("time.dt_solver")
-    dt_fields = need("time.dt_fields")
-    t_final = need("time.t_final")
+    dt_solver = need("time.dt_solver", kind=real)
+    dt_fields = need("time.dt_fields", kind=real)
+    t_final = need("time.t_final", kind=real)
     if dt_solver is not None and dt_solver <= 0:
         problems.append(f"time.dt_solver must be positive, got {dt_solver}")
     if dt_fields is not None and dt_solver is not None and dt_solver > 0:
@@ -160,19 +180,19 @@ def parse_config(doc):
         elif dt_fields and dt_fields > 0 and not _near_integer(t_final / dt_fields):
             problems.append("time.t_final must be an integer multiple of dt_fields")
 
-    label_count = need("labels.count", 101)
+    label_count = need("labels.count", 101, integer)
     if label_count < 2:
         problems.append(f"labels.count must be at least 2, got {label_count}")
     span_kind = need("labels.span.kind", "density_floor")
     span = {"kind": span_kind}
     if span_kind == "density_floor":
-        floor = need("labels.span.floor", 1e-6)
+        floor = need("labels.span.floor", 1e-6, real)
         if not 0.0 < floor < 1.0:
             problems.append(f"labels.span.floor must be in (0, 1), got {floor}")
         span["floor"] = floor
     elif span_kind == "explicit":
-        lo = need("labels.span.lo")
-        hi = need("labels.span.hi")
+        lo = need("labels.span.lo", kind=real)
+        hi = need("labels.span.hi", kind=real)
         if lo is not None and hi is not None and not lo < hi:
             problems.append(f"labels.span needs lo < hi, got [{lo}, {hi}]")
         span["lo"] = lo
@@ -192,8 +212,11 @@ def parse_config(doc):
     if case not in CASES:
         problems.append(f"composition_case must be one of {CASES}, got {case!r}")
 
-    rho_min_factor = need("thresholds.rho_min_factor", 1e-12)
-    rho_ref = need("thresholds.rho_ref", 1.0)
+    rho_min_factor = need("thresholds.rho_min_factor", 1e-12, real)
+    rho_ref = need("thresholds.rho_ref", 1.0, real)
+    output_dir = need("output_dir", "")
+    if output_dir is not None and not isinstance(output_dir, str):
+        problems.append(f"field output_dir must be a string, got {output_dir!r}")
     if not 0.0 < rho_min_factor < 1.0:
         problems.append(f"thresholds.rho_min_factor must be in (0, 1), got {rho_min_factor}")
     if rho_ref <= 0:
@@ -203,16 +226,15 @@ def parse_config(doc):
         raise ConfigurationError("invalid scenario configuration:\n  - " + "\n  - ".join(problems))
 
     potential = {"free": Potential.free, "harmonic": lambda: Potential.harmonic(omega),
-                 "sampled": lambda: Potential.sampled(doc["potential"]["values"])}[pot_kind]()
+                 "sampled": lambda: Potential.sampled(values)}[pot_kind]()
     grid = SpatialGrid(float(x_min), float(x_max), int(n_points))
     if st_kind == "gaussian":
-        state = InitialStateSpec.gaussian(float(sigma0),
-                                          center=float(need("initial_state.center", 0.0)),
+        state = InitialStateSpec.gaussian(float(sigma0), center=float(center),
                                           momentum=float(momentum))
     else:
         state = InitialStateSpec.two_gaussian(float(sigma0),
-                                              separation=float(need("initial_state.separation", 0.0)),
-                                              relative_phase=float(need("initial_state.relative_phase", 0.0)),
+                                              separation=float(separation),
+                                              relative_phase=float(relative_phase),
                                               relative_weight=float(weight))
     cfg = ScenarioConfig(
         hbar=float(hbar), mass=float(mass), potential=potential, grid=grid,
@@ -220,29 +242,31 @@ def parse_config(doc):
         t_final=float(t_final), label_count=int(label_count), label_span=span,
         mode=mode, solver=solver, composition_case=case,
         rho_min_factor=float(rho_min_factor), rho_ref=float(rho_ref),
-        output_dir=need("output_dir", "") or None, echo=config_echo_dict(
-            hbar, mass, pot_kind, omega, doc, grid, state, dt_solver, dt_fields,
-            t_final, label_count, span, mode, solver, case, rho_min_factor, rho_ref),
+        output_dir=output_dir or None, echo=config_echo_dict(
+            hbar, mass, potential, grid, state, dt_solver, dt_fields, t_final,
+            label_count, span, mode, solver, case, rho_min_factor, rho_ref, output_dir),
     )
     return cfg
 
 
-def config_echo_dict(hbar, mass, pot_kind, omega, doc, grid, state, dt_solver,
-                     dt_fields, t_final, label_count, span, mode, solver, case,
-                     rho_min_factor, rho_ref):
+def config_echo_dict(hbar, mass, potential, grid, state, dt_solver, dt_fields,
+                     t_final, label_count, span, mode, solver, case,
+                     rho_min_factor, rho_ref, output_dir):
     echo = {
         "hbar": hbar, "mass": mass,
-        "potential": {"kind": pot_kind},
+        "potential": {"kind": potential.kind},
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
         "initial_state": {"kind": state.kind, "sigma0": state.sigma0},
         "time": {"dt_solver": dt_solver, "dt_fields": dt_fields, "t_final": t_final},
         "labels": {"count": label_count, "span": span},
         "mode": mode, "solver": solver, "composition_case": case,
         "thresholds": {"rho_min_factor": rho_min_factor, "rho_ref": rho_ref},
-        "output_dir": doc.get("output_dir", ""),
+        "output_dir": output_dir,
     }
-    if pot_kind == "harmonic":
-        echo["potential"]["omega"] = omega
+    if potential.kind == "harmonic":
+        echo["potential"]["omega"] = potential.omega
+    elif potential.kind == "sampled":
+        echo["potential"]["values"] = potential.values.tolist()
     if state.kind == "gaussian":
         echo["initial_state"].update(center=state.center, momentum=state.momentum)
     else:

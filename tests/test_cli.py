@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bihj
 from bihj.cli import main
 
 SIGMA0 = np.sqrt(0.5)
@@ -60,6 +65,27 @@ def test_invalid_config_exits_2(tmp_path):
                                "time": {"dt_solver": 1e-3, "dt_fields": 1e-3,
                                         "t_final": 0.01}}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_wrong_type_config_exits_2(tmp_path, config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["hbar"] = "1"
+    doc["labels"]["count"] = "5"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "hbar" in err and "labels.count" in err
+
+
+def test_cli_import_loads_neither_numba_nor_scipy_signal():
+    src = str(Path(bihj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, bihj.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numba' "
+            "or m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_mode_override(tmp_path, config_path):

@@ -68,9 +68,47 @@ class TestConfig:
             parse_config(doc)
 
     def test_round_trip_idempotent(self):
-        cfg = parse_config(small_doc())
-        echoed = parse_config(cfg.echo)
-        assert echoed.echo == cfg.echo
+        potentials = [{"kind": "free"}, {"kind": "harmonic", "omega": 0.5},
+                      {"kind": "sampled", "values": [0.01 * k for k in range(256)]}]
+        states = [{"kind": "gaussian", "sigma0": SIGMA0, "center": 0.5, "momentum": 1.0},
+                  {"kind": "two_gaussian", "sigma0": SIGMA0, "separation": 2.0,
+                   "relative_phase": 0.3, "relative_weight": 0.25}]
+        docs = [small_doc()] + [small_doc(potential=p, initial_state=st, solver="crank_nicolson")
+                                for p in potentials for st in states]
+        for doc in docs:
+            cfg = parse_config(doc)
+            echoed = parse_config(cfg.echo)
+            assert echoed.echo == cfg.echo
+
+    @pytest.mark.parametrize("path, value", [
+        ("hbar", "1"), ("mass", True), ("potential.omega", "0.5"),
+        ("grid.x_min", None), ("grid.n_points", 256.0), ("grid.n_points", "256"),
+        ("initial_state.sigma0", [0.7]), ("initial_state.center", "0"),
+        ("initial_state.momentum", False), ("time.dt_solver", "0.002"),
+        ("time.t_final", {}), ("labels.count", "5"), ("labels.count", True),
+        ("labels.span.lo", "-2"), ("thresholds.rho_ref", "1"),
+        ("hbar", float("nan")), ("time.t_final", float("inf")), ("output_dir", 5),
+    ])
+    def test_wrong_type_is_a_configuration_error(self, path, value):
+        doc = json.loads(json.dumps(small_doc(potential={"kind": "harmonic", "omega": 0.5},
+                                              solver="crank_nicolson")))
+        *parents, leaf = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        with pytest.raises(ConfigurationError, match=f"field {path} must be"):
+            parse_config(doc)
+
+    def test_sampled_potential_values_validated(self):
+        with pytest.raises(ConfigurationError, match="missing field potential.values"):
+            parse_config(small_doc(potential={"kind": "sampled"}, solver="crank_nicolson"))
+        with pytest.raises(ConfigurationError, match="256 entries, got 3"):
+            parse_config(small_doc(potential={"kind": "sampled", "values": [0.0, 1.0, 2.0]},
+                                   solver="crank_nicolson"))
+        with pytest.raises(ConfigurationError, match="numbers only"):
+            parse_config(small_doc(potential={"kind": "sampled", "values": ["0"] * 256},
+                                   solver="crank_nicolson"))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
