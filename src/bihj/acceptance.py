@@ -28,7 +28,6 @@ from .compose import (
 )
 from .congruence import (
     CallableSource,
-    FieldActionRate,
     FieldSource,
     LabelSet,
     ScaledSource,
@@ -181,12 +180,6 @@ class AcceptanceContext:
             return derive_series(wave, q_sign=q_sign)
         return self._get(key, build)
 
-    def cn_gaussian(self):
-        def build():
-            snap = build_initial_state(self.spec, self.grid, self.params)
-            return evolve_crank_nicolson(snap, self.params, 1e-3, 1000, store_every=100)
-        return self._get("cn_gaussian", build)
-
     def superposition(self):
         """Two-gaussian run: reference, fields, field-driven pair, reconstruction."""
         def build():
@@ -200,12 +193,10 @@ class AcceptanceContext:
             lo, hi = grid.x[keep].min(), grid.x[keep].max()
             labels = LabelSet.uniform(lo, hi, 161)
             times = np.linspace(0.0, 0.5, 501)
-            plus = integrate_congruence(FieldSource(fs, "v_plus"), labels, times,
-                                        action_rate=FieldActionRate(fs, "plus"),
-                                        initial_actions=self._spline_of(fs, "S_plus"))
-            minus = integrate_congruence(FieldSource(fs, "v_minus"), labels, times,
-                                         action_rate=FieldActionRate(fs, "minus"),
-                                         initial_actions=self._spline_of(fs, "S_minus"))
+            plus, minus = (integrate_congruence(FieldSource(fs, "v_" + flow), labels, times,
+                                                action_rate=FieldSource(fs, "L_" + flow),
+                                                initial_actions=self._spline_of(fs, "S_" + flow))
+                           for flow in ("plus", "minus"))
             bi = BiCongruence.from_congruences(self.params, plus, minus,
                                                self._spline_of(fs, "S_plus"),
                                                self._spline_of(fs, "S_minus"))
@@ -215,8 +206,7 @@ class AcceptanceContext:
     @staticmethod
     def _spline_of(fs, name):
         snap = fs.snapshots[0]
-        a, b = max(snap.runs(), key=lambda r: r[1] - r[0])
-        return CubicSpline(snap.grid.x[a:b], getattr(snap, name)[a:b])
+        return snap.spline(getattr(snap, name))
 
     def reversal_pair(self):
         def build():
@@ -474,7 +464,7 @@ def check_superposition(ctx):
 
     fsnap = fs.snapshots[-1]
     found = stationary_points(fsnap)
-    a, b = max(fsnap.runs(), key=lambda r: r[1] - r[0])
+    a, b = fsnap.largest_run()
     seg = fsnap.rho[a:b]
     idx = np.concatenate([argrelextrema(seg, np.greater)[0],
                           argrelextrema(seg, np.less)[0]]) + a

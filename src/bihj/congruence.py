@@ -99,32 +99,39 @@ class ScaledSource:
 
 
 class FieldSource:
-    """Velocity sampler backed by a field series.
+    """Sampler of one field of a field series.
 
     Cubic interpolation over the largest valid run in x, linear interpolation
     between snapshots in time.  Queries outside the valid region raise.
+    Besides the stored fields, ``L_plus``, ``L_minus`` and ``L`` are the
+    Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows;
+    calling a source samples its value, so it can serve as an action rate.
     """
 
     FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
+    RATE_TERMS = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"),
+                  "L": ("v", "Q")}
 
     def __init__(self, fseries, field="v"):
-        if field not in self.FIELD_NAMES:
+        if field not in self.FIELD_NAMES and field not in self.RATE_TERMS:
             raise PreconditionError(f"unknown field {field!r}")
         self.fseries = fseries
         self.field = field
         self._splines = [None] * len(fseries.snapshots)
-        self._spans = [None] * len(fseries.snapshots)
+
+    def _values(self, snap):
+        if self.field not in self.RATE_TERMS:
+            return getattr(snap, self.field)
+        v, Q = (getattr(snap, name) for name in self.RATE_TERMS[self.field])
+        params = self.fseries.params
+        return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
 
     def _spline(self, k):
         if self._splines[k] is None:
             snap = self.fseries.snapshots[k]
-            runs = snap.runs()
-            a, b = max(runs, key=lambda r: r[1] - r[0])
-            x = snap.grid.x[a:b]
-            y = getattr(snap, self.field)[a:b]
-            self._splines[k] = CubicSpline(x, y)
-            self._spans[k] = (x[0], x[-1])
-        return self._splines[k], self._spans[k]
+            sp = snap.spline(self._values(snap))
+            self._splines[k] = sp, sp.x[0], sp.x[-1]
+        return self._splines[k]
 
     def _bracket(self, t):
         times = self.fseries.times
@@ -145,7 +152,7 @@ class FieldSource:
         for k, wk in ((k0, 1.0 - w), (k1, w)):
             if wk == 0.0 and k != k0:
                 continue
-            sp, (lo, hi) = self._spline(k)
+            sp, lo, hi = self._spline(k)
             bad = (x < lo) | (x > hi)
             if np.any(bad):
                 raise DomainError(float(np.atleast_1d(x[bad])[0]), t)
@@ -158,58 +165,8 @@ class FieldSource:
     def dvdx(self, x, t):
         return self._eval(x, t, 1)
 
-
-class FieldActionRate:
-    """Lagrangian rate L = m v^2 / 2 - Q - V sampled from a field series."""
-
-    def __init__(self, fseries, which):
-        if which not in ("plus", "minus", "polar"):
-            raise PreconditionError(f"unknown action rate {which!r}")
-        self.fseries = fseries
-        self.which = which
-        self._splines = [None] * len(fseries.snapshots)
-        self._spans = [None] * len(fseries.snapshots)
-        params = fseries.params
-        self._v_grid = params.potential.on_grid(fseries.grid, params.mass)
-        self._mass = params.mass
-
-    def _spline(self, k):
-        if self._splines[k] is None:
-            snap = self.fseries.snapshots[k]
-            runs = snap.runs()
-            a, b = max(runs, key=lambda r: r[1] - r[0])
-            x = snap.grid.x[a:b]
-            if self.which == "plus":
-                val = 0.5 * self._mass * snap.v_plus[a:b] ** 2 - snap.Q_plus[a:b]
-            elif self.which == "minus":
-                val = 0.5 * self._mass * snap.v_minus[a:b] ** 2 - snap.Q_minus[a:b]
-            else:
-                val = 0.5 * self._mass * snap.v[a:b] ** 2 - snap.Q[a:b]
-            val = val - self._v_grid[a:b]
-            self._splines[k] = CubicSpline(x, val)
-            self._spans[k] = (x[0], x[-1])
-        return self._splines[k], self._spans[k]
-
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        times = self.fseries.times
-        dt = self.fseries.dt
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise DomainError(0.0, t, "time outside the sampled span")
-        k = int(np.floor((t - times[0]) / dt)) if dt else 0
-        k = min(max(k, 0), max(len(times) - 2, 0))
-        w = (t - times[k]) / dt if dt else 0.0
-        w = min(max(w, 0.0), 1.0)
-        out = 0.0
-        for kk, wk in ((k, 1.0 - w), (min(k + 1, len(times) - 1), w)):
-            if wk == 0.0 and kk != k:
-                continue
-            sp, (lo, hi) = self._spline(kk)
-            bad = (x < lo) | (x > hi)
-            if np.any(bad):
-                raise DomainError(float(np.atleast_1d(x[bad])[0]), t)
-            out = out + wk * sp(x)
-        return out
+        return self.velocity(x, t)
 
 
 # ---------- the congruence container ----------

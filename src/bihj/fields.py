@@ -11,9 +11,10 @@ computed with the sign that closes the continuity / phase-action system,
 and ``q_sign="flipped"`` exposes the opposite choice so the residual suite can
 demonstrate that it does not converge (permanent sign regression).
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateStateError, PreconditionError, UnwrapError
 
@@ -104,17 +105,28 @@ class FieldSnapshot:
         _, runs = _find_runs(self.valid.copy())
         return runs
 
+    def largest_run(self):
+        """(start, stop) grid indices of the longest valid run."""
+        return max(self.runs(), key=lambda r: r[1] - r[0])
+
+    def spline(self, values):
+        """Cubic spline of grid ``values`` over the longest valid run."""
+        a, b = self.largest_run()
+        return CubicSpline(self.grid.x[a:b], values[a:b])
+
 
 @dataclass(frozen=True)
 class FieldSeries:
     params: object
     snapshots: tuple
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snaps = tuple(self.snapshots)
         if not snaps:
             raise PreconditionError("field series needs at least one snapshot")
         times = np.array([s.time for s in snaps])
+        times.flags.writeable = False
         if len(snaps) > 1:
             steps = np.diff(times)
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
@@ -127,18 +139,15 @@ class FieldSeries:
             if abs(cur.ref_action - prev.ref_action) >= np.pi * hbar:
                 raise PreconditionError("reference-point action jumps between snapshots")
         object.__setattr__(self, "snapshots", snaps)
+        object.__setattr__(self, "times", times)
 
     @property
     def grid(self):
         return self.snapshots[0].grid
 
     @property
-    def times(self):
-        return np.array([s.time for s in self.snapshots])
-
-    @property
     def dt(self):
-        return self.snapshots[1].time - self.snapshots[0].time if len(self.snapshots) > 1 else 0.0
+        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
 # ---------- field extraction ----------

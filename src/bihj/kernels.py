@@ -1,11 +1,12 @@
 """Hot numeric kernels, one vectorised numpy implementation each.
 
-Tridiagonal systems go to LAPACK banded solves; piecewise cubic Hermite
+Tridiagonal systems go to LAPACK: banded solves, or one factorisation
+reused by every solve when the matrix is fixed; piecewise cubic Hermite
 evaluation and its monotone inversion share one interval locator and one
 cubic formula.
 """
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 # Newton/bisection steps per target in invert_monotone: bisection alone halves
 # the bracket each step, so this bound reaches double precision in s in [0, 1].
@@ -29,12 +30,19 @@ def tridiag_solve(dl, d, du, rhs):
 
 
 def make_tridiag_solver(dl, d, du):
-    """Repeated solver for a fixed tridiagonal matrix, assembled once."""
-    d = np.asarray(d)
-    ab = _banded(dl, d, du, d.dtype)
+    """Repeated solver for a fixed tridiagonal matrix: one LU factorisation
+    with partial pivoting (LAPACK gttrf), then one gttrs solve per call."""
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+    dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gttrf")
 
     def solve(rhs):
-        return solve_banded((1, 1), ab, rhs)
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
+            return solve(rhs.real) + 1j * solve(rhs.imag)
+        return gttrs(dl, d, du, du2, ipiv, rhs)[0]
 
     return solve
 

@@ -4,21 +4,27 @@ A scenario is a JSON document with snake_case fields mirroring
 ``ScenarioConfig``.  All floating point output is serialised with 17
 significant digits, CSV files use comma separators with LF endings, and JSON
 files are written with sorted keys, so identical configurations yield
-byte-identical data files.  Wall-clock timings are isolated in
-``timings.json``, the one intentionally non-deterministic output.
+byte-identical data files.
+
+Every command runs one pipeline, ``RunBundle``, whose stages are built once,
+on first use.  Wall-clock timings are isolated in ``timings.json``, the one
+intentionally non-deterministic output: one key per stage that ran, one
+``write:<file>`` key per emitted file, and ``total``.
 """
 import hashlib
 import json
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import gaussian
+from . import __version__, gaussian
 from .autonomous import BiCongruence, cross_map, propagate_autonomous
 from .compose import (
     CompositionSetup,
@@ -28,7 +34,6 @@ from .compose import (
 )
 from .congruence import (
     CallableSource,
-    FieldActionRate,
     FieldSource,
     LabelSet,
     ScaledSource,
@@ -100,6 +105,8 @@ _KIND_NAMES = {numbers.Real: "a number", numbers.Integral: "an integer", list: "
 
 def parse_config(doc):
     """Validate a scenario document, reporting every violated constraint."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     problems = []
     real, integer = numbers.Real, numbers.Integral
 
@@ -277,8 +284,15 @@ def config_echo_dict(hbar, mass, potential, grid, state, dt_solver, dt_fields,
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))
+    """Parse a scenario file; an unreadable or malformed file is a ConfigurationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ConfigurationError(f"cannot read scenario {path}: {err.strerror or err}") from err
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
+        raise ConfigurationError(f"scenario {path} is not valid JSON: {err}") from err
+    return parse_config(doc)
 
 
 # ---------- field access, analytic or sampled ----------
@@ -307,131 +321,44 @@ class FieldLibrary:
     def rho(self):
         if self.analytic:
             return lambda x, t: gaussian.rho(self.g, x, t)
-        return FieldSource(self.fseries, "rho").velocity
-
-    def rho0(self):
-        if self.analytic:
-            return lambda q: gaussian.rho(self.g, q, 0.0)
-        snap = self.fseries.snapshots[0]
-        a, b = max(snap.runs(), key=lambda r: r[1] - r[0])
-        sp = CubicSpline(snap.grid.x[a:b], snap.rho[a:b])
-        return sp
+        return FieldSource(self.fseries, "rho")
 
     def action_rate(self, which):
         if self.analytic:
             return gaussian.action_rate(self.g, which)
-        return FieldActionRate(self.fseries, which)
+        return FieldSource(self.fseries, {"plus": "L_plus", "minus": "L_minus", "polar": "L"}[which])
 
-    def initial_action(self, which):
+    def initial(self, which):
+        """t = 0 profile of the density ("rho") or of the plus, minus or polar action."""
         rho_ref = self.config.rho_ref
         if self.analytic:
-            table = {"plus": lambda q: gaussian.action_plus(self.g, q, 0.0, rho_ref),
+            table = {"rho": lambda q: gaussian.rho(self.g, q, 0.0),
+                     "plus": lambda q: gaussian.action_plus(self.g, q, 0.0, rho_ref),
                      "minus": lambda q: gaussian.action_minus(self.g, q, 0.0, rho_ref),
                      "polar": lambda q: gaussian.phase_action(self.g, q, 0.0)}
             return table[which]
         snap = self.fseries.snapshots[0]
-        a, b = max(snap.runs(), key=lambda r: r[1] - r[0])
-        arr = {"plus": snap.S_plus, "minus": snap.S_minus, "polar": snap.S}[which]
-        return CubicSpline(snap.grid.x[a:b], arr[a:b])
-
-    def psi(self):
-        if self.analytic:
-            return lambda x, t: gaussian.psi(self.g, x, t)
-        return None
-
-
-# ---------- run pipeline pieces ----------
-
-def build_reference(config):
-    params = config.params
-    if config.solver == "analytic":
-        times = np.arange(config.field_steps + 1) * config.dt_fields
-        return analytic_series(config.initial_state, config.grid, params, times)
-    snap = build_initial_state(config.initial_state, config.grid, params)
-    return evolve_crank_nicolson(snap, params, config.dt_solver,
-                                 config.solver_steps, store_every=config.store_every)
-
-
-def build_fields(config, wave):
-    rho_min = config.rho_min_factor * wave.snapshots[0].density().max()
-    return derive_series(wave, rho_min=rho_min, rho_ref=config.rho_ref)
-
-
-def build_labels(config, library):
-    span = config.label_span
-    if span["kind"] == "explicit":
-        return LabelSet.uniform(span["lo"], span["hi"], config.label_count)
-    rho0 = library.rho0()
-    return LabelSet.from_density(rho0, config.grid.x_min, config.grid.x_max,
-                                 count=config.label_count, floor=span["floor"])
-
-
-def solver_times(config):
-    return np.arange(config.solver_steps + 1) * config.dt_solver
-
-
-def build_congruences(config, library, labels):
-    """Reference-driven plus/minus/mean-flow congruences and the coupled pair."""
-    times = solver_times(config)
-    plus = integrate_congruence(library.source("v_plus"), labels, times,
-                                action_rate=library.action_rate("plus"),
-                                initial_actions=library.initial_action("plus"))
-    minus = integrate_congruence(library.source("v_minus"), labels, times,
-                                 action_rate=library.action_rate("minus"),
-                                 initial_actions=library.initial_action("minus"))
-    dbb = integrate_congruence(library.source("v"), labels, times,
-                               action_rate=library.action_rate("polar"),
-                               initial_actions=library.initial_action("polar"))
-    bi = BiCongruence.from_congruences(config.params, plus, minus,
-                                       library.initial_action("plus"),
-                                       library.initial_action("minus"),
-                                       rho_ref=config.rho_ref)
-    return {"plus": plus, "minus": minus, "dbb": dbb, "bi": bi}
-
-
-def build_autonomous(config, library, labels):
-    steps = config.solver_steps
-    return propagate_autonomous(library.initial_action("plus"),
-                                library.initial_action("minus"),
-                                labels, config.params, config.dt_solver, steps,
-                                rho_ref=config.rho_ref)
-
-
-def composition_setup(config, library, bundle, case=None):
-    """Host congruence, complement field and generator labels for one case."""
-    case = case or config.composition_case
-    labels = bundle["plus"].labels
-    lo, hi = labels.values[0], labels.values[-1]
-    probe = LabelSet.uniform(0.4 * lo, 0.4 * hi, max(2 * (config.label_count // 4) + 1, 21))
-    if case == "i":
-        host = bundle["plus"]
-        comp = library.source("u", -0.5)
-    elif case == "converse":
-        host = bundle["dbb"]
-        comp = library.source("u", +0.5)
-    else:
-        times = solver_times(config)
-        host = integrate_congruence(library.source("v_plus", 0.5), labels, times)
-        comp = library.source("v_minus", 0.5)
-    return CompositionSetup(host, comp, probe)
+        return snap.spline({"rho": snap.rho, "plus": snap.S_plus, "minus": snap.S_minus,
+                            "polar": snap.S}[which])
 
 
 # ---------- deterministic serialisation ----------
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+CSV_CHUNK_ROWS = 2048  # rows turned into Python objects and formatted at a time
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def write_csv(path, header, columns):
-    rows = zip(*columns)
+    """One row format per file: floats with 17 significant digits, integers
+    and booleans as integers, anything else as text."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    n_rows = min((c.shape[0] for c in columns), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(fmt % row for row in zip(*chunk)))
 
 
 def write_json(path, payload):
@@ -440,46 +367,147 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
-
+# ---------- the staged run pipeline ----------
 
 class RunBundle:
-    """Collects emitted files, checks and timings; writes the manifest last."""
+    """One run: cached, timed pipeline stages, emitted files, checks, manifest.
+
+    Each stage is built on first use and kept.  It builds the stages it needs
+    first, then times its own work under its name in ``timings.json``, so the
+    stage times add up instead of nesting.
+    """
 
     def __init__(self, command, config, out_dir):
         self.command = command
         self.config = config
+        self.analytic = config.solver == "analytic"
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files = {}
         self.checks = []
         self.timings = {}
+        self._compositions = {}
         self._t0 = time.perf_counter()
 
+    @contextmanager
     def timed(self, name):
-        bundle = self
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - start
 
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
+    # -- stages --
 
-            def __exit__(self, *exc):
-                bundle.timings[name] = time.perf_counter() - self.start
+    @property
+    def field_times(self):
+        """Times of the stored reference snapshots; closed forms need no solve."""
+        cfg = self.config
+        if self.analytic:
+            return np.arange(cfg.field_steps + 1) * cfg.dt_fields
+        return self.wave.times
 
-        return _Timer()
+    @cached_property
+    def times(self):
+        """Solver time grid of the trajectory stages."""
+        return np.arange(self.config.solver_steps + 1) * self.config.dt_solver
 
-    def emit_csv(self, name, header, columns):
-        path = self.out_dir / name
-        write_csv(path, header, columns)
-        self.files[name] = _sha256(path)
+    @cached_property
+    def wave(self):
+        cfg = self.config
+        with self.timed("reference"):
+            if self.analytic:
+                return analytic_series(cfg.initial_state, cfg.grid, cfg.params, self.field_times)
+            snap = build_initial_state(cfg.initial_state, cfg.grid, cfg.params)
+            return evolve_crank_nicolson(snap, cfg.params, cfg.dt_solver, cfg.solver_steps,
+                                         store_every=cfg.store_every)
+
+    @cached_property
+    def fields(self):
+        wave = self.wave
+        with self.timed("fields"):
+            rho_min = self.config.rho_min_factor * wave.snapshots[0].density().max()
+            return derive_series(wave, rho_min=rho_min, rho_ref=self.config.rho_ref)
+
+    @cached_property
+    def library(self):
+        return FieldLibrary(self.config, None if self.analytic else self.fields)
+
+    @cached_property
+    def labels(self):
+        library, cfg = self.library, self.config
+        with self.timed("labels"):
+            span = cfg.label_span
+            if span["kind"] == "explicit":
+                return LabelSet.uniform(span["lo"], span["hi"], cfg.label_count)
+            return LabelSet.from_density(library.initial("rho"), cfg.grid.x_min, cfg.grid.x_max,
+                                         count=cfg.label_count, floor=span["floor"])
+
+    @cached_property
+    def congruences(self):
+        """Reference-driven plus/minus/mean-flow congruences and the coupled pair."""
+        library, labels, times, cfg = self.library, self.labels, self.times, self.config
+        with self.timed("congruences"):
+            out = {cid: integrate_congruence(library.source(flow), labels, times,
+                                             action_rate=library.action_rate(which),
+                                             initial_actions=library.initial(which))
+                   for cid, flow, which in (("plus", "v_plus", "plus"),
+                                            ("minus", "v_minus", "minus"),
+                                            ("dbb", "v", "polar"))}
+            out["bi"] = BiCongruence.from_congruences(cfg.params, out["plus"], out["minus"],
+                                                      library.initial("plus"),
+                                                      library.initial("minus"),
+                                                      rho_ref=cfg.rho_ref)
+            return out
+
+    @cached_property
+    def autonomous(self):
+        library, labels, cfg = self.library, self.labels, self.config
+        with self.timed("autonomous"):
+            return propagate_autonomous(library.initial("plus"),
+                                        library.initial("minus"),
+                                        labels, cfg.params, cfg.dt_solver, cfg.solver_steps,
+                                        rho_ref=cfg.rho_ref)
+
+    def composition(self, case):
+        """Setup (host congruence, complement field, generator labels) and
+        result of one composition case."""
+        if case not in self._compositions:
+            congruences, library, labels, times = (self.congruences, self.library,
+                                                   self.labels, self.times)
+            with self.timed("composition"):
+                lo, hi = labels.values[0], labels.values[-1]
+                probe = LabelSet.uniform(0.4 * lo, 0.4 * hi,
+                                         max(2 * (self.config.label_count // 4) + 1, 21))
+                if case == "i":
+                    host, comp = congruences["plus"], library.source("u", -0.5)
+                elif case == "converse":
+                    host, comp = congruences["dbb"], library.source("u", +0.5)
+                else:
+                    host = integrate_congruence(library.source("v_plus", 0.5), labels, times)
+                    comp = library.source("v_minus", 0.5)
+                setup = CompositionSetup(host, comp, probe)
+                self._compositions[case] = setup, compose_trajectories(setup)
+        return self._compositions[case]
+
+    # -- outputs --
+
+    def emit_csv(self, name, header, blocks):
+        """Write ``name`` from row blocks holding one entry per column: an
+        array, or a scalar repeated over the block's rows."""
+        blocks = list(blocks)
+        with self.timed(f"write:{name}"):
+            rows = [next(len(e) for e in block if np.ndim(e)) for block in blocks]
+            columns = [np.concatenate([e if np.ndim(e) else np.full(n, e)
+                                       for e, n in zip(entries, rows)])
+                       for entries in zip(*blocks)]
+            write_csv(self.out_dir / name, header, columns)
+            self.files[name] = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
 
     def emit_json(self, name, payload):
-        path = self.out_dir / name
-        write_json(path, payload)
-        self.files[name] = _sha256(path)
+        with self.timed(f"write:{name}"):
+            write_json(self.out_dir / name, payload)
+            self.files[name] = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
 
     def add_check(self, result):
         self.checks.append(result)
@@ -494,7 +522,7 @@ class RunBundle:
         self.files["timings.json"] = None  # excluded from the determinism contract
         manifest = {
             "command": self.command,
-            "version": _package_version(),
+            "version": __version__,
             "config": self.config.echo,
             "files": self.files,
             "checks": self.checks,
@@ -503,12 +531,11 @@ class RunBundle:
         return manifest
 
 
-def _package_version():
-    from . import __version__
-    return __version__
-
-
 # ---------- commands ----------
+
+FIELD_COLUMNS = ("time", "x", "rho", "S", "S_plus", "S_minus", "v_plus", "v_minus",
+                 "Q_plus", "Q_minus", "valid")
+
 
 def _sampled_indices(n_times, target=101):
     """Evenly strided time indices, always keeping the first and last."""
@@ -522,178 +549,92 @@ def _sampled_indices(n_times, target=101):
 
 
 def run_simulate(config, out_dir):
-    bundle = RunBundle("simulate", config, out_dir)
-    with bundle.timed("reference"):
-        wave = build_reference(config)
+    run = RunBundle("simulate", config, out_dir)
     xs = config.grid.x
-    cols_t, cols_x, cols_re, cols_im = [], [], [], []
-    for snap in wave.snapshots:
-        cols_t.append(np.full_like(xs, snap.time))
-        cols_x.append(xs)
-        cols_re.append(snap.values.real)
-        cols_im.append(snap.values.imag)
-    bundle.emit_csv("reference_fields.csv", ["time", "x", "re_psi", "im_psi"],
-                    [np.concatenate(cols_t), np.concatenate(cols_x),
-                     np.concatenate(cols_re), np.concatenate(cols_im)])
-
-    with bundle.timed("fields"):
-        fs = build_fields(config, wave)
-    cols = {k: [] for k in ("time", "x", "rho", "S", "S_plus", "S_minus",
-                            "v_plus", "v_minus", "Q_plus", "Q_minus", "valid")}
-    for snap in fs.snapshots:
-        cols["time"].append(np.full_like(xs, snap.time))
-        cols["x"].append(xs)
-        cols["rho"].append(snap.rho)
-        cols["S"].append(snap.S)
-        cols["S_plus"].append(snap.S_plus)
-        cols["S_minus"].append(snap.S_minus)
-        cols["v_plus"].append(snap.v_plus)
-        cols["v_minus"].append(snap.v_minus)
-        cols["Q_plus"].append(snap.Q_plus)
-        cols["Q_minus"].append(snap.Q_minus)
-        cols["valid"].append(snap.valid.astype(int))
-    bundle.emit_csv("fields.csv", list(cols.keys()),
-                    [np.concatenate(v) for v in cols.values()])
-
-    library = FieldLibrary(config, None if config.solver == "analytic" else fs)
-    labels = build_labels(config, library)
-    with bundle.timed("trajectories"):
-        if config.mode == "autonomous":
-            bi = build_autonomous(config, library, labels)
-            named = {"plus": bi.plus, "minus": bi.minus}
-        else:
-            bundle_c = build_congruences(config, library, labels)
-            named = {"plus": bundle_c["plus"], "minus": bundle_c["minus"],
-                     "dbb": bundle_c["dbb"]}
-            bi = bundle_c["bi"]
-
-    keep_times = _sampled_indices(named["plus"].times.shape[0])
-    rows = {k: [] for k in ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi")}
-    for cid, c in named.items():
-        for k in keep_times:
-            nl = len(c.labels)
-            rows["congruence_id"].append(np.full(nl, cid, dtype=object))
-            rows["label_index"].append(np.arange(nl))
-            rows["q0"].append(c.labels.values)
-            rows["time"].append(np.full(nl, c.times[k]))
-            rows["q"].append(c.q[k])
-            rows["qdot"].append(c.qdot[k])
-            rows["J"].append(c.J[k])
-            rows["chi"].append(c.chi[k])
-    bundle.emit_csv("trajectories.csv", list(rows.keys()),
-                    [np.concatenate(v) for v in rows.values()])
+    run.emit_csv("reference_fields.csv", ("time", "x", "re_psi", "im_psi"),
+                 [(s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots])
+    run.emit_csv("fields.csv", FIELD_COLUMNS,
+                 [(s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
+                  for s in run.fields.snapshots])
 
     if config.mode == "autonomous":
-        cm_rows = {k: [] for k in ("time", "q_plus0", "q_minus0")}
-        for k in keep_times:
-            cm = cross_map(bi, bi.times[k])
-            cm_rows["time"].append(np.full_like(cm.q_plus0, cm.time))
-            cm_rows["q_plus0"].append(cm.q_plus0)
-            cm_rows["q_minus0"].append(cm.q_minus0)
-        bundle.emit_csv("crossmap.csv", list(cm_rows.keys()),
-                        [np.concatenate(v) for v in cm_rows.values()])
-    return bundle.finish(), bundle
+        named = {"plus": run.autonomous.plus, "minus": run.autonomous.minus}
+    else:
+        named = {cid: run.congruences[cid] for cid in ("plus", "minus", "dbb")}
+    keep = _sampled_indices(named["plus"].times.shape[0])
+    run.emit_csv("trajectories.csv",
+                 ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),
+                 [(cid, np.arange(len(c.labels)), c.labels.values, c.times[k],
+                   c.q[k], c.qdot[k], c.J[k], c.chi[k])
+                  for cid, c in named.items() for k in keep])
+
+    if config.mode == "autonomous":
+        bi = run.autonomous
+        with run.timed("crossmap"):
+            maps = [cross_map(bi, bi.times[k]) for k in keep]
+        run.emit_csv("crossmap.csv", ("time", "q_plus0", "q_minus0"),
+                     [(cm.time, cm.q_plus0, cm.q_minus0) for cm in maps])
+    return run.finish(), run
 
 
 def run_compose(config, out_dir, case=None):
     case = case or config.composition_case
-    bundle = RunBundle("compose", config, out_dir)
-    with bundle.timed("reference"):
-        wave = build_reference(config)
-        fs = build_fields(config, wave)
-    library = FieldLibrary(config, None if config.solver == "analytic" else fs)
-    labels = build_labels(config, library)
-    with bundle.timed("congruences"):
-        cbundle = build_congruences(config, library, labels)
-    with bundle.timed("composition"):
-        setup = composition_setup(config, library, cbundle, case)
-        result = compose_trajectories(setup)
+    run = RunBundle("compose", config, out_dir)
+    _, result = run.composition(case)
+    run.emit_csv("composition.csv",
+                 ("case_id", "q_C0", "time", "Q_B", "q_C", "J_B", "J_C", "residual"),
+                 [(case, result.labels_C.values, result.times[j], result.Q_B[j],
+                   result.q_C[j], result.J_B[j], result.J_C[j], result.residual[j])
+                  for j in _sampled_indices(result.times.shape[0])])
 
-    keep_times = _sampled_indices(result.times.shape[0])
-    rows = {k: [] for k in ("case_id", "q_C0", "time", "Q_B", "q_C", "J_B", "J_C", "residual")}
-    nl = len(result.labels_C)
-    for j in keep_times:
-        rows["case_id"].append(np.full(nl, case, dtype=object))
-        rows["q_C0"].append(result.labels_C.values)
-        rows["time"].append(np.full(nl, result.times[j]))
-        rows["Q_B"].append(result.Q_B[j])
-        rows["q_C"].append(result.q_C[j])
-        rows["J_B"].append(result.J_B[j])
-        rows["J_C"].append(result.J_C[j])
-        rows["residual"].append(result.residual[j])
-    bundle.emit_csv("composition.csv", list(rows.keys()),
-                    [np.concatenate(v) for v in rows.values()])
+    library, congruences = run.library, run.congruences
+    with run.timed("sources"):
+        rho, rho0 = library.rho(), library.initial("rho")
+        tables = {cid: source_term(congruences[cid], rho, library.source("u", factor), rho0=rho0)
+                  for cid, factor in (("plus", -0.5), ("minus", +0.5))}
+    run.emit_csv("sources.csv", ("congruence_id", "q0", "time", "c", "rho_ratio"),
+                 [(cid, tab.labels, tab.times[k], tab.c_A[k], tab.rho_ratio[k])
+                  for cid, tab in tables.items() for k in _sampled_indices(tab.times.shape[0])])
 
-    with bundle.timed("sources"):
-        rho = library.rho()
-        rho0 = library.rho0()
-        tables = {
-            "plus": source_term(cbundle["plus"], rho, library.source("u", -0.5), rho0=rho0),
-            "minus": source_term(cbundle["minus"], rho, library.source("u", +0.5), rho0=rho0),
-        }
-    srows = {k: [] for k in ("congruence_id", "q0", "time", "c", "rho_ratio")}
-    for cid, tab in tables.items():
-        for k in _sampled_indices(tab.times.shape[0]):
-            n = tab.labels.shape[0]
-            srows["congruence_id"].append(np.full(n, cid, dtype=object))
-            srows["q0"].append(tab.labels)
-            srows["time"].append(np.full(n, tab.times[k]))
-            srows["c"].append(tab.c_A[k])
-            srows["rho_ratio"].append(tab.rho_ratio[k])
-    bundle.emit_csv("sources.csv", list(srows.keys()),
-                    [np.concatenate(v) for v in srows.values()])
-
-    report = conservation_check(result, library.rho())
-    bundle.add_check({
-        "name": f"composition_{case}_residual",
-        "passed": bool(result.residual_max <= 1e-4 * max(result.velocity_scale, 1e-300)),
-        "measured": result.residual_max,
-        "tolerance": 1e-4 * result.velocity_scale,
-    })
-    bundle.add_check({
-        "name": f"composition_{case}_jacobian_factorisation",
-        "passed": bool(result.jacobian_factorisation_gap() <= 1e-4),
-        "measured": result.jacobian_factorisation_gap(),
-        "tolerance": 1e-4,
-    })
+    with run.timed("checks"):
+        drift = conservation_check(result, library.rho()).max_drift
+        gap = result.jacobian_factorisation_gap()
+    residual, scale = result.residual_max, result.velocity_scale
+    checks = [("residual", residual, 1e-4 * scale, residual <= 1e-4 * max(scale, 1e-300)),
+              ("jacobian_factorisation", gap, 1e-4, gap <= 1e-4)]
     if case in ("i", "ii"):
-        bundle.add_check({
-            "name": f"composition_{case}_conservation",
-            "passed": bool(report.max_drift <= 1e-3),
-            "measured": report.max_drift,
-            "tolerance": 1e-3,
-        })
-    return bundle.finish(), bundle
+        checks.append(("conservation", drift, 1e-3, drift <= 1e-3))
+    for what, measured, tolerance, passed in checks:
+        run.add_check({"name": f"composition_{case}_{what}", "passed": bool(passed),
+                       "measured": measured, "tolerance": tolerance})
+    return run.finish(), run
+
+
+RECONSTRUCTION_COLUMNS = ("x", "t", "re_psi_bihj", "im_psi_bihj", "re_psi_polar",
+                          "im_psi_polar", "re_psi_ref", "im_psi_ref",
+                          "abs_err_bihj", "abs_err_polar")
 
 
 def run_reconstruct(config, out_dir):
-    bundle = RunBundle("reconstruct", config, out_dir)
-    with bundle.timed("reference"):
-        wave = build_reference(config)
-        fs = build_fields(config, wave)
-    library = FieldLibrary(config, None if config.solver == "analytic" else fs)
-    labels = build_labels(config, library)
-    with bundle.timed("congruences"):
-        cbundle = build_congruences(config, library, labels)
-    bi, dbb = cbundle["bi"], cbundle["dbb"]
-    rho0 = library.rho0()
-    psi_ref = library.psi()
-    if psi_ref is None:
-        wave_by_time = {round(s.time, 12): s for s in wave.snapshots}
+    run = RunBundle("reconstruct", config, out_dir)
+    congruences, library, field_times = run.congruences, run.library, run.field_times
+    bi, dbb = congruences["bi"], congruences["dbb"]
+    with run.timed("probes"):
+        rho0 = library.initial("rho")
+        if run.analytic:
+            psi_ref = partial(gaussian.psi, library.g)
+        else:
+            wave_by_time = {round(s.time, 12): s for s in run.wave.snapshots}
 
-        def psi_ref(x, t):
-            snap = wave_by_time[round(float(t), 12)]
-            re = CubicSpline(snap.grid.x, snap.values.real)(x)
-            im = CubicSpline(snap.grid.x, snap.values.imag)(x)
-            return re + 1j * im
+            def psi_ref(x, t):
+                snap = wave_by_time[round(float(t), 12)]
+                re = CubicSpline(snap.grid.x, snap.values.real)(x)
+                im = CubicSpline(snap.grid.x, snap.values.imag)(x)
+                return re + 1j * im
 
-    with bundle.timed("probes"):
-        probe_times = wave.times[wave.times > 0]
-        keep = max(1, len(probe_times) // 4)
-        probe_times = probe_times[::keep]
-        out = {k: [] for k in ("x", "t", "re_psi_bihj", "im_psi_bihj", "re_psi_polar",
-                               "im_psi_polar", "re_psi_ref", "im_psi_ref",
-                               "abs_err_bihj", "abs_err_polar")}
+        probe_times = field_times[field_times > 0]
+        probe_times = probe_times[::max(1, len(probe_times) // 4)]
+        tables = []
         worst = 0.0
         scale = 0.0
         for t in probe_times:
@@ -703,19 +644,18 @@ def run_reconstruct(config, out_dir):
             pad = 0.02 * (hi - lo)
             xs = np.linspace(lo + pad, hi - pad, 21)
             tab = reconstruction_probe(bi, dbb, rho0, psi_ref, xs, float(t))
-            for key in out:
-                out[key].append(tab[key])
+            tables.append(tab)
             worst = max(worst, tab["abs_err_bihj"].max(), tab["abs_err_polar"].max())
             scale = max(scale, np.abs(tab["re_psi_ref"] + 1j * tab["im_psi_ref"]).max())
-    bundle.emit_csv("reconstruction.csv", list(out.keys()),
-                    [np.concatenate(v) for v in out.values()])
-    bundle.add_check({
+    run.emit_csv("reconstruction.csv", RECONSTRUCTION_COLUMNS,
+                 [tuple(tab[key] for key in RECONSTRUCTION_COLUMNS) for tab in tables])
+    run.add_check({
         "name": "reconstruction_against_reference",
         "passed": bool(worst <= 1e-3 * scale),
         "measured": worst,
         "tolerance": 1e-3 * scale,
     })
-    return bundle.finish(), bundle
+    return run.finish(), run
 
 
 def run_oracle_table(config):
@@ -742,56 +682,30 @@ def run_oracle_table(config):
 
 
 def run_figure(config, out_dir, figure_id):
-    bundle = RunBundle("figure", config, out_dir)
-    with bundle.timed("reference"):
-        wave = build_reference(config)
-        fs = None if config.solver == "analytic" else build_fields(config, wave)
-    library = FieldLibrary(config, fs)
-    labels = build_labels(config, library)
-    cbundle = build_congruences(config, library, labels)
-    stride_l = max(1, (len(labels) - 1) // 14)
-    keep_labels = np.arange(0, len(labels), stride_l)
-
+    if figure_id not in ("fig2", "fig3"):
+        raise ConfigurationError(f"unknown figure id {figure_id!r}; use fig2 or fig3")
+    run = RunBundle("figure", config, out_dir)
+    labels = run.labels
+    keep_labels = np.arange(0, len(labels), max(1, (len(labels) - 1) // 14))
     if figure_id == "fig2":
-        rows = {k: [] for k in ("series", "q0", "time", "value")}
+        blocks = []
         for cid in ("dbb", "plus", "minus"):
-            c = cbundle[cid]
+            c = run.congruences[cid]
             keep = _sampled_indices(c.times.shape[0], 81)
-            for i in keep_labels:
-                for k in keep:
-                    rows["series"].append(cid)
-                    rows["q0"].append(c.labels.values[i])
-                    rows["time"].append(c.times[k])
-                    rows["value"].append(c.q[k, i])
-        bundle.emit_csv("fig2.csv", list(rows.keys()), [rows[k] for k in rows])
-    elif figure_id == "fig3":
-        setup = composition_setup(config, library, cbundle, "i")
-        result = compose_trajectories(setup)
-        track = int(np.argmin(np.abs(result.labels_C.values - 1.0)))
-        rows = {k: [] for k in ("case_id", "series", "q0", "time", "value")}
-        keep = _sampled_indices(result.times.shape[0], 81)
+            blocks += [(cid, c.labels.values[i], c.times[keep], c.q[keep, i])
+                       for i in keep_labels]
+        run.emit_csv("fig2.csv", ("series", "q0", "time", "value"), blocks)
+    else:
+        setup, result = run.composition("i")
         host = setup.congruence_A
         keep_host = _sampled_indices(host.times.shape[0], 81)
-        for i in keep_labels:
-            for k in keep_host:
-                rows["case_id"].append("i")
-                rows["series"].append("qA_family")
-                rows["q0"].append(host.labels.values[i])
-                rows["time"].append(host.times[k])
-                rows["value"].append(host.q[k, i])
-        for j in keep:
-            q0 = result.labels_C.values[track]
-            rows["case_id"].append("i")
-            rows["series"].append("QB")
-            rows["q0"].append(q0)
-            rows["time"].append(result.times[j])
-            rows["value"].append(result.Q_B[j, track])
-            rows["case_id"].append("i")
-            rows["series"].append("qC")
-            rows["q0"].append(q0)
-            rows["time"].append(result.times[j])
-            rows["value"].append(result.q_C[j, track])
-        bundle.emit_csv("fig3.csv", list(rows.keys()), [rows[k] for k in rows])
-    else:
-        raise ConfigurationError(f"unknown figure id {figure_id!r}; use fig2 or fig3")
-    return bundle.finish(), bundle
+        blocks = [("i", "qA_family", host.labels.values[i], host.times[keep_host],
+                   host.q[keep_host, i]) for i in keep_labels]
+        # the composed track's generator and path, interleaved row by row
+        track = int(np.argmin(np.abs(result.labels_C.values - 1.0)))
+        keep = _sampled_indices(result.times.shape[0], 81)
+        blocks.append(("i", np.tile(["QB", "qC"], len(keep)), result.labels_C.values[track],
+                       np.repeat(result.times[keep], 2),
+                       np.stack([result.Q_B[keep, track], result.q_C[keep, track]], 1).ravel()))
+        run.emit_csv("fig3.csv", ("case_id", "series", "q0", "time", "value"), blocks)
+    return run.finish(), run

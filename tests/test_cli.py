@@ -67,6 +67,22 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"hbar": 1,', "is not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+    (None, "cannot read scenario"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing field" not in err
+    if text is None:
+        assert str(path) in err
+
+
 def test_wrong_type_config_exits_2(tmp_path, config_path, capsys):
     doc = json.loads(config_path.read_text())
     doc["hbar"] = "1"

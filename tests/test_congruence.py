@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bihj import gaussian
 from bihj.congruence import (
@@ -18,7 +19,15 @@ from bihj.errors import (
     TrajectoryExitError,
 )
 from bihj.fields import derive_series
-from bihj.reference import InitialStateSpec, SpatialGrid, analytic_series
+from bihj.reference import (
+    InitialStateSpec,
+    PhysicalParams,
+    Potential,
+    SpatialGrid,
+    analytic_series,
+    build_initial_state,
+    evolve_crank_nicolson,
+)
 
 SIGMA0 = np.sqrt(0.5)
 
@@ -194,3 +203,22 @@ class TestFieldSource:
             src.velocity(np.array([25.0]), 0.0)
         with pytest.raises(DomainError):
             src.velocity(np.array([0.0]), 5.0)
+
+    def test_action_rates_are_lagrangians_of_the_flows(self):
+        params = PhysicalParams(potential=Potential.harmonic(0.5))
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
+        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 20, store_every=10))
+        V = params.potential.on_grid(grid, params.mass)
+        x = np.linspace(-2.0, 2.0, 33)
+        for name, v, Q in (("L_plus", "v_plus", "Q_plus"), ("L_minus", "v_minus", "Q_minus"),
+                           ("L", "v", "Q")):
+            src = FieldSource(fs, name)
+            for k, s in enumerate(fs.snapshots):
+                lagrangian = 0.5 * params.mass * getattr(s, v) ** 2 - getattr(s, Q) - V
+                a, b = s.largest_run()
+                expected = CubicSpline(grid.x[a:b], lagrangian[a:b])(x)
+                assert np.abs(src(x, fs.times[k]) - expected).max() <= 1e-12 * np.abs(expected).max()
+                assert np.array_equal(src(x, fs.times[k]), src.velocity(x, fs.times[k]))
+        with pytest.raises(PreconditionError):
+            FieldSource(fs, "Q_plus")

@@ -56,6 +56,12 @@ class TestConstructionIdentities:
         assert np.abs(snap.v[ok] - 0.5 * (snap.v_plus[ok] + snap.v_minus[ok])).max() == 0.0
         assert np.abs(snap.u[ok] - (snap.v_plus[ok] - snap.v_minus[ok])).max() == 0.0
 
+    def test_series_times_built_once(self, gauss_fields):
+        snaps = gauss_fields.snapshots
+        assert gauss_fields.times is gauss_fields.times
+        assert np.array_equal(gauss_fields.times, [s.time for s in snaps])
+        assert gauss_fields.dt == snaps[1].time - snaps[0].time
+
     def test_amplitude_reconstruction(self, grid, gauss_fields, params, g):
         snap = gauss_fields.snapshots[0]
         ok = snap.valid
@@ -102,6 +108,7 @@ class TestDeriveFields:
         f = derive_fields(snap, params, rho_min=0.05 * snap.density().max())
         runs = f.runs()
         assert len(runs) == 2
+        assert f.largest_run() == max(runs, key=lambda r: r[1] - r[0])
         ok = f.valid
         rebuilt = np.sqrt(f.rho[ok]) * np.exp(1j * f.S[ok] / params.hbar)
         ref = snap.values[ok]

@@ -10,26 +10,39 @@ def rng():
     return np.random.default_rng(7)
 
 
+def _tridiag(rng, n, dtype):
+    """Diagonally dominant tridiagonal system (dl, d, du, dense) of one dtype."""
+    def draw(size, scale, shift=0.0):
+        out = shift + scale * rng.normal(size=size)
+        return out + 1j * scale * rng.normal(size=size) if dtype is complex else out
+    dl, d, du = draw(n - 1, 0.5), draw(n, 1.0, 5.0), draw(n - 1, 0.5)
+    return dl, d, du, np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
 def test_tridiag_solve_matches_dense(rng):
-    n = 64
-    dl = rng.normal(size=n - 1)
-    du = rng.normal(size=n - 1)
-    d = 5.0 + rng.normal(size=n)
-    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-    x = K.tridiag_solve(dl, d.astype(complex), du.astype(complex), rhs)
-    assert np.abs(dense @ x - rhs).max() < 1e-12
+    for dtype in (float, complex):
+        dl, d, du, dense = _tridiag(rng, 64, dtype)
+        rhs = rng.normal(size=64) + 1j * rng.normal(size=64)
+        x = K.tridiag_solve(dl, d, du, rhs)
+        assert np.abs(dense @ x - rhs).max() < 1e-12
 
 
 def test_factored_solver_matches_direct(rng):
     n = 128
-    dl = (0.1 * rng.normal(size=n - 1)).astype(complex)
-    du = (0.1 * rng.normal(size=n - 1)).astype(complex)
-    d = (3.0 + rng.normal(size=n)).astype(complex)
-    solve = K.make_tridiag_solver(dl, d, du)
-    for _ in range(3):
-        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.abs(solve(rhs) - K.tridiag_solve(dl, d, du, rhs)).max() < 1e-12
+    for dtype in (float, complex):
+        dl, d, du, dense = _tridiag(rng, n, dtype)
+        solve = K.make_tridiag_solver(dl, d, du)
+        for rhs in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            x = solve(rhs)
+            assert np.iscomplexobj(x) == (np.iscomplexobj(rhs) or dtype is complex)
+            assert np.abs(dense @ x - rhs).max() < 1e-12
+            assert np.abs(x - K.tridiag_solve(dl, d, du, rhs)).max() < 1e-12
+
+
+def test_factored_solver_rejects_singular_matrix():
+    d = np.array([1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        K.make_tridiag_solver(np.zeros(3), d, np.zeros(3))
 
 
 def test_hermite_matches_scipy_pchip(rng):

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import bihj.scenario as scenario
 from bihj.errors import ConfigurationError
 from bihj.scenario import (
+    CSV_CHUNK_ROWS,
     load_config,
     parse_config,
     run_compose,
@@ -115,12 +117,39 @@ class TestConfig:
         path.write_text(json.dumps(small_doc()))
         cfg = load_config(path)
         assert cfg.grid.n_points == 256
+        for text, message in (('{"hbar": 1,', "is not valid JSON"),
+                              ("[1, 2]", "must be a JSON object")):
+            path.write_text(text)
+            with pytest.raises(ConfigurationError, match=message):
+                load_config(path)
+        with pytest.raises(ConfigurationError, match="cannot read scenario .*missing.json"):
+            load_config(tmp_path / "missing.json")
+
+
+def assert_stages_cover_total(out_dir):
+    """The named stages of timings.json account for at least 95% of the run."""
+    timings = json.loads((out_dir / "timings.json").read_text())
+    total = timings.pop("total")
+    assert sum(timings.values()) >= 0.95 * total, timings
+
+
+def per_value_csv(header, columns):
+    """The value-by-value CSV formatting the row-format writer replaced."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return "%.17g" % value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 class TestOutputs:
     def test_simulate_emits_declared_schemas(self, tmp_path):
         cfg = parse_config(small_doc())
         manifest, bundle = run_simulate(cfg, tmp_path)
+        assert_stages_cover_total(tmp_path)
         assert set(manifest["files"]) == {"reference_fields.csv", "fields.csv",
                                           "trajectories.csv", "timings.json"}
         heads = {
@@ -138,6 +167,7 @@ class TestOutputs:
             mode="autonomous",
             time={"dt_solver": 0.001, "dt_fields": 0.01, "t_final": 0.05}))
         manifest, _ = run_simulate(cfg, tmp_path)
+        assert_stages_cover_total(tmp_path)
         assert "crossmap.csv" in manifest["files"]
         head = (tmp_path / "crossmap.csv").read_text().splitlines()[0]
         assert head == "time,q_plus0,q_minus0"
@@ -145,6 +175,7 @@ class TestOutputs:
     def test_compose_emits_composition_and_sources(self, tmp_path):
         cfg = parse_config(small_doc())
         manifest, bundle = run_compose(cfg, tmp_path)
+        assert_stages_cover_total(tmp_path)
         assert (tmp_path / "composition.csv").read_text().splitlines()[0] == \
             "case_id,q_C0,time,Q_B,q_C,J_B,J_C,residual"
         assert (tmp_path / "sources.csv").read_text().splitlines()[0] == \
@@ -154,6 +185,7 @@ class TestOutputs:
     def test_reconstruct_schema_and_check(self, tmp_path):
         cfg = parse_config(small_doc())
         manifest, bundle = run_reconstruct(cfg, tmp_path)
+        assert_stages_cover_total(tmp_path)
         head = (tmp_path / "reconstruction.csv").read_text().splitlines()[0]
         assert head == ("x,t,re_psi_bihj,im_psi_bihj,re_psi_polar,im_psi_polar,"
                         "re_psi_ref,im_psi_ref,abs_err_bihj,abs_err_polar")
@@ -165,6 +197,8 @@ class TestOutputs:
         assert (tmp_path / "f2" / "fig2.csv").read_text().splitlines()[0] == \
             "series,q0,time,value"
         run_figure(cfg, tmp_path / "f3", "fig3")
+        for fig in ("f2", "f3"):
+            assert_stages_cover_total(tmp_path / fig)
         lines = (tmp_path / "f3" / "fig3.csv").read_text().splitlines()
         assert lines[0] == "case_id,series,q0,time,value"
         kinds = {line.split(",")[1] for line in lines[1:]}
@@ -189,6 +223,36 @@ class TestOutputs:
     def test_csv_floats_carry_17_significant_digits(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["a"], [np.array([1.0 / 3.0])])
         assert tmp_path.joinpath("t.csv").read_text() == "a\n0.33333333333333331\n"
+
+    def test_csv_rows_match_per_value_format(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 3  # two chunk boundaries
+        rng = np.random.default_rng(3)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        floats[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+        ints = rng.integers(-2**62, 2**62, size=n)
+        ints[0] = np.iinfo(np.int64).min
+        names = np.full(n, "plus", dtype=object)
+        names[CSV_CHUNK_ROWS] = "minus"
+        columns = [floats, ints, names, names.astype(str), rng.normal(size=n)]
+        header = ["f", "i", "s", "u", "g"]
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert tmp_path.joinpath("t.csv").read_text() == per_value_csv(header, columns)
+
+    def test_analytic_runs_skip_field_extraction(self, tmp_path, monkeypatch):
+        calls = []
+        original = scenario.derive_series
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "derive_series", counted)
+        cfg = parse_config(small_doc())
+        run_compose(cfg, tmp_path / "a")
+        run_reconstruct(cfg, tmp_path / "b")
+        assert calls == []
+        run_compose(parse_config(small_doc(solver="crank_nicolson")), tmp_path / "c")
+        assert calls == [1]
 
     def test_empty_bundle_emits_manifest_only(self, tmp_path):
         from bihj.scenario import RunBundle
