@@ -8,10 +8,10 @@ divergence plus the squared relative velocity,
     accel_minus = -(1/m) d/dx [ -(hbar/2) div v_plus  - (m/4) u^2 + V ]
 
 with u the relative velocity of the two flows at the evaluation point.
-Partner quantities are obtained by locating the point inside the partner
-congruence (monotone inversion) and differentiating in label space; beyond
-the partner hull they are continued linearly from the edge (exact whenever
-the partner velocity field is spatially linear, as for the free Gaussian).
+Partner quantities are differentiated in label space and interpolated over
+the partner's positions with a natural cubic spline; beyond the partner
+hull they are continued linearly from the edge (exact whenever the partner
+velocity field is spatially linear, as for the free Gaussian).
 """
 from dataclasses import dataclass, field
 
@@ -75,32 +75,20 @@ class BiCongruence:
 
 # ---------- coupled force evaluation ----------
 
-class _PartnerView:
-    """Interpolants of a congruence's velocity and divergence over position."""
+def _sample_partner(q, vd, x):
+    """Partner (v, div v) at positions x from its stacked columns vd, shape
+    (n, 2), on its positions q, and the largest distance of x beyond q's hull.
 
-    def __init__(self, q, v, div):
-        self.q = q
-        self.v = v
-        self.div = div
-        self.v_slopes = spline_slopes_natural(q, v)
-        self.d_slopes = spline_slopes_natural(q, div)
-
-    def sample(self, x):
-        """(v, div v, extrapolation distance) at positions x."""
-        lo, hi = self.q[0], self.q[-1]
-        inside = np.clip(x, lo, hi)
-        v = hermite_eval(self.q, self.v, self.v_slopes, inside)
-        d = hermite_eval(self.q, self.div, self.d_slopes, inside)
-        below = x < lo
-        above = x > hi
-        if below.any():
-            v = np.where(below, self.v[0] + self.div[0] * (x - lo), v)
-            d = np.where(below, self.div[0], d)
-        if above.any():
-            v = np.where(above, self.v[-1] + self.div[-1] * (x - hi), v)
-            d = np.where(above, self.div[-1], d)
-        extrap = float(np.maximum(lo - x, x - hi).max(initial=0.0))
-        return v, d, max(extrap, 0.0)
+    One natural-spline solve and one interval search serve both columns;
+    beyond the hull v continues linearly with slope div v from the edge.
+    """
+    lo, hi = q[0], q[-1]
+    out = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.clip(x, lo, hi))
+    for beyond, k, edge in ((x < lo, 0, lo), (x > hi, -1, hi)):
+        if beyond.any():
+            out[beyond, 0] = vd[k, 0] + vd[k, 1] * (x[beyond] - edge)
+            out[beyond, 1] = vd[k, 1]
+    return out[:, 0], out[:, 1], float(np.maximum(lo - x, x - hi).max(initial=0.0))
 
 
 class _CoupledStepper:
@@ -114,18 +102,15 @@ class _CoupledStepper:
         self.max_extrap = max_extrapolation
         self.max_seen_extrap = 0.0
 
-    def _divergence(self, q, v):
-        return fd_derivative(v, self.h) / fd_derivative(q, self.h)
-
     def evaluate(self, qp, vp, qm, vm, t):
         """Accelerations, own divergences and action rates of both flows."""
-        div_p = self._divergence(qp, vp)
-        div_m = self._divergence(qm, vm)
-        view_p = _PartnerView(qp, vp, div_p)
-        view_m = _PartnerView(qm, vm, div_m)
+        dq_p = fd_derivative(qp, self.h)
+        dq_m = fd_derivative(qm, self.h)
+        div_p = fd_derivative(vp, self.h) / dq_p
+        div_m = fd_derivative(vm, self.h) / dq_m
 
-        vm_at_p, divm_at_p, e1 = view_m.sample(qp)
-        vp_at_m, divp_at_m, e2 = view_p.sample(qm)
+        vm_at_p, divm_at_p, e1 = _sample_partner(qm, np.column_stack((vm, div_m)), qp)
+        vp_at_m, divp_at_m, e2 = _sample_partner(qp, np.column_stack((vp, div_p)), qm)
         self.max_seen_extrap = max(self.max_seen_extrap, e1, e2)
         if self.max_extrap is not None and max(e1, e2) > self.max_extrap:
             raise HullOverlapError(
@@ -137,12 +122,12 @@ class _CoupledStepper:
         u_at_m = vp_at_m - vm
         q_pot_p = +0.5 * self.hbar * divm_at_p - 0.25 * self.mass * u_at_p**2
         q_pot_m = -0.5 * self.hbar * divp_at_m - 0.25 * self.mass * u_at_m**2
-        bracket_p = q_pot_p + self.potential_fn(qp)
-        bracket_m = q_pot_m + self.potential_fn(qm)
-        acc_p = -fd_derivative(bracket_p, self.h) / fd_derivative(qp, self.h) / self.mass
-        acc_m = -fd_derivative(bracket_m, self.h) / fd_derivative(qm, self.h) / self.mass
-        rate_p = 0.5 * self.mass * vp**2 - q_pot_p - self.potential_fn(qp)
-        rate_m = 0.5 * self.mass * vm**2 - q_pot_m - self.potential_fn(qm)
+        pot_p = self.potential_fn(qp)
+        pot_m = self.potential_fn(qm)
+        acc_p = -fd_derivative(q_pot_p + pot_p, self.h) / dq_p / self.mass
+        acc_m = -fd_derivative(q_pot_m + pot_m, self.h) / dq_m / self.mass
+        rate_p = 0.5 * self.mass * vp**2 - q_pot_p - pot_p
+        rate_m = 0.5 * self.mass * vm**2 - q_pot_m - pot_m
         return acc_p, acc_m, div_p, div_m, rate_p, rate_m
 
 

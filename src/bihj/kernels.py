@@ -1,12 +1,12 @@
 """Hot numeric kernels, one vectorised numpy implementation each.
 
-Tridiagonal systems go to LAPACK: banded solves, or one factorisation
-reused by every solve when the matrix is fixed; piecewise cubic Hermite
-evaluation and its monotone inversion share one interval locator and one
-cubic formula.
+Tridiagonal systems go straight to LAPACK (gtsv, or one gttrf reused by
+gttrs solves); piecewise cubic Hermite evaluation and its monotone inversion
+share one interval locator and one cubic formula.  Spline slopes and Hermite
+evaluation take several value columns on shared knots at once.
 """
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 # Newton/bisection steps per target in invert_monotone: bisection alone halves
 # the bracket each step, so this bound reaches double precision in s in [0, 1].
@@ -15,18 +15,21 @@ _MAX_INVERT_STEPS = 64
 
 # ---------- tridiagonal solves ----------
 
-def _banded(dl, d, du, dtype):
-    """LAPACK (1, 1) banded storage of the matrix with sub dl, diagonal d, super du."""
-    ab = np.zeros((3, d.shape[0]), dtype=dtype)
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
-    return ab
+def _check_info(info, routine):
+    """Raise on a nonzero LAPACK info code."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def tridiag_solve(dl, d, du, rhs):
-    """Solve the tridiagonal system; dl and du have length n-1."""
-    return solve_banded((1, 1), _banded(dl, d, du, np.result_type(d, rhs)), rhs)
+    """Solve the tridiagonal system for rhs of shape (n,) or (n, k); dl and du
+    have length n-1.  LAPACK gtsv: elimination with partial pivoting."""
+    gtsv, = get_lapack_funcs(("gtsv",), (dl, d, du, rhs))
+    x, info = gtsv(dl, d, du, rhs)[3:]
+    _check_info(info, "gtsv")
+    return x
 
 
 def make_tridiag_solver(dl, d, du):
@@ -34,10 +37,7 @@ def make_tridiag_solver(dl, d, du):
     with partial pivoting (LAPACK gttrf), then one gttrs solve per call."""
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
     dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gttrf")
+    _check_info(info, "gttrf")
 
     def solve(rhs):
         if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
@@ -69,10 +69,17 @@ def _cubic(s, h, y0, y1, d0, d1):
 
 
 def hermite_eval(xk, yk, dk, xq):
-    """Evaluate the C1 piecewise cubic with knot values yk and slopes dk."""
+    """Evaluate the C1 piecewise cubic with knot values yk and slopes dk.
+
+    yk and dk of shape (n,) or (n, k); the k columns share the knots and the
+    one interval search, and the result has shape (m,) or (m, k).
+    """
     i = _locate(xk, xq)
     h = xk[i + 1] - xk[i]
-    return _cubic((xq - xk[i]) / h, h, yk[i], yk[i + 1], dk[i], dk[i + 1])
+    s = (xq - xk[i]) / h
+    if np.ndim(yk) == 2:
+        s, h = s[:, None], h[:, None]
+    return _cubic(s, h, yk[i], yk[i + 1], dk[i], dk[i + 1])
 
 
 # ---------- inversion of a monotone increasing piecewise cubic ----------
@@ -150,19 +157,21 @@ def _pchip_edge(h0, h1, d0, d1):
 def spline_slopes_natural(x, y):
     """Knot slopes of the natural cubic spline (zero end curvature).
 
-    Exact for linear data; one tridiagonal solve.
+    Exact for linear data.  y of shape (n,) or (n, k): the columns share the
+    knots, so one tridiagonal solve gives the slopes of all of them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     h = np.diff(x)
-    delta = np.diff(y) / h
+    per_row = (-1,) + (1,) * (y.ndim - 1)  # broadcasts a knot quantity over columns
+    delta = np.diff(y, axis=0) / h.reshape(per_row)
     if n == 2:
         return np.array([delta[0], delta[0]])
     d = np.empty(n)
     dl = np.empty(n - 1)
     du = np.empty(n - 1)
-    rhs = np.empty(n)
+    rhs = np.empty(y.shape, order="F")
     d[0] = 2.0
     du[0] = 1.0
     rhs[0] = 3.0 * delta[0]
@@ -174,7 +183,8 @@ def spline_slopes_natural(x, y):
     dl[:-1] = inv_lo
     du[1:] = inv_hi
     d[1:-1] = 2.0 * (inv_lo + inv_hi)
-    rhs[1:-1] = 3.0 * (delta[:-1] * inv_lo + delta[1:] * inv_hi)
+    rhs[1:-1] = 3.0 * (delta[:-1] * inv_lo.reshape(per_row)
+                       + delta[1:] * inv_hi.reshape(per_row))
     return tridiag_solve(dl, d, du, rhs)
 
 

@@ -370,7 +370,8 @@ def write_json(path, payload):
 # ---------- the staged run pipeline ----------
 
 class RunBundle:
-    """One run: cached, timed pipeline stages, emitted files, checks, manifest.
+    """One run: cached, timed pipeline stages, emitted files, checks, numerical
+    health diagnostics (deterministic, unlike the wall times) and the manifest.
 
     Each stage is built on first use and kept.  It builds the stages it needs
     first, then times its own work under its name in ``timings.json``, so the
@@ -385,6 +386,7 @@ class RunBundle:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files = {}
         self.checks = []
+        self.diagnostics = {}
         self.timings = {}
         self._compositions = {}
         self._t0 = time.perf_counter()
@@ -464,10 +466,11 @@ class RunBundle:
     def autonomous(self):
         library, labels, cfg = self.library, self.labels, self.config
         with self.timed("autonomous"):
-            return propagate_autonomous(library.initial("plus"),
-                                        library.initial("minus"),
-                                        labels, cfg.params, cfg.dt_solver, cfg.solver_steps,
-                                        rho_ref=cfg.rho_ref)
+            bi = propagate_autonomous(library.initial("plus"), library.initial("minus"),
+                                      labels, cfg.params, cfg.dt_solver, cfg.solver_steps,
+                                      rho_ref=cfg.rho_ref)
+        self.diagnostics.update(bi.diagnostics)
+        return bi
 
     def composition(self, case):
         """Setup (host congruence, complement field, generator labels) and
@@ -526,6 +529,7 @@ class RunBundle:
             "config": self.config.echo,
             "files": self.files,
             "checks": self.checks,
+            "diagnostics": self.diagnostics,
         }
         write_json(self.out_dir / "manifest.json", manifest)
         return manifest

@@ -4,7 +4,9 @@ import pytest
 from bihj import gaussian
 from bihj.autonomous import (
     BiCongruence,
+    _CoupledStepper,
     _label_noise_filter,
+    _potential_eval,
     cross_map,
     exchange_mismatch,
     exchange_pair,
@@ -12,6 +14,8 @@ from bihj.autonomous import (
 )
 from bihj.congruence import CallableSource, LabelSet, integrate_congruence
 from bihj.errors import HullOverlapError, PreconditionError
+from bihj.kernels import fd_derivative, hermite_eval, spline_slopes_natural
+from bihj.reference import PhysicalParams, Potential
 
 SIGMA0 = np.sqrt(0.5)
 
@@ -101,9 +105,92 @@ class TestPropagation:
                 LabelSet.uniform(-4.0, 4.0, 101), params, 1e-3, 500,
                 max_extrapolation=0.05)
 
+    def test_extrapolation_error_names_the_time(self, g, params):
+        with pytest.raises(HullOverlapError, match=r"exceeds the allowed 1e-06 at t=0\.001$"):
+            propagate_autonomous(
+                lambda q: gaussian.action_plus(g, q, 0.0),
+                lambda q: gaussian.action_minus(g, q, 0.0),
+                LabelSet.uniform(-4.0, 4.0, 41), params, 1e-3, 5,
+                max_extrapolation=1e-6)
+
     def test_diagnostics_record_extrapolation(self, auto_pair):
         # the expanding flow leaves the contracting flow's hull immediately
         assert auto_pair.diagnostics["max_partner_extrapolation"] > 1.0
+
+
+class _ReferencePartnerView:
+    """The partner sampling of the coupled stepper as it was first written:
+    two natural-spline solves and two Hermite evaluations per partner."""
+
+    def __init__(self, q, v, div):
+        self.q, self.v, self.div = q, v, div
+        self.v_slopes = spline_slopes_natural(q, v)
+        self.d_slopes = spline_slopes_natural(q, div)
+
+    def sample(self, x):
+        lo, hi = self.q[0], self.q[-1]
+        inside = np.clip(x, lo, hi)
+        v = hermite_eval(self.q, self.v, self.v_slopes, inside)
+        d = hermite_eval(self.q, self.div, self.d_slopes, inside)
+        below = x < lo
+        above = x > hi
+        if below.any():
+            v = np.where(below, self.v[0] + self.div[0] * (x - lo), v)
+            d = np.where(below, self.div[0], d)
+        if above.any():
+            v = np.where(above, self.v[-1] + self.div[-1] * (x - hi), v)
+            d = np.where(above, self.div[-1], d)
+        extrap = float(np.maximum(lo - x, x - hi).max(initial=0.0))
+        return v, d, max(extrap, 0.0)
+
+
+def _reference_evaluate(hbar, mass, h, potential_fn, qp, vp, qm, vm):
+    """Accelerations, divergences, action rates and the largest partner-hull
+    extrapolation, computed as by the first coupled stepper."""
+    def divergence(q, v):
+        return fd_derivative(v, h) / fd_derivative(q, h)
+
+    div_p = divergence(qp, vp)
+    div_m = divergence(qm, vm)
+    vm_at_p, divm_at_p, e1 = _ReferencePartnerView(qm, vm, div_m).sample(qp)
+    vp_at_m, divp_at_m, e2 = _ReferencePartnerView(qp, vp, div_p).sample(qm)
+    u_at_p = vp - vm_at_p
+    u_at_m = vp_at_m - vm
+    q_pot_p = +0.5 * hbar * divm_at_p - 0.25 * mass * u_at_p**2
+    q_pot_m = -0.5 * hbar * divp_at_m - 0.25 * mass * u_at_m**2
+    bracket_p = q_pot_p + potential_fn(qp)
+    bracket_m = q_pot_m + potential_fn(qm)
+    acc_p = -fd_derivative(bracket_p, h) / fd_derivative(qp, h) / mass
+    acc_m = -fd_derivative(bracket_m, h) / fd_derivative(qm, h) / mass
+    rate_p = 0.5 * mass * vp**2 - q_pot_p - potential_fn(qp)
+    rate_m = 0.5 * mass * vm**2 - q_pot_m - potential_fn(qm)
+    return (acc_p, acc_m, div_p, div_m, rate_p, rate_m), max(e1, e2)
+
+
+class TestCoupledStepper:
+    @pytest.mark.parametrize("potential", [Potential.free(), Potential.harmonic(1.3)])
+    def test_evaluate_equals_reference(self, g, potential):
+        params = PhysicalParams(potential=potential)
+        labels = LabelSet.uniform(-3.0, 3.0, 61).values
+        h = labels[1] - labels[0]
+        potential_fn = lambda x: _potential_eval(params, x)
+        for t in (0.0, 0.3, 1.0):
+            # the expanding minus hull overhangs the plus hull at both ends;
+            # the wobble makes the velocity fields nonlinear in position
+            qp = labels * gaussian.path_scale(g, "plus", t) + 0.01 * np.sin(labels)
+            qm = labels * gaussian.path_scale(g, "minus", t)
+            vp = gaussian.velocity_plus(g, qp, t) + 0.05 * np.cos(2.0 * qp)
+            vm = gaussian.velocity_minus(g, qm, t) - 0.03 * np.sin(qm) ** 2
+            want, extrap = _reference_evaluate(params.hbar, params.mass, h, potential_fn,
+                                               qp, vp, qm, vm)
+            stepper = _CoupledStepper(params, labels, potential_fn, None)
+            got = stepper.evaluate(qp, vp, qm, vm, t)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert stepper.max_seen_extrap == extrap
+            if t > 0.0:
+                assert qm[0] < qp[0] and qm[-1] > qp[-1]
 
 
 class TestNoiseFilter:

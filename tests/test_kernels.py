@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.linalg import solve_banded
 
 import bihj.kernels as K
 
@@ -43,6 +44,47 @@ def test_factored_solver_rejects_singular_matrix():
     d = np.array([1.0, 0.0, 1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         K.make_tridiag_solver(np.zeros(3), d, np.zeros(3))
+
+
+def test_tridiag_solve_is_lapack_banded_solve(rng):
+    # the same gtsv elimination scipy's (1, 1) banded solve runs, bit for bit
+    for dtype in (float, complex):
+        dl, d, du, _ = _tridiag(rng, 33, dtype)
+        ab = np.zeros((3, 33), dtype=dtype)
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        for rhs in (rng.normal(size=33), rng.normal(size=(33, 3))):
+            assert np.array_equal(K.tridiag_solve(dl, d, du, rhs), solve_banded((1, 1), ab, rhs))
+
+
+def test_tridiag_solve_rejects_singular_matrix():
+    d = np.array([1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        K.tridiag_solve(np.zeros(3), d, np.zeros(3), np.ones(4))
+
+
+def _nonuniform_columns(rng, n=25, k=3):
+    x = np.cumsum(rng.uniform(0.05, 0.6, n))
+    return x, np.column_stack([np.sin(1.3 * x), x**2 - x, np.exp(-x)])[:, :k]
+
+
+def test_multi_column_kernels_equal_column_by_column(rng):
+    x, y = _nonuniform_columns(rng)
+    s = K.spline_slopes_natural(x, y)
+    assert s.shape == y.shape
+    for j in range(y.shape[1]):
+        assert np.array_equal(s[:, j], K.spline_slopes_natural(x, y[:, j]))
+    xq = np.r_[x[0] - 0.3, rng.uniform(x[0], x[-1], 60), x, x[-1] + 0.2]
+    out = K.hermite_eval(x, y, s, xq)
+    assert out.shape == (xq.shape[0], y.shape[1])
+    for j in range(y.shape[1]):
+        assert np.array_equal(out[:, j], K.hermite_eval(x, y[:, j], s[:, j], xq))
+
+
+def test_natural_spline_matches_scipy_on_nonuniform_knots(rng):
+    x, y = _nonuniform_columns(rng)
+    ref = CubicSpline(x, y, bc_type="natural").derivative()(x)
+    assert np.abs(K.spline_slopes_natural(x, y) - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(K.spline_slopes_natural(x, y[:, 0]) - ref[:, 0]).max() < 1e-12
 
 
 def test_hermite_matches_scipy_pchip(rng):

@@ -166,11 +166,19 @@ class TestOutputs:
         cfg = parse_config(small_doc(
             mode="autonomous",
             time={"dt_solver": 0.001, "dt_fields": 0.01, "t_final": 0.05}))
-        manifest, _ = run_simulate(cfg, tmp_path)
+        manifest, bundle = run_simulate(cfg, tmp_path)
         assert_stages_cover_total(tmp_path)
         assert "crossmap.csv" in manifest["files"]
         head = (tmp_path / "crossmap.csv").read_text().splitlines()[0]
         assert head == "time,q_plus0,q_minus0"
+        # the health diagnostic reaches the manifest and repeats exactly
+        extrap = bundle.autonomous.diagnostics["max_partner_extrapolation"]
+        assert extrap > 0.0
+        listed = json.loads((tmp_path / "manifest.json").read_text())
+        assert listed["diagnostics"] == {"max_partner_extrapolation": extrap}
+        again, _ = run_simulate(cfg, tmp_path / "again")
+        assert again["diagnostics"] == listed["diagnostics"]
+        assert again["files"] == manifest["files"]
 
     def test_compose_emits_composition_and_sources(self, tmp_path):
         cfg = parse_config(small_doc())
@@ -262,3 +270,4 @@ class TestOutputs:
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"manifest.json", "timings.json"}
         assert manifest["checks"] == []
+        assert manifest["diagnostics"] == {}
