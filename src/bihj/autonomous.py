@@ -83,7 +83,7 @@ def _sample_partner(q, vd, x):
     beyond the hull v continues linearly with slope div v from the edge.
     """
     lo, hi = q[0], q[-1]
-    out = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.clip(x, lo, hi))
+    out = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.minimum(np.maximum(x, lo), hi))
     for beyond, k, edge in ((x < lo, 0, lo), (x > hi, -1, hi)):
         if beyond.any():
             out[beyond, 0] = vd[k, 0] + vd[k, 1] * (x[beyond] - edge)
@@ -131,6 +131,9 @@ class _CoupledStepper:
         return acc_p, acc_m, div_p, div_m, rate_p, rate_m
 
 
+NOISE_FILTER = 0.2  # strength of the velocity filter of propagate_autonomous
+
+
 def _label_noise_filter(arr, alpha):
     """Compact fourth-difference filter damping grid-scale label noise.
 
@@ -145,8 +148,7 @@ def _label_noise_filter(arr, alpha):
 
 
 def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
-                         store_every=1, max_extrapolation=None, rho_ref=1.0,
-                         noise_filter=0.2):
+                         store_every=1, max_extrapolation=None, rho_ref=1.0):
     """March the coupled pair from action profiles alone.
 
     Half-kick / drift / recompute / half-kick stepping on the coupled
@@ -156,10 +158,9 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
     velocities are the label-space gradients of the action profiles.
 
     The scheme supports parasitic grid-scale modes whose growth rate scales
-    with the cross-coupling stiffness; ``noise_filter`` sets the strength of
-    a fourth-difference filter applied to the velocities after each step
-    (0 disables it).  The filter does not alter fields that are linear in
-    the label.
+    with the cross-coupling stiffness; a fourth-difference filter of strength
+    ``NOISE_FILTER`` is applied to the velocities after each step.  The
+    filter does not alter fields that are linear in the label.
 
     dt may be negative to march the pair backwards in time.
     """
@@ -206,9 +207,8 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
         mid = stepper.evaluate(qp_new, vp_half, qm_new, vm_half, t)
         vp_new = vp_half + 0.5 * dt * mid[0]
         vm_new = vm_half + 0.5 * dt * mid[1]
-        if noise_filter:
-            vp_new = _label_noise_filter(vp_new, noise_filter)
-            vm_new = _label_noise_filter(vm_new, noise_filter)
+        vp_new = _label_noise_filter(vp_new, NOISE_FILTER)
+        vm_new = _label_noise_filter(vm_new, NOISE_FILTER)
         ev_new = stepper.evaluate(qp_new, vp_new, qm_new, vm_new, t)
 
         chip = chip + 0.5 * dt * (rate_p + ev_new[4])

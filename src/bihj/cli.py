@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .errors import BihjError
 from .scenario import (
+    CASES,
     load_config,
     parse_config,
     run_compose,
@@ -63,7 +64,7 @@ def build_parser():
         p.add_argument("--mode", choices=("reference", "autonomous"), default=None,
                        help="override the scenario mode")
         if name == "compose":
-            p.add_argument("--case", choices=("i", "ii", "converse"), default=None,
+            p.add_argument("--case", choices=CASES, default=None,
                            help="composition case (default: from the scenario)")
         if name == "figure":
             p.add_argument("--id", dest="figure_id", choices=("fig2", "fig3"),

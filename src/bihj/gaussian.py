@@ -181,8 +181,6 @@ def velocity_field(g, kind):
         "u": osmotic_velocity,
         "half_plus": lambda gg, x, t: 0.5 * velocity_plus(gg, x, t),
         "half_minus": lambda gg, x, t: 0.5 * velocity_minus(gg, x, t),
-        "half_u": lambda gg, x, t: 0.5 * osmotic_velocity(gg, x, t),
-        "minus_half_u": lambda gg, x, t: -0.5 * osmotic_velocity(gg, x, t),
     }
     f = table[kind]
 

@@ -53,7 +53,7 @@ def _locate(knots, points):
     """Index i of the interval [knots[i], knots[i+1]] holding each point,
     clipped to [0, n-2] so points beyond the ends use the end intervals."""
     i = np.searchsorted(knots, points, side="right") - 1
-    return np.clip(i, 0, knots.shape[0] - 2)
+    return np.minimum(np.maximum(i, 0), knots.shape[0] - 2)
 
 
 def _cubic(s, h, y0, y1, d0, d1):
@@ -101,7 +101,7 @@ def invert_monotone(xk, yk, dk, targets, tol):
     h = xk[i + 1] - xk[i]
     y0, y1, d0, d1 = yk[i], yk[i + 1], dk[i], dk[i + 1]
     dy = y1 - y0
-    s = np.clip((targets - y0) / np.where(dy > 0.0, dy, 1.0), 0.0, 1.0)
+    s = np.minimum(np.maximum((targets - y0) / np.where(dy > 0.0, dy, 1.0), 0.0), 1.0)
     lo = np.zeros_like(s)
     hi = np.ones_like(s)
     for _ in range(_MAX_INVERT_STEPS):

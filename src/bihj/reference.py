@@ -32,6 +32,8 @@ class Potential:
             raise ConfigurationError("harmonic potential needs omega >= 0")
         if self.kind == "sampled" and self.values is None:
             raise ConfigurationError("sampled potential needs values")
+        if self.values is not None:
+            object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     @staticmethod
     def free():
@@ -43,7 +45,7 @@ class Potential:
 
     @staticmethod
     def sampled(values):
-        return Potential("sampled", values=np.asarray(values, dtype=float))
+        return Potential("sampled", values=values)
 
     def on_grid(self, grid, mass=1.0):
         x = grid.x

@@ -1,10 +1,10 @@
 """Scenario configuration, run orchestration and deterministic output files.
 
-A scenario is a JSON document with snake_case fields mirroring
-``ScenarioConfig``.  All floating point output is serialised with 17
-significant digits, CSV files use comma separators with LF endings, and JSON
-files are written with sorted keys, so identical configurations yield
-byte-identical data files.
+A scenario is a JSON document in the format of the field table ``SCHEMA``,
+which drives parsing, validation and the manifest's config echo.  All
+floating point output is serialised with 17 significant digits, CSV files
+use comma separators with LF endings, and JSON files are written with sorted
+keys, so identical configurations yield byte-identical data files.
 
 Every command runs one pipeline, ``RunBundle``, whose stages are built once,
 on first use.  Wall-clock timings are isolated in ``timings.json``, the one
@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+import reprlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,6 +56,9 @@ from .reference import (
 MODES = ("reference_driven", "autonomous")
 SOLVERS = ("analytic", "crank_nicolson")
 CASES = ("i", "ii", "converse")
+# (potential kind, state kind, momentum, center) of the scenarios the closed
+# forms of bihj.gaussian describe: a free gaussian at rest at x = 0
+CLOSED_FORM = ("free", "gaussian", 0.0, 0.0)
 
 
 # ---------- configuration ----------
@@ -96,191 +100,174 @@ class ScenarioConfig:
         return int(round(self.t_final / self.dt_fields))
 
 
-def _near_integer(x, tol=1e-9):
-    return abs(x - round(x)) <= tol * max(1.0, abs(x))
+def _finite(value):
+    """value is a finite real number; booleans are not numbers."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
-_KIND_NAMES = {numbers.Real: "a number", numbers.Integral: "an integer", list: "a list"}
+# Field types, (name, test of a present value, normalisation for the echo).
+NUMBER = ("a finite number", _finite, float)
+INTEGER = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+           int)
+STRING = ("a string", lambda v: isinstance(v, str), str)
+NUMBERS = ("a list of finite numbers only", lambda v: isinstance(v, list) and all(map(_finite, v)),
+           lambda v: [float(x) for x in v])
+
+
+def one_of(words):
+    return (f"one of {'|'.join(words)}", lambda v: isinstance(v, str) and v in words, str)
+
+
+# Range rules, (name, test of the normalised value).
+POSITIVE = ("positive", lambda v: v > 0)
+NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+CLOSED_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def at_least(n):
+    return (f"at least {n}", lambda v: v >= n)
+
+
+# The scenario format: one row per field, (dotted path, type, default, kind,
+# range rule).  A default of None makes the field required wherever it
+# applies; a field with a kind applies only when its sibling "kind" field
+# holds that kind.
+SCHEMA = (
+    ("hbar", NUMBER, 1.0, None, POSITIVE),
+    ("mass", NUMBER, 1.0, None, POSITIVE),
+    ("potential.kind", one_of(("free", "harmonic", "sampled")), "free", None, None),
+    ("potential.omega", NUMBER, 0.0, "harmonic", NONNEGATIVE),
+    ("potential.values", NUMBERS, None, "sampled", None),
+    ("grid.x_min", NUMBER, None, None, None),
+    ("grid.x_max", NUMBER, None, None, None),
+    ("grid.n_points", INTEGER, None, None, at_least(16)),
+    ("initial_state.kind", one_of(("gaussian", "two_gaussian")), "gaussian", None, None),
+    ("initial_state.sigma0", NUMBER, None, None, POSITIVE),
+    ("initial_state.center", NUMBER, 0.0, "gaussian", None),
+    ("initial_state.momentum", NUMBER, 0.0, "gaussian", None),
+    ("initial_state.separation", NUMBER, 0.0, "two_gaussian", None),
+    ("initial_state.relative_phase", NUMBER, 0.0, "two_gaussian", None),
+    ("initial_state.relative_weight", NUMBER, 0.5, "two_gaussian", CLOSED_UNIT),
+    ("time.dt_solver", NUMBER, None, None, POSITIVE),
+    ("time.dt_fields", NUMBER, None, None, POSITIVE),
+    ("time.t_final", NUMBER, None, None, POSITIVE),
+    ("labels.count", INTEGER, 101, None, at_least(2)),
+    ("labels.span.kind", one_of(("density_floor", "explicit")), "density_floor", None, None),
+    ("labels.span.floor", NUMBER, 1e-6, "density_floor", OPEN_UNIT),
+    ("labels.span.lo", NUMBER, None, "explicit", None),
+    ("labels.span.hi", NUMBER, None, "explicit", None),
+    ("mode", one_of(MODES), "reference_driven", None, None),
+    ("solver", one_of(SOLVERS), "crank_nicolson", None, None),
+    ("composition_case", one_of(CASES), "i", None, None),
+    ("thresholds.rho_min_factor", NUMBER, 1e-12, None, OPEN_UNIT),
+    ("thresholds.rho_ref", NUMBER, 1.0, None, POSITIVE),
+    ("output_dir", STRING, "", None, None),
+)
+_FIELDS = {tuple(row[0].split(".")) for row in SCHEMA}
+_SECTIONS = {path[:k] for path in _FIELDS for k in range(1, len(path))}
+
+
+def _lookup(doc, path):
+    """(True, value) for a field present in the nested dict doc, else (False, None)."""
+    for part in path:
+        if not isinstance(doc, dict) or part not in doc:
+            return False, None
+        doc = doc[part]
+    return True, doc
+
+
+def _unknown_fields(node, prefix=()):
+    for key, value in node.items():
+        path = prefix + (key,)
+        if path in _SECTIONS:
+            if isinstance(value, dict):
+                yield from _unknown_fields(value, path)
+        elif path not in _FIELDS:
+            yield ".".join(map(str, path))
+
+
+def _whole_ratio(a, b, tol=1e-9):
+    """a / b is finite and within tol (relative) of an integer."""
+    r = a / b
+    return math.isfinite(r) and abs(r - round(r)) <= tol * max(1.0, abs(r))
 
 
 def parse_config(doc):
-    """Validate a scenario document, reporting every violated constraint."""
+    """Validate a scenario document against SCHEMA, reporting every violation.
+
+    The normalised document (numbers as floats, defaults filled in, fields of
+    other kinds left out) is ``ScenarioConfig.echo``.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     problems = []
-    real, integer = numbers.Real, numbers.Integral
+    for section in sorted(_SECTIONS):
+        found, node = _lookup(doc, section)
+        if found and not isinstance(node, dict):
+            problems.append(f"field {'.'.join(section)} must be an object, "
+                            f"got {reprlib.repr(node)}")
+    problems += [f"unknown field {path}" for path in _unknown_fields(doc)]
+    flat = {}  # dotted path -> normalised value of every valid field that applies
+    for path, (name, valid, normal), default, kind, rule in SCHEMA:
+        found, value = _lookup(doc, path.split("."))
+        if found and not valid(value):
+            problems.append(f"field {path} must be {name}, got {reprlib.repr(value)}")
+        elif found and rule and not rule[1](normal(value)):
+            problems.append(f"{path} must be {rule[0]}, got {normal(value)}")
+        elif kind is not None and flat.get(path.rsplit(".", 1)[0] + ".kind") != kind:
+            continue
+        elif found or default is not None:
+            flat[path] = normal(value) if found else default
+        else:
+            problems.append(f"missing field {path}")
 
-    def need(path, default=None, kind=None):
-        node = doc
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                if default is not None:
-                    return default
-                problems.append(f"missing field {path}")
-                return None
-            node = node[part]
-        if kind is not None and (isinstance(node, bool) or not isinstance(node, kind)):
-            problems.append(f"field {path} must be {_KIND_NAMES[kind]}, got {node!r}")
-            return default
-        if kind is real and not math.isfinite(node):
-            problems.append(f"field {path} must be finite, got {node!r}")
-            return default
-        return node
-
-    hbar = need("hbar", 1.0, real)
-    mass = need("mass", 1.0, real)
-    if hbar is not None and hbar <= 0:
-        problems.append(f"hbar must be positive, got {hbar}")
-    if mass is not None and mass <= 0:
-        problems.append(f"mass must be positive, got {mass}")
-
-    pot_kind = need("potential.kind", "free")
-    omega = need("potential.omega", 0.0, real)
-    if pot_kind not in ("free", "harmonic", "sampled"):
-        problems.append(f"potential.kind must be free|harmonic|sampled, got {pot_kind!r}")
-    elif pot_kind == "harmonic" and omega < 0:
-        problems.append(f"potential.omega must be nonnegative, got {omega}")
-
-    x_min = need("grid.x_min", kind=real)
-    x_max = need("grid.x_max", kind=real)
-    n_points = need("grid.n_points", kind=integer)
-    if x_min is not None and x_max is not None and not x_min < x_max:
+    get = flat.get
+    x_min, x_max = get("grid.x_min"), get("grid.x_max")
+    lo, hi = get("labels.span.lo"), get("labels.span.hi")
+    if None not in (x_min, x_max) and not x_min < x_max:
         problems.append(f"grid needs x_min < x_max, got [{x_min}, {x_max}]")
-    if n_points is not None and n_points < 16:
-        problems.append(f"grid.n_points must be at least 16, got {n_points}")
-
-    values = need("potential.values", kind=list) if pot_kind == "sampled" else None
-    if values is not None:
-        if not all(isinstance(v, real) and not isinstance(v, bool) for v in values):
-            problems.append("potential.values must hold numbers only")
-        elif n_points is not None and len(values) != n_points:
-            problems.append(f"potential.values needs grid.n_points = {n_points} entries, "
-                            f"got {len(values)}")
-
-    st_kind = need("initial_state.kind", "gaussian")
-    sigma0 = need("initial_state.sigma0", kind=real)
-    weight = need("initial_state.relative_weight", 0.5, real)
-    momentum = need("initial_state.momentum", 0.0, real)
-    center = need("initial_state.center", 0.0, real)
-    separation = need("initial_state.separation", 0.0, real)
-    relative_phase = need("initial_state.relative_phase", 0.0, real)
-    if st_kind not in ("gaussian", "two_gaussian"):
-        problems.append(f"initial_state.kind must be gaussian|two_gaussian, got {st_kind!r}")
-    if sigma0 is not None and sigma0 <= 0:
-        problems.append(f"initial_state.sigma0 must be positive, got {sigma0}")
-    if not 0.0 <= weight <= 1.0:
-        problems.append(f"initial_state.relative_weight must be in [0, 1], got {weight}")
-
-    dt_solver = need("time.dt_solver", kind=real)
-    dt_fields = need("time.dt_fields", kind=real)
-    t_final = need("time.t_final", kind=real)
-    if dt_solver is not None and dt_solver <= 0:
-        problems.append(f"time.dt_solver must be positive, got {dt_solver}")
-    if dt_fields is not None and dt_solver is not None and dt_solver > 0:
+    if None not in (lo, hi) and not lo < hi:
+        problems.append(f"labels.span needs lo < hi, got [{lo}, {hi}]")
+    values, n_points = get("potential.values"), get("grid.n_points")
+    if None not in (values, n_points) and len(values) != n_points:
+        problems.append(f"potential.values needs grid.n_points = {n_points} entries, "
+                        f"got {len(values)}")
+    dt_solver, dt_fields, t_final = map(get, ("time.dt_solver", "time.dt_fields", "time.t_final"))
+    if None not in (dt_solver, dt_fields):
         if dt_fields < dt_solver:
             problems.append("time.dt_fields must be at least dt_solver")
-        elif not _near_integer(dt_fields / dt_solver):
+        elif not _whole_ratio(dt_fields, dt_solver):
             problems.append("time.dt_fields must be an integer multiple of dt_solver")
-    if t_final is not None:
-        if t_final <= 0:
-            problems.append(f"time.t_final must be positive, got {t_final}")
-        elif dt_fields and dt_fields > 0 and not _near_integer(t_final / dt_fields):
-            problems.append("time.t_final must be an integer multiple of dt_fields")
-
-    label_count = need("labels.count", 101, integer)
-    if label_count < 2:
-        problems.append(f"labels.count must be at least 2, got {label_count}")
-    span_kind = need("labels.span.kind", "density_floor")
-    span = {"kind": span_kind}
-    if span_kind == "density_floor":
-        floor = need("labels.span.floor", 1e-6, real)
-        if not 0.0 < floor < 1.0:
-            problems.append(f"labels.span.floor must be in (0, 1), got {floor}")
-        span["floor"] = floor
-    elif span_kind == "explicit":
-        lo = need("labels.span.lo", kind=real)
-        hi = need("labels.span.hi", kind=real)
-        if lo is not None and hi is not None and not lo < hi:
-            problems.append(f"labels.span needs lo < hi, got [{lo}, {hi}]")
-        span["lo"] = lo
-        span["hi"] = hi
-    else:
-        problems.append(f"labels.span.kind must be density_floor|explicit, got {span_kind!r}")
-
-    mode = need("mode", "reference_driven")
-    if mode not in MODES:
-        problems.append(f"mode must be one of {MODES}, got {mode!r}")
-    solver = need("solver", "crank_nicolson")
-    if solver not in SOLVERS:
-        problems.append(f"solver must be one of {SOLVERS}, got {solver!r}")
-    if solver == "analytic" and (st_kind != "gaussian" or momentum != 0.0 or pot_kind != "free"):
-        problems.append("solver=analytic needs a free gaussian at rest")
-    case = need("composition_case", "i")
-    if case not in CASES:
-        problems.append(f"composition_case must be one of {CASES}, got {case!r}")
-
-    rho_min_factor = need("thresholds.rho_min_factor", 1e-12, real)
-    rho_ref = need("thresholds.rho_ref", 1.0, real)
-    output_dir = need("output_dir", "")
-    if output_dir is not None and not isinstance(output_dir, str):
-        problems.append(f"field output_dir must be a string, got {output_dir!r}")
-    if not 0.0 < rho_min_factor < 1.0:
-        problems.append(f"thresholds.rho_min_factor must be in (0, 1), got {rho_min_factor}")
-    if rho_ref <= 0:
-        problems.append(f"thresholds.rho_ref must be positive, got {rho_ref}")
-
+    if None not in (dt_fields, t_final) and not _whole_ratio(t_final, dt_fields):
+        problems.append("time.t_final must be an integer multiple of dt_fields")
+    if get("solver") == "analytic" and tuple(map(get, (
+            "potential.kind", "initial_state.kind", "initial_state.momentum",
+            "initial_state.center"))) != CLOSED_FORM:
+        problems.append("solver=analytic needs a free gaussian at rest at x = 0")
     if problems:
         raise ConfigurationError("invalid scenario configuration:\n  - " + "\n  - ".join(problems))
 
-    potential = {"free": Potential.free, "harmonic": lambda: Potential.harmonic(omega),
-                 "sampled": lambda: Potential.sampled(values)}[pot_kind]()
-    grid = SpatialGrid(float(x_min), float(x_max), int(n_points))
-    if st_kind == "gaussian":
-        state = InitialStateSpec.gaussian(float(sigma0), center=float(center),
-                                          momentum=float(momentum))
-    else:
-        state = InitialStateSpec.two_gaussian(float(sigma0),
-                                              separation=float(separation),
-                                              relative_phase=float(relative_phase),
-                                              relative_weight=float(weight))
-    cfg = ScenarioConfig(
-        hbar=float(hbar), mass=float(mass), potential=potential, grid=grid,
-        initial_state=state, dt_solver=float(dt_solver), dt_fields=float(dt_fields),
-        t_final=float(t_final), label_count=int(label_count), label_span=span,
-        mode=mode, solver=solver, composition_case=case,
-        rho_min_factor=float(rho_min_factor), rho_ref=float(rho_ref),
-        output_dir=output_dir or None, echo=config_echo_dict(
-            hbar, mass, potential, grid, state, dt_solver, dt_fields, t_final,
-            label_count, span, mode, solver, case, rho_min_factor, rho_ref, output_dir),
-    )
-    return cfg
-
-
-def config_echo_dict(hbar, mass, potential, grid, state, dt_solver, dt_fields,
-                     t_final, label_count, span, mode, solver, case,
-                     rho_min_factor, rho_ref, output_dir):
-    echo = {
-        "hbar": hbar, "mass": mass,
-        "potential": {"kind": potential.kind},
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
-        "initial_state": {"kind": state.kind, "sigma0": state.sigma0},
-        "time": {"dt_solver": dt_solver, "dt_fields": dt_fields, "t_final": t_final},
-        "labels": {"count": label_count, "span": span},
-        "mode": mode, "solver": solver, "composition_case": case,
-        "thresholds": {"rho_min_factor": rho_min_factor, "rho_ref": rho_ref},
-        "output_dir": output_dir,
-    }
-    if potential.kind == "harmonic":
-        echo["potential"]["omega"] = potential.omega
-    elif potential.kind == "sampled":
-        echo["potential"]["values"] = potential.values.tolist()
-    if state.kind == "gaussian":
-        echo["initial_state"].update(center=state.center, momentum=state.momentum)
-    else:
-        echo["initial_state"].update(separation=state.separation,
-                                     relative_phase=state.relative_phase,
-                                     relative_weight=state.relative_weight)
-    return echo
+    echo = {}
+    for path, value in flat.items():
+        *parents, leaf = path.split(".")
+        node = echo
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    time_, labels, thresholds = echo["time"], echo["labels"], echo["thresholds"]
+    return ScenarioConfig(
+        hbar=echo["hbar"], mass=echo["mass"], potential=Potential(**echo["potential"]),
+        grid=SpatialGrid(**echo["grid"]), initial_state=InitialStateSpec(**echo["initial_state"]),
+        dt_solver=time_["dt_solver"], dt_fields=time_["dt_fields"], t_final=time_["t_final"],
+        label_count=labels["count"], label_span=labels["span"], mode=echo["mode"],
+        solver=echo["solver"], composition_case=echo["composition_case"],
+        rho_min_factor=thresholds["rho_min_factor"], rho_ref=thresholds["rho_ref"],
+        output_dir=echo["output_dir"] or None, echo=echo)
 
 
 def load_config(path):
@@ -663,9 +650,10 @@ def run_reconstruct(config, out_dir):
 
 
 def run_oracle_table(config):
-    """Closed-form table for the configured gaussian (stdout payload)."""
-    if config.initial_state.kind != "gaussian" or config.initial_state.momentum != 0.0:
-        raise ConfigurationError("the oracle table needs a gaussian at rest")
+    """Closed-form table for the configured free gaussian (stdout payload)."""
+    state = config.initial_state
+    if (config.potential.kind, state.kind, state.momentum, state.center) != CLOSED_FORM:
+        raise ConfigurationError("the oracle table needs a free gaussian at rest at x = 0")
     g = gaussian.GaussianParams(config.initial_state.sigma0, config.hbar, config.mass)
     lines = [f"free gaussian at rest: sigma0={g.sigma0:.6g} kappa={g.kappa:.6g}"]
     lines.append("fields (x, t): rho, S, S_plus, S_minus, v_plus, v_minus")

@@ -93,6 +93,19 @@ def test_wrong_type_config_exits_2(tmp_path, config_path, capsys):
     assert "hbar" in err and "labels.count" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time", {"dt_solver": 1e-300, "dt_fields": 1e10, "t_final": 1e10}),
+    ("thresholds", 5),
+    ("thresholds", {"rho_min_factr": 1e-3}),
+])
+def test_edge_inputs_exit_2(tmp_path, config_path, capsys, key, value):
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid scenario configuration" in capsys.readouterr().err
+
+
 def test_cli_import_loads_neither_numba_nor_scipy_signal():
     src = str(Path(bihj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

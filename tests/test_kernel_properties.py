@@ -1,4 +1,5 @@
-"""Property tests of the tridiagonal solve and the natural-spline slopes."""
+"""Property tests of the tridiagonal solve, the natural-spline and PCHIP
+slopes and the monotone inversion."""
 import numpy as np
 import pytest
 
@@ -55,3 +56,46 @@ def test_natural_spline_slopes_exact_on_linear_data(n, columns, data):
     assert s.shape == y.shape
     # round-off of the divided differences, y / h, sets the scale
     assert np.abs(s - slope).max() <= 64 * EPS * np.abs(y).max() / gaps.min()
+
+
+@st.composite
+def monotone_data(draw, flats=True):
+    """Knots with random gaps and non-decreasing values (strictly increasing
+    unless flats), optionally mirrored to non-increasing."""
+    n = draw(st.integers(2, 40))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 2.0)))
+    x = np.r_[0.0, np.cumsum(gaps)] + draw(st.floats(-10.0, 10.0))
+    step = st.floats(1e-3, 10.0)
+    rises = draw(arrays(float, n - 1, elements=st.one_of(st.just(0.0), step) if flats else step))
+    y = np.r_[0.0, np.cumsum(rises)] + draw(st.floats(-100.0, 100.0))
+    return x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_data(), st.sampled_from([1.0, -1.0]))
+def test_pchip_keeps_monotone_data_monotone(data, sign):
+    x, y = data
+    y = sign * y
+    m = K.pchip_slopes(x, y)
+    delta = np.diff(y) / np.diff(x)
+    # Fritsch-Carlson: slopes share the sign of each secant and are at most
+    # three times it, which makes every interval cubic monotone
+    for d in (m[:-1], m[1:]):
+        assert np.all(d * sign >= 0.0)
+        assert np.all(np.abs(d) <= 3.0 * np.abs(delta) * (1.0 + 4 * EPS))
+    xq = np.sort(np.r_[x, np.linspace(x[0], x[-1], 500)])
+    steps = np.diff(K.hermite_eval(x, y, m, xq)) * sign
+    assert steps.min() >= -8 * EPS * np.abs(y).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_data(flats=False), st.floats(1e-10, 1e-3), st.data())
+def test_invert_monotone_round_trips_within_tol(data, rel_tol, draw):
+    x, y = data
+    m = K.pchip_slopes(x, y)
+    x_true = draw.draw(arrays(float, 20, elements=st.floats(0.0, 1.0))) * (x[-1] - x[0]) + x[0]
+    targets = K.hermite_eval(x, y, m, x_true)
+    tol = rel_tol * np.abs(y).max()
+    inv = K.invert_monotone(x, y, m, targets, tol)
+    assert np.all((inv >= x[0]) & (inv <= x[-1]))
+    assert np.abs(K.hermite_eval(x, y, m, inv) - targets).max() <= tol

@@ -62,6 +62,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="integer multiple"):
             parse_config(small_doc(time={"dt_solver": 0.003, "dt_fields": 0.01,
                                          "t_final": 0.1}))
+        # the step ratio overflows to infinity
+        with pytest.raises(ConfigurationError, match="integer multiple"):
+            parse_config(small_doc(time={"dt_solver": 1e-300, "dt_fields": 1e10,
+                                         "t_final": 1e10}))
 
     def test_analytic_solver_needs_gaussian_at_rest(self):
         doc = small_doc(initial_state={"kind": "two_gaussian", "sigma0": SIGMA0,
@@ -90,6 +94,8 @@ class TestConfig:
         ("time.t_final", {}), ("labels.count", "5"), ("labels.count", True),
         ("labels.span.lo", "-2"), ("thresholds.rho_ref", "1"),
         ("hbar", float("nan")), ("time.t_final", float("inf")), ("output_dir", 5),
+        ("hbar", 10**400), ("thresholds", 5), ("labels.span", "explicit"),
+        ("output_dir", None),
     ])
     def test_wrong_type_is_a_configuration_error(self, path, value):
         doc = json.loads(json.dumps(small_doc(potential={"kind": "harmonic", "omega": 0.5},
@@ -101,6 +107,23 @@ class TestConfig:
         node[leaf] = value
         with pytest.raises(ConfigurationError, match=f"field {path} must be"):
             parse_config(doc)
+
+    def test_unknown_field_is_reported(self):
+        doc = small_doc(thresholds={"rho_min_factr": 1e-3, "rho_ref": 1.0}, extra=1)
+        doc["grid"]["x_min"] = "low"
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(doc)
+        text = str(err.value)
+        for fragment in ("unknown field thresholds.rho_min_factr", "unknown field extra",
+                         "field grid.x_min must be"):
+            assert fragment in text
+
+    def test_analytic_solver_needs_centre_zero(self):
+        # the closed-form fields of the analytic solver describe a gaussian at x = 0
+        doc = small_doc(initial_state={"kind": "gaussian", "sigma0": SIGMA0, "center": 1.0})
+        with pytest.raises(ConfigurationError, match="analytic"):
+            parse_config(doc)
+        parse_config(dict(doc, solver="crank_nicolson"))
 
     def test_sampled_potential_values_validated(self):
         with pytest.raises(ConfigurationError, match="missing field potential.values"):
@@ -217,6 +240,12 @@ class TestOutputs:
         text = run_oracle_table(cfg)
         assert "0.644794" in text  # plus path at (1, 1)
         assert "2.193280" in text  # label generator, first case
+
+    def test_oracle_table_needs_free_potential(self):
+        cfg = parse_config(small_doc(potential={"kind": "harmonic", "omega": 0.5},
+                                     solver="crank_nicolson"))
+        with pytest.raises(ConfigurationError, match="free gaussian"):
+            run_oracle_table(cfg)
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = parse_config(small_doc(solver="crank_nicolson"))
