@@ -10,8 +10,6 @@ import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import argrelextrema
 
 from . import gaussian
 from .autonomous import (
@@ -41,6 +39,7 @@ from .fields import (
     stationary_points,
     time_reversal_check,
 )
+from .kernels import fd_derivative, strict_extrema
 from .reconstruct import (
     bihj_wavefunction_at,
     polar_wavefunction_at,
@@ -454,9 +453,7 @@ def check_superposition(ctx):
     lo = max(bi.plus.q[k][0], bi.minus.q[k][0])
     hi = min(bi.plus.q[k][-1], bi.minus.q[k][-1])
     xs = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 41)
-    re = CubicSpline(final.grid.x, final.values.real)(xs)
-    im = CubicSpline(final.grid.x, final.values.imag)(xs)
-    ref = re + 1j * im
+    ref = final.at(xs)
     rec = np.atleast_1d(bihj_wavefunction_at(bi, xs, t))
     err = np.abs(rec - ref).max() / np.abs(ref).max()
     out = [_result("superposition_reconstruction", err, 1e-3,
@@ -465,9 +462,7 @@ def check_superposition(ctx):
     fsnap = fs.snapshots[-1]
     found = stationary_points(fsnap)
     a, b = fsnap.largest_run()
-    seg = fsnap.rho[a:b]
-    idx = np.concatenate([argrelextrema(seg, np.greater)[0],
-                          argrelextrema(seg, np.less)[0]]) + a
+    idx = strict_extrema(fsnap.rho[a:b]) + a
     idx = idx[fsnap.rho[idx] >= 1e-6 * fsnap.rho.max()]
     extrema = np.sort(fsnap.grid.x[idx])
     dx = fsnap.grid.dx
@@ -494,7 +489,6 @@ def check_properties(ctx):
     # the plus velocity field vanishes identically at t = 1 (the action pair
     # is momentarily uniform), so the mismatch is scaled by the largest
     # momentum flux across the sampled times rather than per time
-    from .kernels import fd_derivative
     worst = 0.0
     scale = 0.0
     for c in (ctx.plus(), ctx.minus()):

@@ -16,7 +16,6 @@ velocity field is spatially linear, as for the free Gaussian).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .congruence import Congruence, LabelSet, invert_labels
 from .errors import (
@@ -25,7 +24,13 @@ from .errors import (
     InstabilityError,
     PreconditionError,
 )
-from .kernels import fd_derivative, hermite_eval, pchip_slopes, spline_slopes_natural
+from .kernels import (
+    NotAKnotSpline,
+    fd_derivative,
+    hermite_eval,
+    pchip_slopes,
+    spline_slopes_natural,
+)
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,8 @@ class BiCongruence:
         return self.plus.times
 
     def rho0(self, q):
-        sp = CubicSpline(self.labels.values, self.S_plus0)(q)
-        sm = CubicSpline(self.labels.values, self.S_minus0)(q)
+        s = NotAKnotSpline(self.labels.values, np.stack((self.S_plus0, self.S_minus0), 1))(q)
+        sp, sm = s[..., 0], s[..., 1]
         return self.rho_ref * np.exp((sp - sm) / self.params.hbar)
 
     @staticmethod

@@ -14,12 +14,16 @@ the true density, and the conservation statement for composed flows.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .congruence import LabelSet, ScaledSource, invert_labels
 from .errors import PreconditionError, SpanExhaustionError
-from .kernels import fd_derivative, hermite_eval, pchip_slopes
+from .kernels import (
+    NotAKnotSpline,
+    cumulative_trapezoid,
+    fd_derivative,
+    hermite_eval,
+    pchip_slopes,
+)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ def pushforward_vector(setup, q_A0, t):
     labels = A.labels.values
     q0 = np.atleast_1d(np.asarray(q_A0, dtype=float))
     pos = hermite_eval(labels, A.q[k], pchip_slopes(labels, A.q[k]), q0)
-    JA = CubicSpline(labels, A.J[k])(q0)
+    JA = NotAKnotSpline(labels, A.J[k])(q0)
     out = np.asarray(setup.field_B.velocity(pos, float(t)), dtype=float) / JA
     return out if np.ndim(q_A0) else float(out[0])
 
@@ -96,7 +100,7 @@ class _LabelFieldCache:
             A = self.A
             vb = np.asarray(self.field_B.velocity(A.q[k], float(A.times[k])), dtype=float)
             vb = vb + np.zeros_like(A.q[k])
-            self._cache[k] = CubicSpline(A.labels.values, vb / A.J[k])
+            self._cache[k] = NotAKnotSpline(A.labels.values, vb / A.J[k])
         return self._cache[k]
 
 
@@ -178,7 +182,7 @@ def compose_trajectories(setup):
     for j, k in enumerate(out_idx):
         pos = A.q[k]
         qC[j] = hermite_eval(labels, pos, pchip_slopes(labels, pos), QB[j])
-        JA_at[j] = CubicSpline(labels, A.J[k])(QB[j])
+        JA_at[j] = NotAKnotSpline(labels, A.J[k])(QB[j])
 
     lc = setup.labels_C.values
     h_lab = np.diff(lc)
@@ -196,7 +200,7 @@ def compose_trajectories(setup):
         k = out_idx[j]
         tk = float(A.times[k])
         labs = invert_labels(A, qC[j], tk)
-        vA = CubicSpline(labels, A.qdot[k])(labs)
+        vA = NotAKnotSpline(labels, A.qdot[k])(labs)
         vB = np.asarray(setup.field_B.velocity(qC[j], tk), dtype=float)
         velocity[j] = vA + vB
         vscale = max(vscale, float(np.max(np.abs(velocity[j]))))
@@ -221,7 +225,7 @@ class SourceTable:
     decomposition_gap: float
 
     def c_at(self, q0, t_index):
-        out = CubicSpline(self.labels, self.c_A[t_index])(np.atleast_1d(q0))
+        out = NotAKnotSpline(self.labels, self.c_A[t_index])(np.atleast_1d(q0))
         return out if np.ndim(q0) else float(out[0])
 
 
@@ -248,7 +252,7 @@ def source_term(A, rho_sampler, field_B, rho0=None):
         P[k] = rho_sampler(A.q[k], t)
         vb = np.asarray(field_B.velocity(A.q[k], t), dtype=float) + np.zeros_like(labels)
         W[k] = P[k] * vb  # J_A V_B reduces to v_B along the path in 1D
-    cum = cumulative_trapezoid(W, A.times, axis=0, initial=0.0)
+    cum = cumulative_trapezoid(W, A.times)
     c = np.empty_like(P)
     for k in range(nt):
         c[k] = -fd_derivative(cum[k], h) / A.J[k]
@@ -311,8 +315,8 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
     qp0 = np.atleast_1d(invert_labels(bi.plus, xs, probe_t))
     qm0 = np.atleast_1d(invert_labels(bi.minus, xs, probe_t))
     labels = bi.labels.values
-    Jp = CubicSpline(labels, bi.plus.J[k])(qp0)
-    Jm = CubicSpline(labels, bi.minus.J[k])(qm0)
+    Jp = NotAKnotSpline(labels, bi.plus.J[k])(qp0)
+    Jm = NotAKnotSpline(labels, bi.minus.J[k])(qm0)
     rho_true = np.asarray(rho_sampler(xs, probe_t), dtype=float)
 
     mix = r * rho0(qp0) / Jp + (1.0 - r) * rho0(qm0) / Jm

@@ -8,7 +8,6 @@ and J strictly positive; violations abort with diagnostics.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     CongruenceCrossingError,
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
     TrajectoryExitError,
 )
-from .kernels import invert_monotone, pchip_slopes
+from .kernels import NotAKnotSpline, invert_monotone, pchip_slopes
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class FieldSource:
                 continue
             sp, lo, hi = self._spline(k)
             bad = (x < lo) | (x > hi)
-            if np.any(bad):
+            if bad.any():
                 raise DomainError(float(np.atleast_1d(x[bad])[0]), t)
             out = out + wk * sp(x, nu=deriv)
         return out
@@ -325,6 +324,6 @@ def trajectory_density(congruence, rho0, x, t):
     """rho0(q0(x, t)) / J(q0(x, t), t): the density carried by the flow alone."""
     k = congruence.time_index(t)
     q0 = np.atleast_1d(invert_labels(congruence, x, t))
-    J = CubicSpline(congruence.labels.values, congruence.J[k])(q0)
+    J = NotAKnotSpline(congruence.labels.values, congruence.J[k])(q0)
     out = np.asarray(rho0(q0), dtype=float) / J
     return out if np.ndim(x) else float(out[0])

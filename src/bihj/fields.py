@@ -14,9 +14,9 @@ demonstrate that it does not converge (permanent sign regression).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateStateError, PreconditionError, UnwrapError
+from .kernels import NotAKnotSpline
 
 UNWRAP_JUMP_LIMIT = 3.0  # radians between adjacent valid points
 MIN_RUN_LENGTH = 5  # shortest maskable run usable by the one-sided stencils
@@ -112,7 +112,7 @@ class FieldSnapshot:
     def spline(self, values):
         """Cubic spline of grid ``values`` over the longest valid run."""
         a, b = self.largest_run()
-        return CubicSpline(self.grid.x[a:b], values[a:b])
+        return NotAKnotSpline(self.grid.x[a:b], values[a:b])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Tridiagonal systems go straight to LAPACK (gtsv, or one gttrf reused by
 gttrs solves); piecewise cubic Hermite evaluation and its monotone inversion
-share one interval locator and one cubic formula.  Spline slopes and Hermite
-evaluation take several value columns on shared knots at once.
+share one interval locator and one cubic formula.  The not-a-knot spline
+solves its slopes through the same gtsv and evaluates from per-interval
+polynomial coefficients.  Spline slopes, splines and Hermite evaluation take
+several value columns on shared knots at once.
 """
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -186,6 +188,94 @@ def spline_slopes_natural(x, y):
     rhs[1:-1] = 3.0 * (delta[:-1] * inv_lo.reshape(per_row)
                        + delta[1:] * inv_hi.reshape(per_row))
     return tridiag_solve(dl, d, du, rhs)
+
+
+# ---------- not-a-knot cubic spline ----------
+
+class NotAKnotSpline:
+    """C2 cubic spline through y on the increasing knots x, with not-a-knot
+    ends: the third derivative is continuous across x[1] and x[-2] (de Boor,
+    A Practical Guide to Splines, ch. IV).
+
+    y of shape (n,) or (n, k): the k columns share the knots, the one slope
+    solve and the one interval search per query point.  Calling the spline
+    at points of shape (m,) gives values (nu=0) or first derivatives (nu=1)
+    of shape (m,) or (m, k); points beyond the ends use the end intervals.
+    The slope system, the coefficients and the order of every sum are those
+    of SciPy's CubicSpline, so the results are bit-identical to it.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.shape[0]
+        if n < 4:
+            raise ValueError("a not-a-knot spline needs at least 4 knots")
+        h = np.diff(x)
+        hr = h.reshape((-1,) + (1,) * (y.ndim - 1))  # broadcasts over columns
+        delta = np.diff(y, axis=0) / hr
+        d = np.empty(n)
+        dl = np.empty(n - 1)
+        du = np.empty(n - 1)
+        rhs = np.empty(y.shape, order="F")
+        d[1:-1] = 2 * (h[:-1] + h[1:])
+        du[1:] = h[:-1]
+        dl[:-1] = h[1:]
+        rhs[1:-1] = 3 * (hr[1:] * delta[:-1] + hr[:-1] * delta[1:])
+        # end rows: the not-a-knot condition with the second row eliminated.
+        # The knot factors are scalars, so that each column gets the bits of
+        # a one-column spline (a scalar's ** 2 may round unlike an array's).
+        w = x[2] - x[0]
+        d[0] = h[1]
+        du[0] = w
+        rhs[0] = ((h[0] + 2 * w) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / w
+        w = x[-1] - x[-3]
+        d[-1] = h[-2]
+        dl[-1] = w
+        rhs[-1] = (h[-1] ** 2 * delta[-2] + (2 * w + h[-1]) * h[-2] * delta[-1]) / w
+        m = tridiag_solve(dl, d, du, rhs)
+        # y(x) = c3 + c2 s + c1 s^2 + c0 s^3 with s = x - x[i] on interval i.
+        # SciPy's sums start from +0.0, so they never end at -0.0; adding
+        # +0.0 to the leading terms c3 and c2 once here does the same.
+        t = (m[:-1] + m[1:] - 2 * delta) / hr
+        self.x = x
+        self._inner = x[1:-1]
+        self._c = np.stack((t / hr, (delta - m[:-1]) / hr - t, m[:-1] + 0.0, y[:-1] + 0.0))
+
+    def __call__(self, xq, nu=0):
+        xq = np.asarray(xq, dtype=float)
+        i = np.searchsorted(self._inner, xq, side="right")
+        s = xq - self.x.take(i)
+        if self._c.ndim == 3:
+            s = s[..., None]
+        c0, c1, c2, c3 = self._c.take(i, axis=1)
+        s2 = s * s
+        if nu == 0:
+            return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        if nu == 1:
+            return (c2 + (c1 * s) * 2.0) + (c0 * s2) * 3.0
+        raise ValueError("nu must be 0 or 1")
+
+
+# ---------- sampled data: running integrals and local extrema ----------
+
+def cumulative_trapezoid(y, t):
+    """Trapezoid-rule integrals of y over t from t[0] to every t[i], zero in
+    the first row; y of shape (n,) or (n, k) is integrated along its rows."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    dt = np.diff(t).reshape((-1,) + (1,) * (y.ndim - 1))
+    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
+def strict_extrema(y):
+    """Indices of the interior points of y above both neighbours, followed
+    by those below both neighbours."""
+    inner = y[1:-1]
+    maxima = np.flatnonzero((inner > y[:-2]) & (inner > y[2:]))
+    minima = np.flatnonzero((inner < y[:-2]) & (inner < y[2:]))
+    return np.concatenate([maxima, minima]) + 1
 
 
 # ---------- finite differences on a uniform grid ----------

@@ -6,17 +6,17 @@ picture combines the carried density rho0/J with a single action phase.
 No wavefunction enters: only congruence data.
 """
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .congruence import invert_labels
 from .errors import PreconditionError
+from .kernels import NotAKnotSpline
 
 
 def _action_at(congruence, x, t):
     """Accumulated action at the label passing through x at stored time t."""
     k = congruence.time_index(t)
     q0 = np.atleast_1d(invert_labels(congruence, x, t))
-    return CubicSpline(congruence.labels.values, congruence.chi[k])(q0)
+    return NotAKnotSpline(congruence.labels.values, congruence.chi[k])(q0)
 
 
 def bihj_wavefunction_at(bi, x, t, rho_ref=None):
@@ -50,8 +50,7 @@ def polar_wavefunction_at(congruence, rho0, x, t, params):
     k = congruence.time_index(t)
     q0 = np.atleast_1d(invert_labels(congruence, x, t))
     labels = congruence.labels.values
-    J = CubicSpline(labels, congruence.J[k])(q0)
-    chi = CubicSpline(labels, congruence.chi[k])(q0)
+    J, chi = NotAKnotSpline(labels, np.stack((congruence.J[k], congruence.chi[k]), 1))(q0).T
     if np.any(J <= 0):
         raise PreconditionError("need a positive expansion factor")
     out = np.sqrt(np.asarray(rho0(q0), dtype=float) / J) * np.exp(1j * chi / params.hbar)

@@ -11,7 +11,7 @@ from .errors import (
     PreconditionError,
     UnsupportedAnalyticError,
 )
-from .kernels import make_tridiag_solver
+from .kernels import NotAKnotSpline, make_tridiag_solver
 
 BOUNDARY_INIT_RATIO = 1e-12
 BOUNDARY_RUN_RATIO = 1e-10
@@ -116,6 +116,13 @@ class WaveSnapshot:
 
     def density(self):
         return np.abs(self.values) ** 2
+
+    def at(self, x):
+        """psi at the points x: one not-a-knot spline whose two columns are
+        the real and imaginary parts."""
+        parts = np.stack((self.values.real, self.values.imag), 1)
+        re, im = NotAKnotSpline(self.grid.x, parts)(x).T
+        return re + 1j * im
 
     def conjugated(self, time=None):
         return WaveSnapshot(self.grid, self.time if time is None else time, np.conj(self.values))

@@ -23,7 +23,6 @@ from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__, gaussian
 from .autonomous import BiCongruence, cross_map, propagate_autonomous
@@ -129,8 +128,19 @@ OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
 CLOSED_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def at_least(n):
-    return (f"at least {n}", lambda v: v >= n)
+def between(lo, hi):
+    return (f"in [{lo}, {hi}]", lambda v: lo <= v <= hi)
+
+
+# Upper size bounds.  The field series keeps about 105 bytes per grid point
+# per stored time, and each of the three reference-driven congruences keeps
+# 32 bytes per label per solver step; each bound keeps its size within a
+# run that fits in memory when the other sizes are those of the bundled
+# scenario.  The splines of the labels need at least 5 of them, like the
+# five-point label derivatives.
+MAX_GRID_POINTS = 2**16
+MAX_LABELS = 2**12
+MAX_SOLVER_STEPS = 10**5
 
 
 # The scenario format: one row per field, (dotted path, type, default, kind,
@@ -145,7 +155,7 @@ SCHEMA = (
     ("potential.values", NUMBERS, None, "sampled", None),
     ("grid.x_min", NUMBER, None, None, None),
     ("grid.x_max", NUMBER, None, None, None),
-    ("grid.n_points", INTEGER, None, None, at_least(16)),
+    ("grid.n_points", INTEGER, None, None, between(16, MAX_GRID_POINTS)),
     ("initial_state.kind", one_of(("gaussian", "two_gaussian")), "gaussian", None, None),
     ("initial_state.sigma0", NUMBER, None, None, POSITIVE),
     ("initial_state.center", NUMBER, 0.0, "gaussian", None),
@@ -156,7 +166,7 @@ SCHEMA = (
     ("time.dt_solver", NUMBER, None, None, POSITIVE),
     ("time.dt_fields", NUMBER, None, None, POSITIVE),
     ("time.t_final", NUMBER, None, None, POSITIVE),
-    ("labels.count", INTEGER, 101, None, at_least(2)),
+    ("labels.count", INTEGER, 101, None, between(5, MAX_LABELS)),
     ("labels.span.kind", one_of(("density_floor", "explicit")), "density_floor", None, None),
     ("labels.span.floor", NUMBER, 1e-6, "density_floor", OPEN_UNIT),
     ("labels.span.lo", NUMBER, None, "explicit", None),
@@ -218,7 +228,7 @@ def parse_config(doc):
         if found and not valid(value):
             problems.append(f"field {path} must be {name}, got {reprlib.repr(value)}")
         elif found and rule and not rule[1](normal(value)):
-            problems.append(f"{path} must be {rule[0]}, got {normal(value)}")
+            problems.append(f"{path} must be {rule[0]}, got {reprlib.repr(normal(value))}")
         elif kind is not None and flat.get(path.rsplit(".", 1)[0] + ".kind") != kind:
             continue
         elif found or default is not None:
@@ -245,6 +255,9 @@ def parse_config(doc):
             problems.append("time.dt_fields must be an integer multiple of dt_solver")
     if None not in (dt_fields, t_final) and not _whole_ratio(t_final, dt_fields):
         problems.append("time.t_final must be an integer multiple of dt_fields")
+    if None not in (dt_solver, t_final) and not t_final / dt_solver < MAX_SOLVER_STEPS + 0.5:
+        problems.append(f"time.t_final / dt_solver must be at most {MAX_SOLVER_STEPS} "
+                        f"solver steps, got {t_final / dt_solver:.6g}")
     if get("solver") == "analytic" and tuple(map(get, (
             "potential.kind", "initial_state.kind", "initial_state.momentum",
             "initial_state.center"))) != CLOSED_FORM:
@@ -618,10 +631,7 @@ def run_reconstruct(config, out_dir):
             wave_by_time = {round(s.time, 12): s for s in run.wave.snapshots}
 
             def psi_ref(x, t):
-                snap = wave_by_time[round(float(t), 12)]
-                re = CubicSpline(snap.grid.x, snap.values.real)(x)
-                im = CubicSpline(snap.grid.x, snap.values.imag)(x)
-                return re + 1j * im
+                return wave_by_time[round(float(t), 12)].at(x)
 
         probe_times = field_times[field_times > 0]
         probe_times = probe_times[::max(1, len(probe_times) // 4)]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -97,6 +98,14 @@ def test_wrong_type_config_exits_2(tmp_path, config_path, capsys):
     ("time", {"dt_solver": 1e-300, "dt_fields": 1e10, "t_final": 1e10}),
     ("thresholds", 5),
     ("thresholds", {"rho_min_factr": 1e-3}),
+    # too few labels for the five-point label derivatives
+    ("labels", {"count": 2, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}),
+    ("labels", {"count": 3, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}),
+    ("labels", {"count": 4, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}),
+    # sizes beyond the documented upper bounds
+    ("grid", {"x_min": -10.0, "x_max": 10.0, "n_points": 10**400}),
+    ("labels", {"count": 10**6, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}),
+    ("time", {"dt_solver": 1e-7, "dt_fields": 0.01, "t_final": 0.1}),
 ])
 def test_edge_inputs_exit_2(tmp_path, config_path, capsys, key, value):
     doc = json.loads(config_path.read_text())
@@ -106,15 +115,30 @@ def test_edge_inputs_exit_2(tmp_path, config_path, capsys, key, value):
     assert "invalid scenario configuration" in capsys.readouterr().err
 
 
-def test_cli_import_loads_neither_numba_nor_scipy_signal():
+def test_cli_and_acceptance_load_no_numba_nor_scipy_interpolate_integrate_signal():
     src = str(Path(bihj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, bihj.cli; "
+    code = ("import sys, bihj.cli, bihj.acceptance; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numba' "
-            "or m.startswith('scipy.signal')))")
+            "or m.startswith(('scipy.interpolate', 'scipy.integrate', 'scipy.signal'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_imports_no_scipy_but_scipy_linalg():
+    # every import statement, also one inside a function body
+    imported = []
+    for path in sorted(Path(bihj.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported += [(path.name, f"{node.module}.{alias.name}")
+                             for alias in node.names]
+    assert imported, "found no imports to check"
+    scipy = [(name, module) for name, module in imported if module.split(".")[0] == "scipy"]
+    assert scipy and all((module + ".").startswith("scipy.linalg.") for _, module in scipy), scipy
 
 
 def test_mode_override(tmp_path, config_path):

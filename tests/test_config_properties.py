@@ -12,7 +12,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bihj.errors import ConfigurationError  # noqa: E402
-from bihj.scenario import SCHEMA, ScenarioConfig, parse_config  # noqa: E402
+from bihj.scenario import (  # noqa: E402
+    MAX_GRID_POINTS,
+    MAX_LABELS,
+    MAX_SOLVER_STEPS,
+    SCHEMA,
+    ScenarioConfig,
+    parse_config,
+)
 
 BUNDLED = json.loads(resources.files("bihj").joinpath("data/gaussian.json").read_text())
 # schema field and section names, so that generated objects reach the checks
@@ -101,7 +108,7 @@ def valid_documents(draw):
            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n_points},
            "initial_state": state,
            "time": {"dt_solver": dt, "dt_fields": every * dt, "t_final": fields * every * dt},
-           "labels": {"count": draw(st.integers(2, 300)), "span": span},
+           "labels": {"count": draw(st.integers(5, 300)), "span": span},
            "mode": draw(st.sampled_from(["reference_driven", "autonomous"])),
            "solver": "crank_nicolson",
            "composition_case": draw(st.sampled_from(["i", "ii", "converse"])),
@@ -128,3 +135,31 @@ def test_echo_parses_to_itself(doc):
     assert repr(again) == repr(cfg)
     assert np.array_equal(np.asarray(cfg.echo["potential"].get("values", [])),
                           np.asarray(doc["potential"].get("values", [])))
+
+
+def near(bound):
+    """Integers around a bound and far beyond it on either side."""
+    return (st.integers(bound - 3, bound + 3) | st.integers(-10**400, 10**400)
+            | st.integers(0, 4 * bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("grid", "n_points", 16, MAX_GRID_POINTS),
+                        ("labels", "count", 5, MAX_LABELS)]), st.data())
+def test_size_fields_accept_exactly_their_documented_range(field, data):
+    section, key, lo, hi = field
+    value = data.draw(near(lo) | near(hi))
+    doc = copy.deepcopy(BUNDLED)
+    doc[section][key] = value
+    cfg = parse_or_reject(doc)
+    assert (cfg is not None) == (lo <= value <= hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4 * MAX_SOLVER_STEPS // 100), st.sampled_from([0.5, 1.0, 3.0]))
+def test_solver_step_count_is_bounded(substeps, t_final):
+    # the bundled dt_fields is 0.01, so t_final / dt_solver = 100 t_final substeps
+    doc = copy.deepcopy(BUNDLED)
+    doc["time"] = {"dt_solver": 0.01 / substeps, "dt_fields": 0.01, "t_final": t_final}
+    cfg = parse_or_reject(doc)
+    assert (cfg is not None) == (round(100 * t_final) * substeps <= MAX_SOLVER_STEPS)

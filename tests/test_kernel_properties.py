@@ -1,5 +1,5 @@
 """Property tests of the tridiagonal solve, the natural-spline and PCHIP
-slopes and the monotone inversion."""
+slopes, the not-a-knot spline and the monotone inversion."""
 import numpy as np
 import pytest
 
@@ -56,6 +56,33 @@ def test_natural_spline_slopes_exact_on_linear_data(n, columns, data):
     assert s.shape == y.shape
     # round-off of the divided differences, y / h, sets the scale
     assert np.abs(s - slope).max() <= 64 * EPS * np.abs(y).max() / gaps.min()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 40), st.sampled_from([None, 2]), st.data())
+def test_not_a_knot_spline_reproduces_cubics(n, columns, data):
+    # a cubic satisfies every not-a-knot condition, so the spline is the
+    # cubic itself; what remains is round-off
+    gaps = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.0)))
+    x = np.r_[0.0, np.cumsum(gaps)] + data.draw(st.floats(-5.0, 5.0))
+    k = 1 if columns is None else columns
+    # coefficients on a 0.01 grid: tiny ones would underflow to subnormals
+    hundredths = st.integers(-1000, 1000).map(lambda c: c / 100)
+    coef = data.draw(arrays(float, (4, k), elements=hundredths))
+    u = np.r_[x, np.linspace(x[0], x[-1], 97)][:, None]
+    value = lambda z: ((coef[3] * z + coef[2]) * z + coef[1]) * z + coef[0]
+    slope = lambda z: (3.0 * coef[3] * z + 2.0 * coef[2]) * z + coef[1]
+    y = value(x[:, None])
+    if columns is None:
+        y, value_at, slope_at = y[:, 0], value(u)[:, 0], slope(u)[:, 0]
+    else:
+        value_at, slope_at = value(u), slope(u)
+    sp = K.NotAKnotSpline(x, y)
+    scale = np.abs(y).max()
+    # knot gap ratios up to 20 keep the slope system well conditioned;
+    # random cases stay below 32 eps
+    assert np.abs(sp(u[:, 0]) - value_at).max() <= 256 * EPS * scale
+    assert np.abs(sp(u[:, 0], 1) - slope_at).max() <= 256 * EPS * scale / gaps.min()
 
 
 @st.composite

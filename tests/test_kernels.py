@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import solve_banded
+from scipy.signal import argrelextrema
 
 import bihj.kernels as K
 
@@ -141,6 +143,59 @@ def test_invert_monotone_stops_at_tol(rng, tol):
     worst = np.abs(K.hermite_eval(x, y, m, inv) - targets).max()
     # within tol, and stopped there rather than polished to round-off
     assert 0.01 * tol < worst <= tol
+
+
+def _bits(a):
+    """Shape and bytes: equal only for bit-identical arrays, signed zeros too."""
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_not_a_knot_spline_is_scipy_cubic_spline(rng, uniform, columns):
+    for n in (4, 5, 9, 201):
+        x = (np.linspace(-4.0, 4.0, n) if uniform
+             else np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0)
+        y = rng.normal(size=(n,) if columns is None else (n, columns))
+        xq = np.r_[x, rng.uniform(x[0], x[-1], 100), x[0] - 0.7, x[-1] + 0.4, x[0] - 1e-9]
+        sp = K.NotAKnotSpline(x, y)
+        for nu in (0, 1):
+            out = sp(xq, nu)
+            assert out.shape == xq.shape + y.shape[1:]
+            # every column is the one-column scipy spline of that column
+            for j in range(1 if columns is None else columns):
+                yj, oj = (y, out) if columns is None else (y[:, j], out[:, j])
+                assert _bits(oj) == _bits(CubicSpline(x, yj)(xq, nu))
+        assert np.shape(sp(x[2])) == y.shape[1:]
+
+
+def test_not_a_knot_spline_keeps_the_sign_of_zero():
+    # y(0) = -0.0 with negative slope and curvature: each term at the knot
+    # is -0.0, and scipy's sum, which starts from +0.0, gives +0.0
+    x = np.linspace(-1.0, 1.0, 9)
+    y = -x - x**2 - x**3
+    for nu in (0, 1):
+        assert _bits(K.NotAKnotSpline(x, y)(x, nu)) == _bits(CubicSpline(x, y)(x, nu))
+
+
+def test_not_a_knot_spline_needs_four_knots():
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="at least 4 knots"):
+            K.NotAKnotSpline(np.arange(float(n)), np.ones(n))
+    with pytest.raises(ValueError, match="nu"):
+        K.NotAKnotSpline(np.arange(4.0), np.ones(4))(0.5, 2)
+
+
+def test_sampled_data_helpers_are_scipy(rng):
+    for shape in ((1,), (2,), (30,), (30, 4)):
+        t = np.cumsum(rng.uniform(0.01, 0.1, shape[0]))
+        y = rng.normal(size=shape)
+        ref = cumulative_trapezoid(y, t, axis=0, initial=0.0)
+        assert _bits(K.cumulative_trapezoid(y, t)) == _bits(ref)
+    for y in (rng.normal(size=200), np.round(rng.normal(size=200)), np.ones(5), np.ones(2)):
+        ref = np.concatenate([argrelextrema(y, np.greater)[0], argrelextrema(y, np.less)[0]])
+        assert np.array_equal(K.strict_extrema(y), ref)
 
 
 def test_natural_spline_exact_on_linear():
