@@ -8,6 +8,8 @@ divergence plus the squared relative velocity,
     accel_minus = -(1/m) d/dx [ -(hbar/2) div v_plus  - (m/4) u^2 + V ]
 
 with u the relative velocity of the two flows at the evaluation point.
+The stepper holds both flows as the columns of (n, 2) arrays, plus then
+minus; they obey one law and differ only in the sign of the partner term.
 Partner quantities are differentiated in label space and interpolated over
 the partner's positions with a natural cubic spline; beyond the partner
 hull they are continued linearly from the edge (exact whenever the partner
@@ -80,60 +82,59 @@ class BiCongruence:
 
 # ---------- coupled force evaluation ----------
 
-def _sample_partner(q, vd, x):
-    """Partner (v, div v) at positions x from its stacked columns vd, shape
-    (n, 2), on its positions q, and the largest distance of x beyond q's hull.
+FLOWS = ("plus", "minus")  # the columns of the stepper's (n, 2) arrays
+_PARTNER_SIGN = np.array([1.0, -1.0])  # sign of the partner term (hbar/2) div v, per flow
+
+
+def _sample_partner(q, vd, x, out):
+    """Write into out, shape (m, 2), the partner (v, div v) at positions x
+    from its stacked columns vd, shape (n, 2), on its positions q; return
+    the largest distance of x beyond q's hull.
 
     One natural-spline solve and one interval search serve both columns;
     beyond the hull v continues linearly with slope div v from the edge.
     """
     lo, hi = q[0], q[-1]
-    out = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.minimum(np.maximum(x, lo), hi))
+    out[:] = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.minimum(np.maximum(x, lo), hi))
     for beyond, k, edge in ((x < lo, 0, lo), (x > hi, -1, hi)):
         if beyond.any():
             out[beyond, 0] = vd[k, 0] + vd[k, 1] * (x[beyond] - edge)
             out[beyond, 1] = vd[k, 1]
-    return out[:, 0], out[:, 1], float(np.maximum(lo - x, x - hi).max(initial=0.0))
+    return float(np.maximum(lo - x, x - hi).max(initial=0.0))
 
 
 class _CoupledStepper:
-    def __init__(self, params, labels, potential_fn, max_extrapolation):
-        self.hbar = params.hbar
+    def __init__(self, params, labels, max_extrapolation):
         self.mass = params.mass
+        self.potential = params.potential
+        self.partner_coef = 0.5 * params.hbar * _PARTNER_SIGN
         self.h = labels[1] - labels[0]
         if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
             raise PreconditionError("autonomous propagation needs uniform labels")
-        self.potential_fn = potential_fn
         self.max_extrap = max_extrapolation
         self.max_seen_extrap = 0.0
 
-    def evaluate(self, qp, vp, qm, vm, t):
-        """Accelerations, own divergences and action rates of both flows."""
-        dq_p = fd_derivative(qp, self.h)
-        dq_m = fd_derivative(qm, self.h)
-        div_p = fd_derivative(vp, self.h) / dq_p
-        div_m = fd_derivative(vm, self.h) / dq_m
-
-        vm_at_p, divm_at_p, e1 = _sample_partner(qm, np.column_stack((vm, div_m)), qp)
-        vp_at_m, divp_at_m, e2 = _sample_partner(qp, np.column_stack((vp, div_p)), qm)
-        self.max_seen_extrap = max(self.max_seen_extrap, e1, e2)
-        if self.max_extrap is not None and max(e1, e2) > self.max_extrap:
+    def evaluate(self, q, v, t):
+        """Accelerations, own divergences and action rates of both flows,
+        each of shape (n, 2) like the positions q and velocities v."""
+        dq = fd_derivative(q, self.h)
+        div = fd_derivative(v, self.h) / dq
+        own = np.stack((v, div), axis=1)  # (label, quantity, flow)
+        at = np.empty_like(own)  # the partner's quantities at the own positions
+        extrap = max(_sample_partner(q[:, 1 - f], own[:, :, 1 - f], q[:, f], at[:, :, f])
+                     for f in (0, 1))
+        self.max_seen_extrap = max(self.max_seen_extrap, extrap)
+        if self.max_extrap is not None and extrap > self.max_extrap:
             raise HullOverlapError(
-                f"partner-hull extrapolation {max(e1, e2):.3g} exceeds the allowed "
-                f"{self.max_extrap:.3g} at t={t:.6g}"
-            )
+                f"partner-hull extrapolation {extrap:.3g} exceeds the allowed "
+                f"{self.max_extrap:.3g} at t={t:.6g}")
 
-        u_at_p = vp - vm_at_p
-        u_at_m = vp_at_m - vm
-        q_pot_p = +0.5 * self.hbar * divm_at_p - 0.25 * self.mass * u_at_p**2
-        q_pot_m = -0.5 * self.hbar * divp_at_m - 0.25 * self.mass * u_at_m**2
-        pot_p = self.potential_fn(qp)
-        pot_m = self.potential_fn(qm)
-        acc_p = -fd_derivative(q_pot_p + pot_p, self.h) / dq_p / self.mass
-        acc_m = -fd_derivative(q_pot_m + pot_m, self.h) / dq_m / self.mass
-        rate_p = 0.5 * self.mass * vp**2 - q_pot_p - pot_p
-        rate_m = 0.5 * self.mass * vm**2 - q_pot_m - pot_m
-        return acc_p, acc_m, div_p, div_m, rate_p, rate_m
+        # the relative velocity u enters squared, so its sign does not matter
+        q_pot = self.partner_coef * at[:, 1] - 0.25 * self.mass * (v - at[:, 0])**2
+        pot = self.potential.at(q, self.mass)
+        acc = -fd_derivative(q_pot + pot, self.h) / dq / self.mass
+        rate = 0.5 * self.mass * v**2 - q_pot - pot
+        return acc, div, rate
 
 
 NOISE_FILTER = 0.2  # strength of the velocity filter of propagate_autonomous
@@ -144,12 +145,23 @@ def _label_noise_filter(arr, alpha):
 
     Fully damps the two-point sawtooth mode at strength 1; leaves data that
     is linear in the label exactly unchanged, and smooth data to O(h^4).
-    The first and last two labels are left untouched.
+    The first and last two labels are left untouched.  arr of shape (n,) or
+    (n, k) is filtered along its rows.
     """
     out = arr.copy()
     out[2:-2] = arr[2:-2] - (alpha / 16.0) * (
         arr[:-4] - 4.0 * arr[1:-3] + 6.0 * arr[2:-2] - 4.0 * arr[3:-1] + arr[4:])
     return out
+
+
+def _check_order(q, labels, t):
+    """Raise if the paths of a flow, columns of q, left label order."""
+    crossed = np.diff(q, axis=0) <= 0
+    if crossed.any():
+        k, f = np.argwhere(crossed)[0]
+        raise CongruenceCrossingError(
+            f"{FLOWS[f]} paths of labels {labels[k]:.6g} and {labels[k + 1]:.6g} "
+            f"crossed at t={t:.6g}")
 
 
 def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
@@ -160,12 +172,14 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
     acceleration equations; actions accumulate by the trapezoid rule on the
     Lagrangian rate and expansion factors by the trapezoid rule on the own
     velocity divergence (in the log, preserving positivity).  Initial
-    velocities are the label-space gradients of the action profiles.
+    velocities are the label-space gradients of the action profiles.  Both
+    flows step together as the columns of (n, 2) arrays.
 
     The scheme supports parasitic grid-scale modes whose growth rate scales
     with the cross-coupling stiffness; a fourth-difference filter of strength
     ``NOISE_FILTER`` is applied to the velocities after each step.  The
-    filter does not alter fields that are linear in the label.
+    filter does not alter fields that are linear in the label.  Paths that
+    leave label order after a drift abort before the forces divide by dq/dq0.
 
     dt may be negative to march the pair backwards in time.
     """
@@ -177,83 +191,56 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
         raise PreconditionError("store_every must divide steps")
     label_set = labels if isinstance(labels, LabelSet) else LabelSet(np.asarray(labels, float))
     q0 = label_set.values
-    nl = q0.shape[0]
     h = q0[1] - q0[0]
 
     sp0 = S_plus0(q0) if callable(S_plus0) else np.asarray(S_plus0, dtype=float).copy()
     sm0 = S_minus0(q0) if callable(S_minus0) else np.asarray(S_minus0, dtype=float).copy()
 
-    stepper = _CoupledStepper(params, q0, lambda x: _potential_eval(params, x),
-                              max_extrapolation)
+    stepper = _CoupledStepper(params, q0, max_extrapolation)
 
-    qp = q0.copy()
-    qm = q0.copy()
-    vp = fd_derivative(sp0, h) / params.mass
-    vm = fd_derivative(sm0, h) / params.mass
-    chip = sp0.copy()
-    chim = sm0.copy()
-    Jp = np.ones(nl)
-    Jm = np.ones(nl)
-
-    ev = stepper.evaluate(qp, vp, qm, vm, 0.0)
+    chi = np.stack((sp0, sm0), axis=1)
+    q = np.stack((q0, q0), axis=1)
+    v = fd_derivative(chi, h) / params.mass
+    J = np.ones_like(q)
+    acc, div, rate = stepper.evaluate(q, v, 0.0)
     times = [0.0]
-    hist = {
-        "qp": [qp.copy()], "vp": [vp.copy()], "Jp": [Jp.copy()], "cp": [chip.copy()],
-        "qm": [qm.copy()], "vm": [vm.copy()], "Jm": [Jm.copy()], "cm": [chim.copy()],
-    }
+    hist = [np.stack((q, v, J, chi))]
 
     for n in range(1, steps + 1):
         t = n * dt
-        acc_p, acc_m, div_p, div_m, rate_p, rate_m = ev
-        vp_half = vp + 0.5 * dt * acc_p
-        vm_half = vm + 0.5 * dt * acc_m
-        qp_new = qp + dt * vp_half
-        qm_new = qm + dt * vm_half
-        mid = stepper.evaluate(qp_new, vp_half, qm_new, vm_half, t)
-        vp_new = vp_half + 0.5 * dt * mid[0]
-        vm_new = vm_half + 0.5 * dt * mid[1]
-        vp_new = _label_noise_filter(vp_new, NOISE_FILTER)
-        vm_new = _label_noise_filter(vm_new, NOISE_FILTER)
-        ev_new = stepper.evaluate(qp_new, vp_new, qm_new, vm_new, t)
+        v_half = v + 0.5 * dt * acc
+        q = q + dt * v_half
+        _check_order(q, q0, t)
+        acc_mid = stepper.evaluate(q, v_half, t)[0]
+        v = _label_noise_filter(v_half + 0.5 * dt * acc_mid, NOISE_FILTER)
+        acc, div_new, rate_new = stepper.evaluate(q, v, t)
+        chi = chi + 0.5 * dt * (rate + rate_new)
+        J = J * np.exp(0.5 * dt * (div + div_new))
+        div, rate = div_new, rate_new
 
-        chip = chip + 0.5 * dt * (rate_p + ev_new[4])
-        chim = chim + 0.5 * dt * (rate_m + ev_new[5])
-        Jp = Jp * np.exp(0.5 * dt * (div_p + ev_new[2]))
-        Jm = Jm * np.exp(0.5 * dt * (div_m + ev_new[3]))
-        qp, vp, qm, vm, ev = qp_new, vp_new, qm_new, vm_new, ev_new
-
-        state = np.concatenate([qp, vp, qm, vm, chip, chim])
-        if not np.all(np.isfinite(state)):
+        state = np.stack((q, v, J, chi))
+        if not np.isfinite(state).all():
             raise InstabilityError(
-                f"non-finite state at t={t:.6g}; reduce dt or use more labels"
-            )
-        if np.any(np.diff(qp) <= 0) or np.any(np.diff(qm) <= 0):
-            raise CongruenceCrossingError(f"paths crossed at t={t:.6g}")
+                f"non-finite state at t={t:.6g}; reduce dt or use more labels")
         if n % store_every == 0:
             times.append(t)
-            for key, val in (("qp", qp), ("vp", vp), ("Jp", Jp), ("cp", chip),
-                             ("qm", qm), ("vm", vm), ("Jm", Jm), ("cm", chim)):
-                hist[key].append(val.copy())
+            hist.append(state)
 
     times = np.array(times)
-    plus = Congruence(label_set, times, np.array(hist["qp"]), np.array(hist["vp"]),
-                      np.array(hist["Jp"]), np.array(hist["cp"]))
-    minus = Congruence(label_set, times, np.array(hist["qm"]), np.array(hist["vm"]),
-                       np.array(hist["Jm"]), np.array(hist["cm"]))
+    hist = np.array(hist)  # (stored time, quantity, label, flow)
+    plus, minus = (
+        Congruence(label_set, times, *(np.ascontiguousarray(hist[:, k, :, f]) for k in range(4)))
+        for f in (0, 1))
     return BiCongruence(params, plus, minus, sp0, sm0, rho_ref,
                         {"max_partner_extrapolation": stepper.max_seen_extrap})
 
 
-def _potential_eval(params, x):
-    pot = params.potential
-    if pot.kind == "free":
-        return np.zeros_like(x)
-    if pot.kind == "harmonic":
-        return 0.5 * params.mass * pot.omega**2 * x**2
-    raise PreconditionError("autonomous propagation supports free and harmonic potentials")
-
-
 # ---------- label intersection map ----------
+
+def _pchip_lookup(x, y, xq):
+    out = hermite_eval(x, y, pchip_slopes(x, y), np.atleast_1d(np.asarray(xq, float)))
+    return out if np.ndim(xq) else float(out[0])
+
 
 @dataclass(frozen=True)
 class CrossMap:
@@ -266,37 +253,25 @@ class CrossMap:
     inverse_q_plus0: np.ndarray
 
     def minus_label_of(self, q_plus0):
-        slopes = pchip_slopes(self.q_plus0, self.q_minus0)
-        out = hermite_eval(self.q_plus0, self.q_minus0, slopes, np.atleast_1d(np.asarray(q_plus0, float)))
-        return out if np.ndim(q_plus0) else float(out[0])
+        return _pchip_lookup(self.q_plus0, self.q_minus0, q_plus0)
 
     def plus_label_of(self, q_minus0):
-        slopes = pchip_slopes(self.inverse_q_minus0, self.inverse_q_plus0)
-        out = hermite_eval(self.inverse_q_minus0, self.inverse_q_plus0, slopes,
-                           np.atleast_1d(np.asarray(q_minus0, float)))
-        return out if np.ndim(q_minus0) else float(out[0])
+        return _pchip_lookup(self.inverse_q_minus0, self.inverse_q_plus0, q_minus0)
 
 
 def cross_map(bi, t):
-    """Label pairing of the two congruences sharing each spatial point."""
+    """Label pairing of the two congruences sharing each spatial point: the
+    forward map from the plus labels, then the inverse from the minus labels."""
     k = bi.plus.time_index(t)
-    pos_p = bi.plus.q[k]
-    pos_m = bi.minus.q[k]
-    lo, hi = pos_m[0], pos_m[-1]
-    ok = (pos_p >= lo) & (pos_p <= hi)
-    if not ok.any():
-        raise HullOverlapError(f"congruence hulls do not overlap at t={t:.6g}")
     labels = bi.labels.values
-    fwd_plus = labels[ok]
-    fwd_minus = invert_labels(bi.minus, pos_p[ok], t)
-
-    lo_p, hi_p = pos_p[0], pos_p[-1]
-    ok_inv = (pos_m >= lo_p) & (pos_m <= hi_p)
-    if not ok_inv.any():
-        raise HullOverlapError(f"congruence hulls do not overlap at t={t:.6g}")
-    inv_minus = labels[ok_inv]
-    inv_plus = invert_labels(bi.plus, pos_m[ok_inv], t)
-    return CrossMap(float(t), fwd_plus, np.asarray(fwd_minus), inv_minus, np.asarray(inv_plus))
+    maps = []
+    for own, partner in ((bi.plus, bi.minus), (bi.minus, bi.plus)):
+        pos, hull = own.q[k], partner.q[k]
+        ok = (pos >= hull[0]) & (pos <= hull[-1])
+        if not ok.any():
+            raise HullOverlapError(f"congruence hulls do not overlap at t={t:.6g}")
+        maps += [labels[ok], np.asarray(invert_labels(partner, pos[ok], t))]
+    return CrossMap(float(t), *maps)
 
 
 # ---------- time reversal in the trajectory picture ----------
@@ -323,6 +298,5 @@ def exchange_pair(S_plus0, S_minus0, labels, params, dt, steps, **kwargs):
 
 def exchange_mismatch(conj_forward, original_backward):
     """Sup-norm position mismatch of the exchange relation."""
-    dp = np.abs(conj_forward.plus.q - original_backward.minus.q).max()
-    dm = np.abs(conj_forward.minus.q - original_backward.plus.q).max()
-    return max(float(dp), float(dm))
+    return float(max(np.abs(conj_forward.plus.q - original_backward.minus.q).max(),
+                     np.abs(conj_forward.minus.q - original_backward.plus.q).max()))

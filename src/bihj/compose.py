@@ -198,10 +198,9 @@ def compose_trajectories(setup):
     vscale = 0.0
     for j in range(QB.shape[0]):
         k = out_idx[j]
-        tk = float(A.times[k])
-        labs = invert_labels(A, qC[j], tk)
-        vA = NotAKnotSpline(labels, A.qdot[k])(labs)
-        vB = np.asarray(setup.field_B.velocity(qC[j], tk), dtype=float)
+        # q_C is the A path of label Q_B, so v_A is read at Q_B
+        vA = NotAKnotSpline(labels, A.qdot[k])(QB[j])
+        vB = np.asarray(setup.field_B.velocity(qC[j], float(A.times[k])), dtype=float)
         velocity[j] = vA + vB
         vscale = max(vscale, float(np.max(np.abs(velocity[j]))))
     for j in range(1, QB.shape[0] - 1):

@@ -281,12 +281,14 @@ def strict_extrema(y):
 # ---------- finite differences on a uniform grid ----------
 
 def fd_derivative(y, h):
-    """First derivative: fourth order inside, second order at the edges."""
+    """First derivative: fourth order inside, second order at the edges.
+
+    y of shape (n,) or (n, k) is differentiated along its rows.
+    """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n < 5:
+    if y.shape[0] < 5:
         raise ValueError("fd_derivative needs at least 5 points")
-    g = np.empty(n)
+    g = np.empty_like(y)
     g[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
     g[1] = (y[2] - y[0]) / (2.0 * h)
     g[-2] = (y[-1] - y[-3]) / (2.0 * h)

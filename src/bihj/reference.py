@@ -47,12 +47,18 @@ class Potential:
     def sampled(values):
         return Potential("sampled", values=values)
 
-    def on_grid(self, grid, mass=1.0):
-        x = grid.x
+    def at(self, x, mass=1.0):
+        """Values at positions x of any shape; a sampled potential has values
+        only on its grid."""
         if self.kind == "free":
             return np.zeros_like(x)
         if self.kind == "harmonic":
             return 0.5 * mass * self.omega**2 * x**2
+        raise PreconditionError("a sampled potential has values only on its grid")
+
+    def on_grid(self, grid, mass=1.0):
+        if self.kind != "sampled":
+            return self.at(grid.x, mass)
         if self.values.shape[0] != grid.n_points:
             raise ConfigurationError("sampled potential length does not match grid")
         return self.values

@@ -262,6 +262,8 @@ def parse_config(doc):
             "potential.kind", "initial_state.kind", "initial_state.momentum",
             "initial_state.center"))) != CLOSED_FORM:
         problems.append("solver=analytic needs a free gaussian at rest at x = 0")
+    if get("mode") == "autonomous" and get("potential.kind") == "sampled":
+        problems.append("mode=autonomous needs a free or harmonic potential")
     if problems:
         raise ConfigurationError("invalid scenario configuration:\n  - " + "\n  - ".join(problems))
 

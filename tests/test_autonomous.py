@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,13 @@ from bihj.autonomous import (
     BiCongruence,
     _CoupledStepper,
     _label_noise_filter,
-    _potential_eval,
     cross_map,
     exchange_mismatch,
     exchange_pair,
     propagate_autonomous,
 )
 from bihj.congruence import CallableSource, LabelSet, integrate_congruence
-from bihj.errors import HullOverlapError, PreconditionError
+from bihj.errors import CongruenceCrossingError, HullOverlapError, PreconditionError
 from bihj.kernels import fd_derivative, hermite_eval, spline_slopes_natural
 from bihj.reference import PhysicalParams, Potential
 
@@ -113,6 +114,18 @@ class TestPropagation:
                 LabelSet.uniform(-4.0, 4.0, 41), params, 1e-3, 5,
                 max_extrapolation=1e-6)
 
+    def test_crossing_error_names_flow_labels_and_time(self, g, params):
+        # beyond the explicit stability limit: the crossing is caught right
+        # after the drift, before the forces divide by dq/dq0 and overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CongruenceCrossingError,
+                               match=r"^plus paths of labels -3\.9 and -3\.88 crossed at t=0\.042$"):
+                propagate_autonomous(
+                    lambda q: gaussian.action_plus(g, q, 0.0),
+                    lambda q: gaussian.action_minus(g, q, 0.0),
+                    LabelSet.uniform(-4.0, 4.0, 401), params, 1e-3, 500)
+
     def test_diagnostics_record_extrapolation(self, auto_pair):
         # the expanding flow leaves the contracting flow's hull immediately
         assert auto_pair.diagnostics["max_partner_extrapolation"] > 1.0
@@ -173,7 +186,7 @@ class TestCoupledStepper:
         params = PhysicalParams(potential=potential)
         labels = LabelSet.uniform(-3.0, 3.0, 61).values
         h = labels[1] - labels[0]
-        potential_fn = lambda x: _potential_eval(params, x)
+        potential_fn = lambda x: potential.at(x, params.mass)
         for t in (0.0, 0.3, 1.0):
             # the expanding minus hull overhangs the plus hull at both ends;
             # the wobble makes the velocity fields nonlinear in position
@@ -183,11 +196,14 @@ class TestCoupledStepper:
             vm = gaussian.velocity_minus(g, qm, t) - 0.03 * np.sin(qm) ** 2
             want, extrap = _reference_evaluate(params.hbar, params.mass, h, potential_fn,
                                                qp, vp, qm, vm)
-            stepper = _CoupledStepper(params, labels, potential_fn, None)
-            got = stepper.evaluate(qp, vp, qm, vm, t)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            stepper = _CoupledStepper(params, labels, None)
+            got = stepper.evaluate(np.column_stack((qp, qm)), np.column_stack((vp, vm)), t)
+            # got: (acc, div, rate) with the flows as columns; want: per flow
+            assert len(got) == 3 and len(want) == 6
+            for k, a in enumerate(got):
+                assert a.shape == (labels.shape[0], 2)
+                assert np.array_equal(a[:, 0], want[2 * k])
+                assert np.array_equal(a[:, 1], want[2 * k + 1])
             assert stepper.max_seen_extrap == extrap
             if t > 0.0:
                 assert qm[0] < qp[0] and qm[-1] > qp[-1]

@@ -115,6 +115,19 @@ def test_edge_inputs_exit_2(tmp_path, config_path, capsys, key, value):
     assert "invalid scenario configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [[], ["--mode", "autonomous"]])
+def test_autonomous_sampled_potential_exits_2_before_writing(tmp_path, config_path, capsys,
+                                                            argv):
+    doc = json.loads(config_path.read_text())
+    doc.update(potential={"kind": "sampled", "values": [0.0] * 256}, solver="crank_nicolson",
+               mode="autonomous" if not argv else "reference_driven")
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)] + argv) == 2
+    assert "mode=autonomous needs a free or harmonic potential" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_and_acceptance_load_no_numba_nor_scipy_interpolate_integrate_signal():
     src = str(Path(bihj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 import bihj.kernels as K  # noqa: E402
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 unit = st.floats(-1.0, 1.0)
 
 
@@ -54,8 +55,21 @@ def test_natural_spline_slopes_exact_on_linear_data(n, columns, data):
         y, slope = y[:, 0], slope[0]
     s = K.spline_slopes_natural(x, y)
     assert s.shape == y.shape
-    # round-off of the divided differences, y / h, sets the scale
-    assert np.abs(s - slope).max() <= 64 * EPS * np.abs(y).max() / gaps.min()
+    assert np.abs(s - slope).max() <= _linear_slope_bound(y, gaps)
+
+
+def _linear_slope_bound(y, gaps):
+    # round-off of the divided differences, y / h, sets the scale; the
+    # absolute term is the underflow of the standard error model, which
+    # rules once the data are subnormal
+    return 64 * (EPS * np.abs(y).max() + TINY) / gaps.min()
+
+
+def test_natural_spline_slopes_exact_on_subnormal_slope():
+    x = np.array([0.0, 0.25, 0.5])
+    y = 2.225073858507e-311 * x  # three subnormal ulps of error
+    s = K.spline_slopes_natural(x, y)
+    assert np.abs(s - 2.225073858507e-311).max() <= _linear_slope_bound(y, np.diff(x))
 
 
 @settings(max_examples=100, deadline=None)

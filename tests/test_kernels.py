@@ -80,6 +80,10 @@ def test_multi_column_kernels_equal_column_by_column(rng):
     assert out.shape == (xq.shape[0], y.shape[1])
     for j in range(y.shape[1]):
         assert np.array_equal(out[:, j], K.hermite_eval(x, y[:, j], s[:, j], xq))
+    d = K.fd_derivative(y, 0.1)
+    assert d.shape == y.shape
+    for j in range(y.shape[1]):
+        assert np.array_equal(d[:, j], K.fd_derivative(y[:, j], 0.1))
 
 
 def test_natural_spline_matches_scipy_on_nonuniform_knots(rng):

@@ -44,6 +44,17 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             Potential.harmonic(-2.0)
 
+    def test_potential_at_points_and_on_grid(self, grid):
+        x = np.array([[-1.5, 0.0], [0.5, 2.0]])
+        assert np.array_equal(Potential.free().at(x), np.zeros((2, 2)))
+        assert np.array_equal(Potential.harmonic(2.0).at(x, 3.0), 6.0 * x**2)
+        for pot in (Potential.free(), Potential.harmonic(1.3)):
+            assert np.array_equal(pot.on_grid(grid, 2.0), pot.at(grid.x, 2.0))
+        sampled = Potential.sampled(np.ones(grid.n_points))
+        assert np.array_equal(sampled.on_grid(grid), np.ones(grid.n_points))
+        with pytest.raises(PreconditionError, match="only on its grid"):
+            sampled.at(x)
+
     def test_state_spec_validation(self):
         with pytest.raises(ConfigurationError):
             InitialStateSpec.gaussian(-0.5)

@@ -135,6 +135,16 @@ class TestConfig:
             parse_config(small_doc(potential={"kind": "sampled", "values": ["0"] * 256},
                                    solver="crank_nicolson"))
 
+    def test_autonomous_mode_needs_a_potential_off_the_grid(self):
+        sampled = {"kind": "sampled", "values": [0.0] * 256}
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(small_doc(potential=sampled, solver="crank_nicolson", mode="autonomous"))
+        assert str(err.value).count("\n  - ") == 1
+        assert "mode=autonomous needs a free or harmonic potential" in str(err.value)
+        for potential in ({"kind": "free"}, {"kind": "harmonic", "omega": 1.0}):
+            assert parse_config(small_doc(potential=potential, solver="crank_nicolson",
+                                          mode="autonomous")).mode == "autonomous"
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(small_doc()))
