@@ -94,11 +94,10 @@ class AcceptanceContext:
         return self._get("times", lambda: np.linspace(0.0, 1.0, 1001))
 
     def _oracle_congruence(self, kind, rate, action0):
-        src = CallableSource(*gaussian.velocity_field(self.g, kind))
-        rate_fn = gaussian.action_rate(self.g, rate) if rate else None
+        src = CallableSource(*gaussian.velocity_field(self.g, kind),
+                             gaussian.action_rate(self.g, rate) if rate else None)
         act = (lambda q: action0(q)) if action0 else None
-        return integrate_congruence(src, self.labels(), self.times(),
-                                    action_rate=rate_fn, initial_actions=act)
+        return integrate_congruence(src, self.labels(), self.times(), initial_actions=act)
 
     def plus(self):
         return self._get("plus", lambda: self._oracle_congruence(
@@ -192,8 +191,8 @@ class AcceptanceContext:
             lo, hi = grid.x[keep].min(), grid.x[keep].max()
             labels = LabelSet.uniform(lo, hi, 161)
             times = np.linspace(0.0, 0.5, 501)
-            plus, minus = (integrate_congruence(FieldSource(fs, "v_" + flow), labels, times,
-                                                action_rate=FieldSource(fs, "L_" + flow),
+            plus, minus = (integrate_congruence(FieldSource(fs, "v_" + flow, "L_" + flow),
+                                                labels, times,
                                                 initial_actions=self._spline_of(fs, "S_" + flow))
                            for flow in ("plus", "minus"))
             bi = BiCongruence.from_congruences(self.params, plus, minus,

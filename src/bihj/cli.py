@@ -113,7 +113,8 @@ def main(argv=None):
             print(f"wrote {out_dir / name}")
         return 0 if bundle.all_passed else 1
     except BihjError as err:
-        print(f"error: {err}", file=sys.stderr)
+        stage = f"[{err.stage}] " if err.stage else ""
+        print(f"error: {stage}{err}", file=sys.stderr)
         return 2
 
 

@@ -105,10 +105,11 @@ class _LabelFieldCache:
 
 
 def _rk4_pair(y, J, s0, s1, s2, h, span):
-    """One RK4 step of size h using splines at t, t+h/2, t+h."""
+    """One RK4 step of size h; s0, s1 and s2 give the value and slope of the
+    field at t, t+h/2 and t+h (a spline's ``value_and_slope``)."""
     def f(sp, yy):
         _check_span(yy, span)
-        return sp(yy), sp(yy, 1)
+        return sp(yy)
 
     k1, g1 = f(s0, y)
     k2, g2 = f(s1, y + 0.5 * h * k1)
@@ -156,15 +157,16 @@ def compose_trajectories(setup):
     k = 0
     while k + 2 <= nt - 1:
         h = A.times[k + 2] - A.times[k]
-        y, J = _rk4_pair(y, J, cache.spline(k), cache.spline(k + 1), cache.spline(k + 2), h, span)
+        y, J = _rk4_pair(y, J, *(cache.spline(j).value_and_slope for j in (k, k + 1, k + 2)),
+                         h, span)
         k += 2
         out_idx.append(k)
         QB.append(y.copy())
         JB.append(J.copy())
     if k < nt - 1:
         # odd tail: single step with the midpoint spline averaged
-        s0, s2 = cache.spline(k), cache.spline(k + 1)
-        smid = lambda yy, nu=0: 0.5 * (s0(yy, nu) + s2(yy, nu))
+        s0, s2 = cache.spline(k).value_and_slope, cache.spline(k + 1).value_and_slope
+        smid = lambda yy: 0.5 * (s0(yy) + s2(yy))
         h = A.times[k + 1] - A.times[k]
         y, J = _rk4_pair(y, J, s0, smid, s2, h, span)
         k += 1

@@ -57,11 +57,13 @@ class LabelSet:
 # ---------- velocity sources ----------
 
 class CallableSource:
-    """Analytic velocity field given by (value, slope) callables."""
+    """Analytic velocity field given by (value, slope) callables, and an
+    optional action-rate callable L(x, t)."""
 
-    def __init__(self, velocity, dvdx, x_span=None, t_span=None):
+    def __init__(self, velocity, dvdx, rate=None, x_span=None, t_span=None):
         self._v = velocity
         self._g = dvdx
+        self._rate = rate
         self.x_span = x_span
         self.t_span = t_span
 
@@ -78,13 +80,15 @@ class CallableSource:
         self._check(x, t)
         return self._v(x, t)
 
-    def dvdx(self, x, t):
+    def sample(self, x, t):
+        """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""
         self._check(x, t)
-        return self._g(x, t)
+        return self._v(x, t), self._g(x, t), 0.0 if self._rate is None else self._rate(x, t)
 
 
 class ScaledSource:
-    """A velocity source multiplied by a constant factor."""
+    """A velocity source multiplied by a constant factor; its action rate is
+    the wrapped source's."""
 
     def __init__(self, source, factor):
         self.source = source
@@ -93,42 +97,53 @@ class ScaledSource:
     def velocity(self, x, t):
         return self.factor * self.source.velocity(x, t)
 
-    def dvdx(self, x, t):
-        return self.factor * self.source.dvdx(x, t)
+    def sample(self, x, t):
+        v, g, L = self.source.sample(x, t)
+        return self.factor * v, self.factor * g, L
 
 
 class FieldSource:
-    """Sampler of one field of a field series.
+    """Sampler of one field of a field series, and optionally of an action rate.
 
     Cubic interpolation over the largest valid run in x, linear interpolation
     between snapshots in time.  Queries outside the valid region raise.
     Besides the stored fields, ``L_plus``, ``L_minus`` and ``L`` are the
     Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows;
     calling a source samples its value, so it can serve as an action rate.
+    A source built with one of them as ``rate`` splines the field and the
+    rate as the two columns of one spline per snapshot (they share the
+    valid run, so the knots), and ``sample`` gives v, dv/dx and L from one
+    interval search per bracketing snapshot.
     """
 
     FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
     RATE_TERMS = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"),
                   "L": ("v", "Q")}
 
-    def __init__(self, fseries, field="v"):
+    def __init__(self, fseries, field="v", rate=None):
         if field not in self.FIELD_NAMES and field not in self.RATE_TERMS:
             raise PreconditionError(f"unknown field {field!r}")
+        if rate is not None and rate not in self.RATE_TERMS:
+            raise PreconditionError(f"unknown action rate {rate!r}")
         self.fseries = fseries
         self.field = field
+        self.rate = rate
         self._splines = [None] * len(fseries.snapshots)
 
-    def _values(self, snap):
-        if self.field not in self.RATE_TERMS:
-            return getattr(snap, self.field)
-        v, Q = (getattr(snap, name) for name in self.RATE_TERMS[self.field])
+    def _values(self, snap, name):
+        if name not in self.RATE_TERMS:
+            return getattr(snap, name)
+        v, Q = (getattr(snap, term) for term in self.RATE_TERMS[name])
         params = self.fseries.params
         return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
 
     def _spline(self, k):
         if self._splines[k] is None:
             snap = self.fseries.snapshots[k]
-            sp = snap.spline(self._values(snap))
+            values = self._values(snap, self.field)
+            if self.rate is not None:
+                values = np.stack((values, self._values(snap, self.rate)), axis=1)
+            sp = snap.spline(values)
             self._splines[k] = sp, sp.x[0], sp.x[-1]
         return self._splines[k]
 
@@ -144,19 +159,25 @@ class FieldSource:
         w = (t - times[k]) / dt
         return k, k + 1, min(max(w, 0.0), 1.0)
 
-    def _eval(self, x, t, deriv):
+    def _blend(self, x, t, evaluate):
+        """Time blend 0.0 + (1 - w) evaluate(sp_k, x) + w evaluate(sp_k+1, x)
+        over the splines of the two bracketing snapshots."""
         x = np.asarray(x, dtype=float)
         k0, k1, w = self._bracket(t)
+        x_lo, x_hi = x.min(initial=np.inf), x.max(initial=-np.inf)
         out = 0.0
         for k, wk in ((k0, 1.0 - w), (k1, w)):
             if wk == 0.0 and k != k0:
                 continue
             sp, lo, hi = self._spline(k)
-            bad = (x < lo) | (x > hi)
-            if bad.any():
-                raise DomainError(float(np.atleast_1d(x[bad])[0]), t)
-            out = out + wk * sp(x, nu=deriv)
+            if x_lo < lo or x_hi > hi:
+                raise DomainError(float(np.atleast_1d(x[(x < lo) | (x > hi)])[0]), t)
+            out = out + wk * evaluate(sp, x)
         return out
+
+    def _eval(self, x, t, nu):
+        out = self._blend(x, t, lambda sp, xq: sp(xq, nu))
+        return out if self.rate is None else out[..., 0]
 
     def velocity(self, x, t):
         return self._eval(x, t, 0)
@@ -166,6 +187,13 @@ class FieldSource:
 
     def __call__(self, x, t):
         return self.velocity(x, t)
+
+    def sample(self, x, t):
+        """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""
+        both = self._blend(x, t, NotAKnotSpline.value_and_slope)
+        if self.rate is None:
+            return both[0], both[1], 0.0
+        return both[0, ..., 0], both[1, ..., 0], both[0, ..., 1]
 
 
 # ---------- the congruence container ----------
@@ -193,12 +221,7 @@ class Congruence:
             object.__setattr__(self, name, arr)
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        if np.any(self.J <= 0.0):
-            k = int(np.argwhere(self.J <= 0.0)[0][0])
-            raise FocalPointError(f"non-positive expansion factor at t={self.times[k]:.6g}")
-        if np.any(np.diff(self.q, axis=1) <= 0.0):
-            k = int(np.argwhere(np.diff(self.q, axis=1) <= 0.0)[0][0])
-            raise CongruenceCrossingError(f"paths crossed by t={self.times[k]:.6g}")
+        _check_paths(self.times, self.q, self.J, self.labels.values)
 
     @property
     def dt(self):
@@ -229,11 +252,27 @@ class Congruence:
         return worst
 
 
-def integrate_congruence(source, labels, times, action_rate=None, initial_actions=None):
+def _check_paths(times, q, J, labels):
+    """Raise at the first of the stored times, rows of q and J, where a label's
+    expansion factor is not positive or two neighbouring paths crossed."""
+    focal = J <= 0.0
+    if focal.any():
+        k, i = np.argwhere(focal)[0]
+        raise FocalPointError(
+            f"non-positive expansion factor of label {labels[i]:.6g} at t={times[k]:.6g}")
+    crossed = np.diff(q, axis=1) <= 0.0
+    if crossed.any():
+        k, i = np.argwhere(crossed)[0]
+        raise CongruenceCrossingError(
+            f"paths of labels {labels[i]:.6g} and {labels[i + 1]:.6g} crossed at t={times[k]:.6g}")
+
+
+def integrate_congruence(source, labels, times, initial_actions=None):
     """March the labelled ensemble along a velocity field with classic RK4.
 
     The augmented state per label is (q, J, chi) with dq/dt = v(q, t),
-    dJ/dt = dv/dx (q, t) J and dchi/dt = action_rate(q, t).
+    dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t), where
+    ``source.sample(q, t)`` gives (v, dv/dx, L) in one call.
     """
     if isinstance(labels, LabelSet):
         label_set = labels
@@ -252,12 +291,11 @@ def integrate_congruence(source, labels, times, action_rate=None, initial_action
     else:
         chi = np.asarray(initial_actions, dtype=float).copy()
 
-    rate = action_rate if action_rate is not None else (lambda x, t: 0.0)
+    zeros = np.zeros(nl)
 
     def rhs(qv, Jv, t):
-        v = np.asarray(source.velocity(qv, t), dtype=float) + np.zeros(nl)
-        g = np.asarray(source.dvdx(qv, t), dtype=float) + np.zeros(nl)
-        L = np.asarray(rate(qv, t), dtype=float) + np.zeros(nl)
+        # adding zeros broadcasts scalars and turns -0.0 into +0.0
+        v, g, L = (np.asarray(f, dtype=float) + zeros for f in source.sample(qv, t))
         return v, g * Jv, L
 
     q = q0.copy()
@@ -282,15 +320,12 @@ def integrate_congruence(source, labels, times, action_rate=None, initial_action
         tn = times[k + 1]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(J)) and np.all(np.isfinite(chi))):
             raise InstabilityError(f"non-finite trajectory state at t={tn:.6g}")
-        if np.any(J <= 0.0):
-            raise FocalPointError(f"non-positive expansion factor at t={tn:.6g}")
-        if np.any(np.diff(q) <= 0.0):
-            raise CongruenceCrossingError(f"paths crossed at t={tn:.6g}")
+        _check_paths((tn,), q[None], J[None], q0)
         qs.append(q.copy())
         Js.append(J.copy())
         chis.append(chi.copy())
     try:
-        qdots.append(np.asarray(source.velocity(q, times[-1]), dtype=float) + np.zeros(nl))
+        qdots.append(np.asarray(source.sample(q, times[-1])[0], dtype=float) + zeros)
     except DomainError:
         qdots.append(qdots[-1].copy())
 

@@ -2,7 +2,10 @@
 
 
 class BihjError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``stage`` names the run stage that
+    raised it, when there was one."""
+
+    stage = None
 
 
 class ConfigurationError(BihjError):

@@ -120,6 +120,7 @@ class FieldSeries:
     params: object
     snapshots: tuple
     times: np.ndarray = field(init=False, repr=False, compare=False)
+    dt: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snaps = tuple(self.snapshots)
@@ -140,14 +141,11 @@ class FieldSeries:
                 raise PreconditionError("reference-point action jumps between snapshots")
         object.__setattr__(self, "snapshots", snaps)
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dt", float(times[1] - times[0]) if len(times) > 1 else 0.0)
 
     @property
     def grid(self):
         return self.snapshots[0].grid
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
 # ---------- field extraction ----------

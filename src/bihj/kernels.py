@@ -200,7 +200,8 @@ class NotAKnotSpline:
     y of shape (n,) or (n, k): the k columns share the knots, the one slope
     solve and the one interval search per query point.  Calling the spline
     at points of shape (m,) gives values (nu=0) or first derivatives (nu=1)
-    of shape (m,) or (m, k); points beyond the ends use the end intervals.
+    of shape (m,) or (m, k), and ``value_and_slope`` gives both from one
+    search; points beyond the ends use the end intervals.
     The slope system, the coefficients and the order of every sum are those
     of SciPy's CubicSpline, so the results are bit-identical to it.
     """
@@ -242,19 +243,39 @@ class NotAKnotSpline:
         self._inner = x[1:-1]
         self._c = np.stack((t / hr, (delta - m[:-1]) / hr - t, m[:-1] + 0.0, y[:-1] + 0.0))
 
-    def __call__(self, xq, nu=0):
+    def _terms(self, xq):
+        """Local coordinate, its square and the four coefficients at xq."""
         xq = np.asarray(xq, dtype=float)
-        i = np.searchsorted(self._inner, xq, side="right")
+        i = self._inner.searchsorted(xq, side="right")
         s = xq - self.x.take(i)
         if self._c.ndim == 3:
-            s = s[..., None]
-        c0, c1, c2, c3 = self._c.take(i, axis=1)
-        s2 = s * s
+            # a full (m, k) array: numpy broadcasts a (m, 1) one more slowly
+            s = s[..., None].repeat(self._c.shape[2], axis=-1)
+        return (s, s * s) + tuple(self._c.take(i, axis=1))
+
+    @staticmethod
+    def _value(s, s2, c0, c1, c2, c3):
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+    @staticmethod
+    def _slope(s, s2, c0, c1, c2, c3):
+        return (c2 + (c1 * s) * 2.0) + (c0 * s2) * 3.0
+
+    def __call__(self, xq, nu=0):
         if nu == 0:
-            return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+            return self._value(*self._terms(xq))
         if nu == 1:
-            return (c2 + (c1 * s) * 2.0) + (c0 * s2) * 3.0
+            return self._slope(*self._terms(xq))
         raise ValueError("nu must be 0 or 1")
+
+    def value_and_slope(self, xq):
+        """Values and first derivatives at xq from one interval search,
+        stacked along a new first axis; the bits of self(xq) and self(xq, 1)."""
+        terms = self._terms(xq)
+        out = np.empty((2,) + terms[2].shape)
+        out[0] = self._value(*terms)
+        out[1] = self._slope(*terms)
+        return out
 
 
 # ---------- sampled data: running integrals and local extrema ----------

@@ -39,7 +39,7 @@ from .congruence import (
     ScaledSource,
     integrate_congruence,
 )
-from .errors import ConfigurationError
+from .errors import BihjError, ConfigurationError
 from .fields import derive_series
 from .reconstruct import reconstruction_probe
 from .reference import (
@@ -302,6 +302,9 @@ def load_config(path):
 class FieldLibrary:
     """Uniform access to velocity fields, density and action rates."""
 
+    CLOSED_FORM_KEYS = {"v": "dbb", "v_plus": "plus", "v_minus": "minus", "u": "u"}
+    FLOWS = {"plus": ("v_plus", "L_plus"), "minus": ("v_minus", "L_minus"), "polar": ("v", "L")}
+
     def __init__(self, config, fseries=None):
         self.config = config
         self.fseries = fseries
@@ -314,8 +317,7 @@ class FieldLibrary:
 
     def source(self, name, factor=1.0):
         if self.analytic:
-            key = {"v": "dbb", "v_plus": "plus", "v_minus": "minus", "u": "u"}[name]
-            src = CallableSource(*gaussian.velocity_field(self.g, key))
+            src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[name]))
         else:
             src = FieldSource(self.fseries, name)
         return src if factor == 1.0 else ScaledSource(src, factor)
@@ -325,10 +327,13 @@ class FieldLibrary:
             return lambda x, t: gaussian.rho(self.g, x, t)
         return FieldSource(self.fseries, "rho")
 
-    def action_rate(self, which):
+    def congruence_source(self, which):
+        """Velocity field and action rate of the plus, minus or polar flow."""
+        flow, rate = self.FLOWS[which]
         if self.analytic:
-            return gaussian.action_rate(self.g, which)
-        return FieldSource(self.fseries, {"plus": "L_plus", "minus": "L_minus", "polar": "L"}[which])
+            return CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[flow]),
+                                  gaussian.action_rate(self.g, which))
+        return FieldSource(self.fseries, flow, rate)
 
     def initial(self, which):
         """t = 0 profile of the density ("rho") or of the plus, minus or polar action."""
@@ -395,9 +400,15 @@ class RunBundle:
 
     @contextmanager
     def timed(self, name):
+        """Time the block under ``name``; a package error raised in it
+        records the innermost stage it came from."""
         start = time.perf_counter()
         try:
             yield
+        except BihjError as err:
+            if err.stage is None:
+                err.stage = name
+            raise
         finally:
             self.timings[name] = time.perf_counter() - start
 
@@ -452,12 +463,9 @@ class RunBundle:
         """Reference-driven plus/minus/mean-flow congruences and the coupled pair."""
         library, labels, times, cfg = self.library, self.labels, self.times, self.config
         with self.timed("congruences"):
-            out = {cid: integrate_congruence(library.source(flow), labels, times,
-                                             action_rate=library.action_rate(which),
+            out = {cid: integrate_congruence(library.congruence_source(which), labels, times,
                                              initial_actions=library.initial(which))
-                   for cid, flow, which in (("plus", "v_plus", "plus"),
-                                            ("minus", "v_minus", "minus"),
-                                            ("dbb", "v", "polar"))}
+                   for cid, which in (("plus", "plus"), ("minus", "minus"), ("dbb", "polar"))}
             out["bi"] = BiCongruence.from_congruences(cfg.params, out["plus"], out["minus"],
                                                       library.initial("plus"),
                                                       library.initial("minus"),
@@ -556,6 +564,15 @@ def _sampled_indices(n_times, target=101):
 
 def run_simulate(config, out_dir):
     run = RunBundle("simulate", config, out_dir)
+    autonomous = config.mode == "autonomous"
+    if autonomous:
+        # the coupled pair can fail (paths cross), so it and its cross maps
+        # run before the first file is written
+        bi = run.autonomous
+        keep = _sampled_indices(bi.times.shape[0])
+        with run.timed("crossmap"):
+            maps = [cross_map(bi, bi.times[k]) for k in keep]
+
     xs = config.grid.x
     run.emit_csv("reference_fields.csv", ("time", "x", "re_psi", "im_psi"),
                  [(s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots])
@@ -563,21 +580,19 @@ def run_simulate(config, out_dir):
                  [(s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
                   for s in run.fields.snapshots])
 
-    if config.mode == "autonomous":
-        named = {"plus": run.autonomous.plus, "minus": run.autonomous.minus}
+    # the reference-driven congruences are built after the two field files,
+    # so that they are not held through those writes, the memory peak
+    if autonomous:
+        named = {"plus": bi.plus, "minus": bi.minus}
     else:
         named = {cid: run.congruences[cid] for cid in ("plus", "minus", "dbb")}
-    keep = _sampled_indices(named["plus"].times.shape[0])
+        keep = _sampled_indices(named["plus"].times.shape[0])
     run.emit_csv("trajectories.csv",
                  ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),
                  [(cid, np.arange(len(c.labels)), c.labels.values, c.times[k],
                    c.q[k], c.qdot[k], c.J[k], c.chi[k])
                   for cid, c in named.items() for k in keep])
-
-    if config.mode == "autonomous":
-        bi = run.autonomous
-        with run.timed("crossmap"):
-            maps = [cross_map(bi, bi.times[k]) for k in keep]
+    if autonomous:
         run.emit_csv("crossmap.csv", ("time", "q_plus0", "q_minus0"),
                      [(cm.time, cm.q_plus0, cm.q_minus0) for cm in maps])
     return run.finish(), run

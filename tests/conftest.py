@@ -31,9 +31,9 @@ def times():
 
 def _congruence(g, labels, times, kind, rate=None, action0=None):
     return integrate_congruence(
-        CallableSource(*gaussian.velocity_field(g, kind)), labels, times,
-        action_rate=gaussian.action_rate(g, rate) if rate else None,
-        initial_actions=action0)
+        CallableSource(*gaussian.velocity_field(g, kind),
+                       gaussian.action_rate(g, rate) if rate else None),
+        labels, times, initial_actions=action0)
 
 
 @pytest.fixture(scope="session")

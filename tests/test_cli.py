@@ -159,3 +159,17 @@ def test_mode_override(tmp_path, config_path):
                  "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "crossmap.csv").exists()
+
+
+def test_failed_stage_is_named_and_leaves_no_data_file(tmp_path, capsys):
+    # the bundled scenario with 401 labels is unstable in autonomous mode
+    doc = json.loads((Path(bihj.__file__).parent / "data" / "gaussian.json").read_text())
+    doc["labels"]["count"] = 401
+    doc["mode"] = "autonomous"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [autonomous] plus paths of labels -3.9 and -3.88 crossed at t=0.042\n")
+    assert sorted(p.name for p in out.iterdir()) == []

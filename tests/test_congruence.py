@@ -66,10 +66,8 @@ class TestIntegration:
 
     def test_zero_velocity_field_is_static(self, labels, times):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-        src = CallableSource(zero, zero)
-        c = integrate_congruence(src, labels, times,
-                                 action_rate=lambda x, t: 2.0 + 0.0 * np.asarray(x),
-                                 initial_actions=lambda q: 0.5 * q)
+        src = CallableSource(zero, zero, lambda x, t: 2.0 + 0.0 * np.asarray(x))
+        c = integrate_congruence(src, labels, times, initial_actions=lambda q: 0.5 * q)
         assert np.abs(c.q - labels.values[None, :]).max() == 0.0
         assert np.abs(c.J - 1.0).max() == 0.0
         expected = 0.5 * labels.values[None, :] + 2.0 * times[:, None]
@@ -141,6 +139,37 @@ class TestIntegration:
         with pytest.raises((CongruenceCrossingError, FocalPointError, InstabilityError)):
             integrate_congruence(CallableSource(v, g_), labels, np.linspace(0.0, 2.0, 9))
 
+    def test_guard_errors_name_labels_and_time(self):
+        from bihj.congruence import Congruence
+        # the squeeze of the test above: with its slope, J reaches zero first
+        v = lambda x, t: -np.asarray(x, dtype=float) ** 3 * 8.0
+        g_ = lambda x, t: -24.0 * np.asarray(x, dtype=float) ** 2
+        labels = LabelSet.uniform(-1.0, 1.0, 11)
+        times = np.linspace(0.0, 2.0, 9)
+        with pytest.raises(FocalPointError,
+                           match=r"^non-positive expansion factor of label -0\.8 at t=0\.25$"):
+            integrate_congruence(CallableSource(v, g_), labels, times)
+        # with a zero slope J stays 1, and the paths cross instead
+        zero = lambda x, t: 0.0 * np.asarray(x, dtype=float)
+        with pytest.raises(CongruenceCrossingError,
+                           match=r"^paths of labels -0\.8 and -0\.6 crossed at t=0\.25$"):
+            integrate_congruence(CallableSource(v, zero), labels, times)
+        # the container's checks on stored data say the same
+        lab = LabelSet.uniform(-1.0, 1.0, 5)
+        t3 = np.array([0.0, 0.1, 0.2])
+        q = np.tile(lab.values, (3, 1))
+        ones = np.ones((3, 5))
+        crossed = q.copy()
+        crossed[2, 2] = crossed[2, 3] + 0.1
+        with pytest.raises(CongruenceCrossingError,
+                           match=r"^paths of labels 0 and 0\.5 crossed at t=0\.2$"):
+            Congruence(lab, t3, crossed, ones * 0.0, ones, ones * 0.0)
+        bad_j = ones.copy()
+        bad_j[1, 1] = -0.5
+        with pytest.raises(FocalPointError,
+                           match=r"^non-positive expansion factor of label -0\.5 at t=0\.1$"):
+            Congruence(lab, t3, q, ones * 0.0, bad_j, ones * 0.0)
+
 
 class TestInversion:
     def test_identity_at_t0(self, plus_congruence):
@@ -197,6 +226,62 @@ class TestFieldSource:
         c = integrate_congruence(FieldSource(fs, "v_plus"), labels, times)
         exact = labels.values * gaussian.path_scale(g, "plus", 1.0)
         assert np.abs(c.q[-1] - exact).max() < 1e-4
+
+    def test_one_sample_per_stage_is_the_three_call_march(self):
+        # a moving Gaussian in a harmonic well on Crank-Nicolson snapshots
+        params = PhysicalParams(potential=Potential.harmonic(0.5))
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
+        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=10))
+        labels = LabelSet.uniform(-1.5, 1.5, 41)
+
+        def three_calls(velocity, rate, chi, times):
+            # reference: separate velocity, slope and rate calls per stage
+            def rhs(qv, Jv, t):
+                v = np.asarray(velocity.velocity(qv, t), dtype=float) + np.zeros(len(labels))
+                g = np.asarray(velocity.dvdx(qv, t), dtype=float) + np.zeros(len(labels))
+                L = np.asarray(rate(qv, t), dtype=float) + np.zeros(len(labels))
+                return v, g * Jv, L
+
+            q, J = labels.values.copy(), np.ones(len(labels))
+            qs, qdots, Js, chis = [q], [], [J], [chi]
+            for t, h in zip(times[:-1], np.diff(times)):
+                k1 = rhs(q, J, t)
+                qdots.append(k1[0])
+                k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
+                k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
+                k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
+                q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+                qs.append(q)
+                Js.append(J)
+                chis.append(chi)
+            qdots.append(np.asarray(velocity.velocity(q, times[-1]), dtype=float)
+                         + np.zeros(len(labels)))
+            return np.array(qs), np.array(qdots), np.array(Js), np.array(chis)
+
+        # the snapshot times themselves put the first stage of every step on
+        # a snapshot, where one of the two weights is 0; the finer times also
+        # put stages between snapshots
+        snapshot_stage = 0
+        for times in (fs.times, np.linspace(0.0, 0.2, 81)):
+            for t in times:
+                k0, k1, w = FieldSource(fs, "v")._bracket(t)
+                snapshot_stage += w in (0.0, 1.0)
+            for flow, rate, action in (("v_plus", "L_plus", "S_plus"),
+                                       ("v_minus", "L_minus", "S_minus"), ("v", "L", "S")):
+                chi0 = fs.snapshots[0].spline(getattr(fs.snapshots[0], action))(labels.values)
+                rated, alone = FieldSource(fs, flow, rate), FieldSource(fs, flow)
+                got = integrate_congruence(rated, labels, times, initial_actions=chi0)
+                want = three_calls(alone, FieldSource(fs, rate), chi0, times)
+                for name, arr in zip(("q", "qdot", "J", "chi"), want):
+                    assert np.array_equal(getattr(got, name), arr), (flow, name)
+                # the field column of a source with a rate is the field alone
+                for method in ("velocity", "dvdx"):
+                    assert np.array_equal(getattr(rated, method)(got.q[5], times[5]),
+                                          getattr(alone, method)(got.q[5], times[5]))
+        assert snapshot_stage >= len(fs.times)
 
     def test_queries_outside_span_raise(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)

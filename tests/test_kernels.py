@@ -183,6 +183,23 @@ def test_not_a_knot_spline_keeps_the_sign_of_zero():
         assert _bits(K.NotAKnotSpline(x, y)(x, nu)) == _bits(CubicSpline(x, y)(x, nu))
 
 
+@pytest.mark.parametrize("columns", [None, 3])
+def test_value_and_slope_is_both_calls(rng, columns):
+    # one interval search gives the bits of sp(x) and sp(x, 1), sign of zero
+    # included; queries lie at the knots, inside and beyond both ends
+    for n, uniform in ((4, True), (9, False), (201, True), (201, False)):
+        x = (np.linspace(-4.0, 4.0, n) if uniform
+             else np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0)
+        for y in (rng.normal(size=(n,) if columns is None else (n, columns)),
+                  -x - x**2 - x**3 if columns is None else np.stack([-x - x**2 - x**3] * 3, 1)):
+            sp = K.NotAKnotSpline(x, y)
+            xq = np.r_[x, rng.uniform(x[0], x[-1], 50), x[0] - 0.7, x[-1] + 0.4, x[0] - 1e-9]
+            value, slope = sp.value_and_slope(xq)
+            assert np.array_equal(value, sp(xq)) and np.array_equal(slope, sp(xq, 1))
+            assert _bits(value) == _bits(sp(xq)) and _bits(slope) == _bits(sp(xq, 1))
+            assert sp.value_and_slope(x[2]).shape == (2,) + y.shape[1:]
+
+
 def test_not_a_knot_spline_needs_four_knots():
     for n in (2, 3):
         with pytest.raises(ValueError, match="at least 4 knots"):
