@@ -289,7 +289,7 @@ def integrate_congruence(source, labels, times, initial_actions=None):
     elif callable(initial_actions):
         chi = np.asarray(initial_actions(q0), dtype=float)
     else:
-        chi = np.asarray(initial_actions, dtype=float).copy()
+        chi = np.asarray(initial_actions, dtype=float)
 
     zeros = np.zeros(nl)
 
@@ -298,38 +298,36 @@ def integrate_congruence(source, labels, times, initial_actions=None):
         v, g, L = (np.asarray(f, dtype=float) + zeros for f in source.sample(qv, t))
         return v, g * Jv, L
 
-    q = q0.copy()
-    J = np.ones(nl)
-    qs, qdots, Js, chis = [q.copy()], [], [J.copy()], [chi.copy()]
+    n = times.shape[0]
+    qs, qdots, Js, chis = (np.empty((n, nl)) for _ in range(4))
+    qs[0], Js[0], chis[0] = q0, 1.0, chi
+    q, J, chi = qs[0], Js[0], chis[0]
 
-    for k in range(times.shape[0] - 1):
+    for k in range(n - 1):
         t = times[k]
         h = times[k + 1] - t
         try:
             k1 = rhs(q, J, t)
-            qdots.append(k1[0].copy())
+            qdots[k] = k1[0]
             k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
             k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
             k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
         except DomainError as err:
             idx = int(np.argmin(np.abs(q - err.x)))
             raise TrajectoryExitError(q0[idx], err.t) from err
-        q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        q = qs[k + 1] = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        J = Js[k + 1] = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        chi = chis[k + 1] = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
         tn = times[k + 1]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(J)) and np.all(np.isfinite(chi))):
             raise InstabilityError(f"non-finite trajectory state at t={tn:.6g}")
         _check_paths((tn,), q[None], J[None], q0)
-        qs.append(q.copy())
-        Js.append(J.copy())
-        chis.append(chi.copy())
     try:
-        qdots.append(np.asarray(source.sample(q, times[-1])[0], dtype=float) + zeros)
+        qdots[-1] = np.asarray(source.sample(q, times[-1])[0], dtype=float) + zeros
     except DomainError:
-        qdots.append(qdots[-1].copy())
+        qdots[-1] = qdots[-2]
 
-    return Congruence(label_set, times, np.array(qs), np.array(qdots), np.array(Js), np.array(chis))
+    return Congruence(label_set, times, qs, qdots, Js, chis)
 
 
 # ---------- label inversion and trajectory density ----------

@@ -17,6 +17,7 @@ import math
 import numbers
 import reprlib
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -142,6 +143,21 @@ MAX_GRID_POINTS = 2**16
 MAX_LABELS = 2**12
 MAX_SOLVER_STEPS = 10**5
 
+# Bytes a run holds per label per solver time and per grid point per stored
+# field time, rounded up from the growth of peak RSS when the bundled
+# scenario's solver steps, grid points or stored times double, over every
+# command and both solvers.  Analytic compose case ii holds the most per label
+# step (272: four congruences, the composed tracks and the source tables),
+# Crank-Nicolson compose the most per grid point (195: the wave and field
+# series and the splines of the sampled sources).  CSV files are streamed,
+# so these stages are what a run holds.
+BYTES_PER_LABEL_STEP = 280
+BYTES_PER_GRID_POINT = 200
+# The bound on their sum admits each size at its own bound with the other
+# sizes of the bundled scenario; the largest of those runs, 10^5 solver steps
+# of 201 labels with 301 stored times, holds 5.4 GiB.
+MAX_HELD_BYTES = 6 * 2**30
+
 
 # The scenario format: one row per field, (dotted path, type, default, kind,
 # range rule).  A default of None makes the field required wherever it
@@ -258,6 +274,16 @@ def parse_config(doc):
     if None not in (dt_solver, t_final) and not t_final / dt_solver < MAX_SOLVER_STEPS + 0.5:
         problems.append(f"time.t_final / dt_solver must be at most {MAX_SOLVER_STEPS} "
                         f"solver steps, got {t_final / dt_solver:.6g}")
+    count = get("labels.count")
+    if (None not in (dt_solver, dt_fields, t_final, count, n_points)
+            and t_final / dt_solver < MAX_SOLVER_STEPS + 0.5):
+        held = (BYTES_PER_LABEL_STEP * (t_final / dt_solver + 1) * count
+                + BYTES_PER_GRID_POINT * (t_final / dt_fields + 1) * n_points)
+        if not held <= MAX_HELD_BYTES:
+            problems.append(
+                f"(solver steps + 1) x labels.count and (stored field times + 1) x "
+                f"grid.n_points would hold {held / 2**30:.3g} GiB, more than "
+                f"{MAX_HELD_BYTES / 2**30:g} GiB")
     if get("solver") == "analytic" and tuple(map(get, (
             "potential.kind", "initial_state.kind", "initial_state.momentum",
             "initial_state.center"))) != CLOSED_FORM:
@@ -355,23 +381,61 @@ CSV_CHUNK_ROWS = 2048  # rows turned into Python objects and formatted at a time
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
-def write_csv(path, header, columns):
-    """One row format per file: floats with 17 significant digits, integers
-    and booleans as integers, anything else as text."""
-    columns = [np.asarray(c) for c in columns]
-    fmt = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
-    n_rows = min((c.shape[0] for c in columns), default=0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join(fmt % row for row in zip(*chunk)))
+def _csv_format(values):
+    return _CSV_FORMATS.get(values.dtype.kind, "%s")
+
+
+def write_csv(path, header, blocks):
+    """Write CSV rows from blocks and return the SHA-256 of the bytes written.
+
+    A block holds one entry per column: an array, or a scalar repeated over
+    the block's rows, the common length of its arrays (it needs at least one).
+    Floats are written with 17 significant digits, integers and booleans as
+    integers, anything else as text.  Each block is written in chunks of
+    CSV_CHUNK_ROWS rows through one row format, into which its scalars are
+    formatted once; an array object that recurs across blocks is formatted
+    to text once.
+    """
+    blocks = list(blocks)
+    seen = Counter(id(e) for block in blocks for e in block if np.ndim(e))
+    texts = {}  # id -> values as text, of the recurring arrays
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(",".join(header) + "\n")
+        for block in blocks:
+            fmt, columns = [], []
+            for e in block:
+                values = np.asarray(e)
+                if not values.ndim:
+                    fmt.append((_csv_format(values) % values.item()).replace("%", "%%"))
+                elif seen[id(e)] > 1:
+                    if id(e) not in texts:
+                        texts[id(e)] = [_csv_format(values) % v for v in values.tolist()]
+                    fmt.append("%s")
+                    columns.append(texts[id(e)])
+                else:
+                    fmt.append(_csv_format(values))
+                    columns.append(values)
+            fmt = ",".join(fmt) + "\n"
+            n_rows = min(len(c) for c in columns)
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                chunk = [c[start:stop] if isinstance(c, list) else c[start:stop].tolist()
+                         for c in columns]
+                put("".join(fmt % row for row in zip(*chunk)))
+    return digest.hexdigest()
 
 
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write sorted, indented JSON and return the SHA-256 of the bytes written."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------- the staged run pipeline ----------
@@ -508,19 +572,12 @@ class RunBundle:
     def emit_csv(self, name, header, blocks):
         """Write ``name`` from row blocks holding one entry per column: an
         array, or a scalar repeated over the block's rows."""
-        blocks = list(blocks)
         with self.timed(f"write:{name}"):
-            rows = [next(len(e) for e in block if np.ndim(e)) for block in blocks]
-            columns = [np.concatenate([e if np.ndim(e) else np.full(n, e)
-                                       for e, n in zip(entries, rows)])
-                       for entries in zip(*blocks)]
-            write_csv(self.out_dir / name, header, columns)
-            self.files[name] = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
+            self.files[name] = write_csv(self.out_dir / name, header, blocks)
 
     def emit_json(self, name, payload):
         with self.timed(f"write:{name}"):
-            write_json(self.out_dir / name, payload)
-            self.files[name] = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
+            self.files[name] = write_json(self.out_dir / name, payload)
 
     def add_check(self, result):
         self.checks.append(result)
@@ -565,13 +622,17 @@ def _sampled_indices(n_times, target=101):
 def run_simulate(config, out_dir):
     run = RunBundle("simulate", config, out_dir)
     autonomous = config.mode == "autonomous"
+    # the trajectory stages can fail (paths cross or leave the valid region),
+    # so they and the cross maps run before the first file is written
     if autonomous:
-        # the coupled pair can fail (paths cross), so it and its cross maps
-        # run before the first file is written
         bi = run.autonomous
+        named = {"plus": bi.plus, "minus": bi.minus}
         keep = _sampled_indices(bi.times.shape[0])
         with run.timed("crossmap"):
             maps = [cross_map(bi, bi.times[k]) for k in keep]
+    else:
+        named = {cid: run.congruences[cid] for cid in ("plus", "minus", "dbb")}
+        keep = _sampled_indices(named["plus"].times.shape[0])
 
     xs = config.grid.x
     run.emit_csv("reference_fields.csv", ("time", "x", "re_psi", "im_psi"),
@@ -579,17 +640,10 @@ def run_simulate(config, out_dir):
     run.emit_csv("fields.csv", FIELD_COLUMNS,
                  [(s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
                   for s in run.fields.snapshots])
-
-    # the reference-driven congruences are built after the two field files,
-    # so that they are not held through those writes, the memory peak
-    if autonomous:
-        named = {"plus": bi.plus, "minus": bi.minus}
-    else:
-        named = {cid: run.congruences[cid] for cid in ("plus", "minus", "dbb")}
-        keep = _sampled_indices(named["plus"].times.shape[0])
+    label_index = np.arange(len(run.labels))
     run.emit_csv("trajectories.csv",
                  ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),
-                 [(cid, np.arange(len(c.labels)), c.labels.values, c.times[k],
+                 [(cid, label_index, c.labels.values, c.times[k],
                    c.q[k], c.qdot[k], c.J[k], c.chi[k])
                   for cid, c in named.items() for k in keep])
     if autonomous:
@@ -711,15 +765,16 @@ def run_figure(config, out_dir, figure_id):
         for cid in ("dbb", "plus", "minus"):
             c = run.congruences[cid]
             keep = _sampled_indices(c.times.shape[0], 81)
-            blocks += [(cid, c.labels.values[i], c.times[keep], c.q[keep, i])
-                       for i in keep_labels]
+            times = c.times[keep]
+            blocks += [(cid, c.labels.values[i], times, c.q[keep, i]) for i in keep_labels]
         run.emit_csv("fig2.csv", ("series", "q0", "time", "value"), blocks)
     else:
         setup, result = run.composition("i")
         host = setup.congruence_A
         keep_host = _sampled_indices(host.times.shape[0], 81)
-        blocks = [("i", "qA_family", host.labels.values[i], host.times[keep_host],
-                   host.q[keep_host, i]) for i in keep_labels]
+        times = host.times[keep_host]
+        blocks = [("i", "qA_family", host.labels.values[i], times, host.q[keep_host, i])
+                  for i in keep_labels]
         # the composed track's generator and path, interleaved row by row
         track = int(np.argmin(np.abs(result.labels_C.values - 1.0)))
         keep = _sampled_indices(result.times.shape[0], 81)

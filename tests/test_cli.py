@@ -106,10 +106,16 @@ def test_wrong_type_config_exits_2(tmp_path, config_path, capsys):
     ("grid", {"x_min": -10.0, "x_max": 10.0, "n_points": 10**400}),
     ("labels", {"count": 10**6, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}),
     ("time", {"dt_solver": 1e-7, "dt_fields": 0.01, "t_final": 0.1}),
+    # sizes within their own bounds whose products hold more than MAX_HELD_BYTES:
+    # labels x solver steps, and grid points x stored field times
+    (("labels", "time"), ({"count": 4096, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}},
+                          {"dt_solver": 1e-4, "dt_fields": 0.01, "t_final": 1.0})),
+    (("grid", "time"), ({"x_min": -10.0, "x_max": 10.0, "n_points": 65536},
+                        {"dt_solver": 1e-3, "dt_fields": 1e-3, "t_final": 1.0})),
 ])
 def test_edge_inputs_exit_2(tmp_path, config_path, capsys, key, value):
     doc = json.loads(config_path.read_text())
-    doc[key] = value
+    doc.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     config_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     assert "invalid scenario configuration" in capsys.readouterr().err
@@ -172,4 +178,18 @@ def test_failed_stage_is_named_and_leaves_no_data_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: [autonomous] plus paths of labels -3.9 and -3.88 crossed at t=0.042\n")
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_reference_driven_failure_leaves_no_data_file(tmp_path, capsys):
+    # on the sampled grid the outer labels of the bundled scenario leave the
+    # region where the density is above its floor
+    doc = json.loads((Path(bihj.__file__).parent / "data" / "gaussian.json").read_text())
+    doc["solver"] = "crank_nicolson"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [congruences] trajectory with label -4 left the valid region at t=0.277\n")
     assert sorted(p.name for p in out.iterdir()) == []

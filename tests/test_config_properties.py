@@ -13,7 +13,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bihj.errors import ConfigurationError  # noqa: E402
 from bihj.scenario import (  # noqa: E402
+    BYTES_PER_GRID_POINT,
+    BYTES_PER_LABEL_STEP,
     MAX_GRID_POINTS,
+    MAX_HELD_BYTES,
     MAX_LABELS,
     MAX_SOLVER_STEPS,
     SCHEMA,
@@ -165,3 +168,18 @@ def test_solver_step_count_is_bounded(substeps, t_final):
     doc["time"] = {"dt_solver": 0.01 / substeps, "dt_fields": 0.01, "t_final": t_final}
     cfg = parse_or_reject(doc)
     assert (cfg is not None) == (round(100 * t_final) * substeps <= MAX_SOLVER_STEPS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, MAX_LABELS), st.integers(16, MAX_GRID_POINTS), st.integers(1, 20000),
+       st.sampled_from([1, 10, 100]))
+def test_held_bytes_are_bounded(count, n_points, steps, every):
+    # solver steps of 1e-4, a stored field time every few of them
+    doc = copy.deepcopy(BUNDLED)
+    doc["labels"]["count"] = count
+    doc["grid"]["n_points"] = n_points
+    doc["time"] = {"dt_solver": 1e-4, "dt_fields": every * 1e-4, "t_final": steps * 1e-4}
+    held = (BYTES_PER_LABEL_STEP * (steps + 1) * count
+            + BYTES_PER_GRID_POINT * (steps // every + 1) * n_points)
+    cfg = parse_or_reject(doc)
+    assert (cfg is not None) == (steps % every == 0 and held <= MAX_HELD_BYTES)

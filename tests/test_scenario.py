@@ -1,5 +1,7 @@
 import filecmp
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,11 +173,29 @@ def per_value_csv(header, columns):
     def fmt(value):
         if isinstance(value, (float, np.floating)):
             return "%.17g" % value
-        if isinstance(value, (int, np.integer)):
+        if isinstance(value, (int, np.integer, np.bool_)):
             return str(int(value))
         return str(value)
     lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def block_columns(blocks):
+    """The columns of row blocks, a scalar entry repeated value by value."""
+    columns = [[] for _ in blocks[0]]
+    for block in blocks:
+        n = min(len(e) for e in block if np.ndim(e))
+        for column, e in zip(columns, block):
+            column += list(e[:n]) if np.ndim(e) else [e] * n
+    return columns
+
+
+def assert_writes_per_value(path, header, blocks):
+    """write_csv gives the per-value bytes of the blocks and returns their SHA-256."""
+    digest = write_csv(path, header, blocks)
+    data = path.read_bytes()
+    assert data.decode("utf-8") == per_value_csv(header, block_columns(blocks))
+    assert digest == hashlib.sha256(data).hexdigest()
 
 
 class TestOutputs:
@@ -268,7 +288,7 @@ class TestOutputs:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
 
     def test_csv_floats_carry_17_significant_digits(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["a"], [np.array([1.0 / 3.0])])
+        write_csv(tmp_path / "t.csv", ["a"], [(np.array([1.0 / 3.0]),)])
         assert tmp_path.joinpath("t.csv").read_text() == "a\n0.33333333333333331\n"
 
     def test_csv_rows_match_per_value_format(self, tmp_path):
@@ -281,9 +301,55 @@ class TestOutputs:
         names = np.full(n, "plus", dtype=object)
         names[CSV_CHUNK_ROWS] = "minus"
         columns = [floats, ints, names, names.astype(str), rng.normal(size=n)]
-        header = ["f", "i", "s", "u", "g"]
-        write_csv(tmp_path / "t.csv", header, columns)
-        assert tmp_path.joinpath("t.csv").read_text() == per_value_csv(header, columns)
+        assert_writes_per_value(tmp_path / "t.csv", ["f", "i", "s", "u", "g"], [columns])
+
+    @pytest.mark.parametrize("scalar", [
+        -0.0, np.float64(-0.0), np.nan, np.inf, -np.inf, 5e-324, np.float64(5e-324),
+        np.iinfo(np.int64).min, np.int64(np.iinfo(np.int64).min), 7, np.bool_(True),
+        np.bool_(False), True, "a%d %s %% ünï ∂x", np.str_("100%"),
+    ], ids=repr)
+    def test_csv_scalar_entries_match_per_value_format(self, tmp_path, scalar):
+        rows = np.array([0.1, -2.5, 1e300])
+        blocks = [(scalar, rows, "%"), (1.5, rows[:2], scalar)]
+        assert_writes_per_value(tmp_path / "t.csv", ["s", "v", "t"], blocks)
+
+    def test_csv_recurring_array_is_written_per_block(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 7)
+        same = x.copy()  # equal values, another object
+        counts = np.arange(7) * 10**17
+        whole = counts.astype(float)  # equal values, written in another format
+        blocks = [(t, x, same, counts, whole, x) for t in (0.0, 0.5, 1.0)]
+        blocks.append((2.0, same, x, whole, counts, same))
+        assert_writes_per_value(tmp_path / "t.csv", ["t", "a", "b", "c", "d", "e"], blocks)
+        lines = tmp_path.joinpath("t.csv").read_text().splitlines()
+        third = "-0.66666666666666674"
+        assert lines[2] == f"0,{third},{third},100000000000000000,1e+17,{third}"
+
+    def test_csv_blocks_longer_than_a_chunk(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=n)
+        blocks = [(k, x, rng.normal(size=n), "plus" if k % 2 else "minus") for k in range(3)]
+        blocks.append((3, x[:CSV_CHUNK_ROWS + 1], rng.normal(size=n), "dbb"))
+        assert_writes_per_value(tmp_path / "t.csv", ["k", "x", "y", "id"], blocks)
+
+    def test_csv_write_memory_stays_within_a_few_chunks(self, tmp_path):
+        # a fields.csv-shaped file: 101 snapshots of 2048 rows and 11 columns,
+        # with the grid recurring in every block
+        from bihj.scenario import RunBundle
+        rng = np.random.default_rng(7)
+        x = np.linspace(-10.0, 10.0, 2048)
+        blocks = [(0.01 * k, x) + tuple(rng.normal(size=2048) for _ in range(8))
+                  + (rng.random(2048) < 0.9,) for k in range(101)]
+        run = RunBundle("simulate", parse_config(small_doc()), tmp_path)
+        tracemalloc.start()
+        try:
+            run.emit_csv("fields.csv", scenario.FIELD_COLUMNS, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "fields.csv").stat().st_size > 30 * 2**20
+        assert peak < 8 * 2**20, peak
 
     def test_analytic_runs_skip_field_extraction(self, tmp_path, monkeypatch):
         calls = []
