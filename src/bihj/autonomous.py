@@ -276,7 +276,7 @@ def cross_map(bi, t):
 
 # ---------- time reversal in the trajectory picture ----------
 
-def exchange_pair(S_plus0, S_minus0, labels, params, dt, steps, **kwargs):
+def exchange_pair(S_plus0, S_minus0, labels, params, dt, steps):
     """Conjugate-data forward run and original-data backward run.
 
     Conjugating the state at t=0 swaps and negates the action profiles.  The
@@ -290,9 +290,9 @@ def exchange_pair(S_plus0, S_minus0, labels, params, dt, steps, **kwargs):
     sp0 = S_plus0 if callable(S_plus0) else (lambda q: np.asarray(S_plus0))
     sm0 = S_minus0 if callable(S_minus0) else (lambda q: np.asarray(S_minus0))
     conj_forward = propagate_autonomous(
-        lambda q: -sm0(q), lambda q: -sp0(q), labels, params, abs(dt), steps, **kwargs)
+        lambda q: -sm0(q), lambda q: -sp0(q), labels, params, abs(dt), steps)
     original_backward = propagate_autonomous(
-        sp0, sm0, labels, params, -abs(dt), steps, **kwargs)
+        sp0, sm0, labels, params, -abs(dt), steps)
     return conj_forward, original_backward
 
 

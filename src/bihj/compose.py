@@ -87,23 +87,6 @@ class CompositionResult:
                           self.J_C, np.zeros_like(self.q_C))
 
 
-class _LabelFieldCache:
-    """V_B and its label derivative on the host label grid, per stored time."""
-
-    def __init__(self, setup):
-        self.A = setup.congruence_A
-        self.field_B = setup.field_B
-        self._cache = {}
-
-    def spline(self, k):
-        if k not in self._cache:
-            A = self.A
-            vb = np.asarray(self.field_B.velocity(A.q[k], float(A.times[k])), dtype=float)
-            vb = vb + np.zeros_like(A.q[k])
-            self._cache[k] = NotAKnotSpline(A.labels.values, vb / A.J[k])
-        return self._cache[k]
-
-
 def _rk4_pair(y, J, s0, s1, s2, h, span):
     """One RK4 step of size h; s0, s1 and s2 give the value and slope of the
     field at t, t+h/2 and t+h (a spline's ``value_and_slope``)."""
@@ -142,12 +125,17 @@ def compose_trajectories(setup):
     centred time differences.
     """
     A = setup.congruence_A
-    cache = _LabelFieldCache(setup)
     labels = A.labels.values
     span = (labels[0], labels[-1])
     nt = A.times.shape[0]
     if nt < 3:
         raise PreconditionError("composition needs at least three stored times")
+    # V_B and its label derivative on the host label grid, per stored time
+    V_B = []
+    for k in range(nt):
+        vb = np.asarray(setup.field_B.velocity(A.q[k], float(A.times[k])), dtype=float)
+        vb = vb + np.zeros_like(A.q[k])
+        V_B.append(NotAKnotSpline(labels, vb / A.J[k]).value_and_slope)
 
     y = setup.labels_C.values.copy()
     J = np.ones_like(y)
@@ -157,15 +145,14 @@ def compose_trajectories(setup):
     k = 0
     while k + 2 <= nt - 1:
         h = A.times[k + 2] - A.times[k]
-        y, J = _rk4_pair(y, J, *(cache.spline(j).value_and_slope for j in (k, k + 1, k + 2)),
-                         h, span)
+        y, J = _rk4_pair(y, J, *V_B[k:k + 3], h, span)
         k += 2
         out_idx.append(k)
         QB.append(y.copy())
         JB.append(J.copy())
     if k < nt - 1:
         # odd tail: single step with the midpoint spline averaged
-        s0, s2 = cache.spline(k).value_and_slope, cache.spline(k + 1).value_and_slope
+        s0, s2 = V_B[k], V_B[k + 1]
         smid = lambda yy: 0.5 * (s0(yy) + s2(yy))
         h = A.times[k + 1] - A.times[k]
         y, J = _rk4_pair(y, J, s0, smid, s2, h, span)
@@ -230,7 +217,7 @@ class SourceTable:
         return out if np.ndim(q0) else float(out[0])
 
 
-def source_term(A, rho_sampler, field_B, rho0=None):
+def source_term(A, rho_sampler, field_B, rho0):
     """Accumulated source along a flow that does not conserve the density.
 
     c_A(q_A0, t) = -J_A^{-1} d/dq_A0  integral_0^t  P_A J_A V_B dt'
@@ -258,8 +245,7 @@ def source_term(A, rho_sampler, field_B, rho0=None):
     for k in range(nt):
         c[k] = -fd_derivative(cum[k], h) / A.J[k]
 
-    rho0_vals = P[0] if rho0 is None else np.asarray(rho0(labels), dtype=float)
-    carried = rho0_vals[None, :] / A.J
+    carried = np.asarray(rho0(labels), dtype=float)[None, :] / A.J
     gap = float(np.max(np.abs(carried + c - P) / P.max(axis=1, keepdims=True)))
     return SourceTable(labels, A.times, P, W, c, carried / P, gap)
 

@@ -44,9 +44,10 @@ class LabelSet:
         return LabelSet(np.linspace(lo, hi, count))
 
     @staticmethod
-    def from_density(rho0, lo, hi, count=101, floor=1e-6, probe_points=4096):
-        """Uniform labels spanning the region where rho0 >= floor * max."""
-        x = np.linspace(lo, hi, probe_points)
+    def from_density(rho0, lo, hi, count=101, floor=1e-6):
+        """Uniform labels spanning the region where rho0 >= floor * max,
+        probed at 4096 points."""
+        x = np.linspace(lo, hi, 4096)
         r = np.asarray(rho0(x), dtype=float)
         keep = r >= floor * r.max()
         if not keep.any():
@@ -60,29 +61,16 @@ class CallableSource:
     """Analytic velocity field given by (value, slope) callables, and an
     optional action-rate callable L(x, t)."""
 
-    def __init__(self, velocity, dvdx, rate=None, x_span=None, t_span=None):
+    def __init__(self, velocity, dvdx, rate=None):
         self._v = velocity
         self._g = dvdx
         self._rate = rate
-        self.x_span = x_span
-        self.t_span = t_span
-
-    def _check(self, x, t):
-        if self.t_span is not None and not (self.t_span[0] - 1e-12 <= t <= self.t_span[1] + 1e-12):
-            raise DomainError(float(np.min(x)), t, "time outside the sampled span")
-        if self.x_span is not None:
-            x = np.asarray(x)
-            bad = (x < self.x_span[0]) | (x > self.x_span[1])
-            if np.any(bad):
-                raise DomainError(float(x[bad][0]) if x.ndim else float(x), t)
 
     def velocity(self, x, t):
-        self._check(x, t)
         return self._v(x, t)
 
     def sample(self, x, t):
         """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""
-        self._check(x, t)
         return self._v(x, t), self._g(x, t), 0.0 if self._rate is None else self._rate(x, t)
 
 
@@ -108,12 +96,12 @@ class FieldSource:
     Cubic interpolation over the largest valid run in x, linear interpolation
     between snapshots in time.  Queries outside the valid region raise.
     Besides the stored fields, ``L_plus``, ``L_minus`` and ``L`` are the
-    Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows;
-    calling a source samples its value, so it can serve as an action rate.
-    A source built with one of them as ``rate`` splines the field and the
-    rate as the two columns of one spline per snapshot (they share the
-    valid run, so the knots), and ``sample`` gives v, dv/dx and L from one
-    interval search per bracketing snapshot.
+    Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows.
+    ``velocity`` gives the values of the field, ``sample`` the (v, dv/dx, L)
+    triple of the RK4 march.  A source built with one of the rates as
+    ``rate`` splines the field and the rate as the two columns of one spline
+    per snapshot (they share the valid run, so the knots), and ``sample``
+    gives v, dv/dx and L from one interval search per bracketing snapshot.
     """
 
     FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
@@ -175,18 +163,9 @@ class FieldSource:
             out = out + wk * evaluate(sp, x)
         return out
 
-    def _eval(self, x, t, nu):
-        out = self._blend(x, t, lambda sp, xq: sp(xq, nu))
-        return out if self.rate is None else out[..., 0]
-
     def velocity(self, x, t):
-        return self._eval(x, t, 0)
-
-    def dvdx(self, x, t):
-        return self._eval(x, t, 1)
-
-    def __call__(self, x, t):
-        return self.velocity(x, t)
+        out = self._blend(x, t, NotAKnotSpline.__call__)
+        return out if self.rate is None else out[..., 0]
 
     def sample(self, x, t):
         """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""

@@ -281,15 +281,13 @@ class ResidualSeries:
     plus: np.ndarray
     minus: np.ndarray
 
-    def max_abs(self, which="both"):
-        data = {"plus": self.plus, "minus": self.minus,
-                "both": np.concatenate([self.plus, self.minus])}[which]
-        return float(np.nanmax(np.abs(data)))
+    def max_abs(self):
+        """Largest magnitude over both residual fields."""
+        return float(np.nanmax(np.abs(np.concatenate([self.plus, self.minus]))))
 
-    def rms(self, which="both"):
-        data = {"plus": self.plus, "minus": self.minus,
-                "both": np.concatenate([self.plus, self.minus])}[which]
-        return float(np.sqrt(np.nanmean(data**2)))
+    def rms(self):
+        """Root mean square over both residual fields."""
+        return float(np.sqrt(np.nanmean(np.concatenate([self.plus, self.minus]) ** 2)))
 
 
 def _interior_indices(fseries):
@@ -298,9 +296,9 @@ def _interior_indices(fseries):
     return range(1, len(fseries.snapshots) - 1)
 
 
-def hj_residuals(fseries, params=None):
+def hj_residuals(fseries):
     """Residuals of the coupled phase-action evolution equations."""
-    params = params or fseries.params
+    params = fseries.params
     v_grid = params.potential.on_grid(fseries.grid, params.mass)
     dt = fseries.dt
     mass = params.mass
@@ -319,9 +317,9 @@ def hj_residuals(fseries, params=None):
     return ResidualSeries(np.array(times), np.array(rows_p), np.array(rows_m))
 
 
-def fokker_planck_residuals(fseries, params=None):
+def fokker_planck_residuals(fseries):
     """Residuals of the drift-diffusion identities obeyed by the density."""
-    params = params or fseries.params
+    params = fseries.params
     dt = fseries.dt
     dx = fseries.grid.dx
     diff = params.hbar / (2.0 * params.mass)
@@ -341,7 +339,7 @@ def fokker_planck_residuals(fseries, params=None):
     return ResidualSeries(np.array(times), np.array(rows_p), np.array(rows_m))
 
 
-def polar_residuals(fseries, params=None, q_form="sqrt"):
+def polar_residuals(fseries, q_form="sqrt"):
     """Continuity and single phase-action residuals of the polar pair.
 
     ``q_form`` selects the quantum-potential discretisation: "sqrt" uses the
@@ -349,7 +347,7 @@ def polar_residuals(fseries, params=None, q_form="sqrt"):
     same stencils as the coupled pair (the choice that makes the mean of the
     pair residuals reproduce the single-action residual to roundoff).
     """
-    params = params or fseries.params
+    params = fseries.params
     v_grid = params.potential.on_grid(fseries.grid, params.mass)
     dt = fseries.dt
     dx = fseries.grid.dx
@@ -384,19 +382,20 @@ class StationaryPoints:
     degenerate: bool
 
 
-def stationary_points(snapshot, degenerate_rtol=1e-6):
+def stationary_points(snapshot):
     """Zeros of v_plus - v_minus, bracketing plus linear interpolation.
 
     These coincide with the density extrema.  When the relative velocity
     vanishes identically (plane wave) there is no isolated stationary point
-    and the result is flagged degenerate.
+    and the result is flagged degenerate: |u| <= 1e-6 of the larger of
+    max |v_plus| and max |v_minus|.
     """
     if not snapshot.valid.any():
         raise PreconditionError("no valid points in snapshot")
     x = snapshot.grid.x
     w = snapshot.u
     scale = max(np.nanmax(np.abs(snapshot.v_plus)), np.nanmax(np.abs(snapshot.v_minus)))
-    if not np.isfinite(scale) or np.nanmax(np.abs(w)) <= degenerate_rtol * max(scale, 1e-300):
+    if not np.isfinite(scale) or np.nanmax(np.abs(w)) <= 1e-6 * max(scale, 1e-300):
         return StationaryPoints(np.array([]), True)
     pts = []
     for a, b in snapshot.runs():

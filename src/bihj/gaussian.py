@@ -116,7 +116,8 @@ PATH_KINDS = ("dbb", "plus", "minus", "half_plus")
 
 
 def path_scale(g, kind, t):
-    """q(q0, t) = q0 * scale(t) for each family."""
+    """q(q0, t) = q0 * scale(t) for each family; the scale is also the
+    expansion factor dq/dq0, label independent for these linear flows."""
     kt = np.asarray(g.kappa * np.asarray(t), dtype=float)
     root = np.sqrt(1.0 + kt**2)
     if kind == "dbb":
@@ -132,11 +133,6 @@ def path_scale(g, kind, t):
 
 def oracle_path(g, kind, q0, t):
     return np.asarray(q0) * path_scale(g, kind, t)
-
-
-def path_jacobian(g, kind, t):
-    """Expansion factor dq/dq0; label independent for these linear flows."""
-    return path_scale(g, kind, t)
 
 
 GENERATOR_CASES = ("i", "ii", "converse")

@@ -199,9 +199,9 @@ class NotAKnotSpline:
 
     y of shape (n,) or (n, k): the k columns share the knots, the one slope
     solve and the one interval search per query point.  Calling the spline
-    at points of shape (m,) gives values (nu=0) or first derivatives (nu=1)
-    of shape (m,) or (m, k), and ``value_and_slope`` gives both from one
-    search; points beyond the ends use the end intervals.
+    at points of shape (m,) gives values of shape (m,) or (m, k), and
+    ``value_and_slope`` gives values and first derivatives from one search;
+    points beyond the ends use the end intervals.
     The slope system, the coefficients and the order of every sum are those
     of SciPy's CubicSpline, so the results are bit-identical to it.
     """
@@ -261,16 +261,12 @@ class NotAKnotSpline:
     def _slope(s, s2, c0, c1, c2, c3):
         return (c2 + (c1 * s) * 2.0) + (c0 * s2) * 3.0
 
-    def __call__(self, xq, nu=0):
-        if nu == 0:
-            return self._value(*self._terms(xq))
-        if nu == 1:
-            return self._slope(*self._terms(xq))
-        raise ValueError("nu must be 0 or 1")
+    def __call__(self, xq):
+        return self._value(*self._terms(xq))
 
     def value_and_slope(self, xq):
         """Values and first derivatives at xq from one interval search,
-        stacked along a new first axis; the bits of self(xq) and self(xq, 1)."""
+        stacked along a new first axis; the values are the bits of self(xq)."""
         terms = self._terms(xq)
         out = np.empty((2,) + terms[2].shape)
         out[0] = self._value(*terms)

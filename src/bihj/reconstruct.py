@@ -19,24 +19,22 @@ def _action_at(congruence, x, t):
     return NotAKnotSpline(congruence.labels.values, congruence.chi[k])(q0)
 
 
-def bihj_wavefunction_at(bi, x, t, rho_ref=None):
+def bihj_wavefunction_at(bi, x, t):
     """Amplitude from the two accumulated actions at the query point."""
-    rho_ref = bi.rho_ref if rho_ref is None else rho_ref
     hbar = bi.params.hbar
     chi_p = _action_at(bi.plus, x, t)
     chi_m = _action_at(bi.minus, x, t)
     out = (np.exp((1.0 + 1j) * chi_p / (2.0 * hbar))
-           * np.exp((-1.0 + 1j) * chi_m / (2.0 * hbar)) * np.sqrt(rho_ref))
+           * np.exp((-1.0 + 1j) * chi_m / (2.0 * hbar)) * np.sqrt(bi.rho_ref))
     return out if np.ndim(x) else complex(out[0])
 
 
-def probability_from_actions(bi, x, t, rho_ref=None):
+def probability_from_actions(bi, x, t):
     """Density from the difference of the accumulated actions."""
-    rho_ref = bi.rho_ref if rho_ref is None else rho_ref
     hbar = bi.params.hbar
     chi_p = _action_at(bi.plus, x, t)
     chi_m = _action_at(bi.minus, x, t)
-    out = rho_ref * np.exp((chi_p - chi_m) / hbar)
+    out = bi.rho_ref * np.exp((chi_p - chi_m) / hbar)
     return out if np.ndim(x) else float(out[0])
 
 

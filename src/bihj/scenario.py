@@ -341,17 +341,18 @@ class FieldLibrary:
         elif fseries is None:
             raise ConfigurationError("a sampled field library needs a field series")
 
-    def source(self, name, factor=1.0):
+    def source(self, name, factor):
+        """The velocity field ``name`` scaled by ``factor``."""
         if self.analytic:
             src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[name]))
         else:
             src = FieldSource(self.fseries, name)
-        return src if factor == 1.0 else ScaledSource(src, factor)
+        return ScaledSource(src, factor)
 
     def rho(self):
         if self.analytic:
             return lambda x, t: gaussian.rho(self.g, x, t)
-        return FieldSource(self.fseries, "rho")
+        return FieldSource(self.fseries, "rho").velocity
 
     def congruence_source(self, which):
         """Velocity field and action rate of the plus, minus or polar flow."""
@@ -446,7 +447,8 @@ class RunBundle:
 
     Each stage is built on first use and kept.  It builds the stages it needs
     first, then times its own work under its name in ``timings.json``, so the
-    stage times add up instead of nesting.
+    stage times add up instead of nesting; a name timed more than once sums
+    its times.
     """
 
     def __init__(self, command, config, out_dir):
@@ -459,6 +461,7 @@ class RunBundle:
         self.checks = []
         self.diagnostics = {}
         self.timings = {}
+        self._congruences = {}
         self._compositions = {}
         self._t0 = time.perf_counter()
 
@@ -474,7 +477,7 @@ class RunBundle:
                 err.stage = name
             raise
         finally:
-            self.timings[name] = time.perf_counter() - start
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
 
     # -- stages --
 
@@ -522,19 +525,27 @@ class RunBundle:
             return LabelSet.from_density(library.initial("rho"), cfg.grid.x_min, cfg.grid.x_max,
                                          count=cfg.label_count, floor=span["floor"])
 
+    def congruence(self, cid):
+        """Reference-driven "plus", "minus" or mean-flow ("dbb") congruence."""
+        if cid not in self._congruences:
+            library, labels, times = self.library, self.labels, self.times
+            which = "polar" if cid == "dbb" else cid
+            with self.timed("congruences"):
+                self._congruences[cid] = integrate_congruence(
+                    library.congruence_source(which), labels, times,
+                    initial_actions=library.initial(which))
+        return self._congruences[cid]
+
     @cached_property
-    def congruences(self):
-        """Reference-driven plus/minus/mean-flow congruences and the coupled pair."""
-        library, labels, times, cfg = self.library, self.labels, self.times, self.config
+    def pair(self):
+        """The coupled pair of the plus and minus congruences."""
+        plus, minus, library, cfg = (self.congruence("plus"), self.congruence("minus"),
+                                     self.library, self.config)
         with self.timed("congruences"):
-            out = {cid: integrate_congruence(library.congruence_source(which), labels, times,
-                                             initial_actions=library.initial(which))
-                   for cid, which in (("plus", "plus"), ("minus", "minus"), ("dbb", "polar"))}
-            out["bi"] = BiCongruence.from_congruences(cfg.params, out["plus"], out["minus"],
-                                                      library.initial("plus"),
-                                                      library.initial("minus"),
-                                                      rho_ref=cfg.rho_ref)
-            return out
+            return BiCongruence.from_congruences(cfg.params, plus, minus,
+                                                 library.initial("plus"),
+                                                 library.initial("minus"),
+                                                 rho_ref=cfg.rho_ref)
 
     @cached_property
     def autonomous(self):
@@ -550,19 +561,18 @@ class RunBundle:
         """Setup (host congruence, complement field, generator labels) and
         result of one composition case."""
         if case not in self._compositions:
-            congruences, library, labels, times = (self.congruences, self.library,
-                                                   self.labels, self.times)
+            # the hosts of cases i and converse are congruence stages of their own
+            host = None if case == "ii" else self.congruence("plus" if case == "i" else "dbb")
+            library, labels, times = self.library, self.labels, self.times
             with self.timed("composition"):
                 lo, hi = labels.values[0], labels.values[-1]
                 probe = LabelSet.uniform(0.4 * lo, 0.4 * hi,
                                          max(2 * (self.config.label_count // 4) + 1, 21))
-                if case == "i":
-                    host, comp = congruences["plus"], library.source("u", -0.5)
-                elif case == "converse":
-                    host, comp = congruences["dbb"], library.source("u", +0.5)
-                else:
+                if case == "ii":
                     host = integrate_congruence(library.source("v_plus", 0.5), labels, times)
                     comp = library.source("v_minus", 0.5)
+                else:
+                    comp = library.source("u", -0.5 if case == "i" else +0.5)
                 setup = CompositionSetup(host, comp, probe)
                 self._compositions[case] = setup, compose_trajectories(setup)
         return self._compositions[case]
@@ -631,7 +641,7 @@ def run_simulate(config, out_dir):
         with run.timed("crossmap"):
             maps = [cross_map(bi, bi.times[k]) for k in keep]
     else:
-        named = {cid: run.congruences[cid] for cid in ("plus", "minus", "dbb")}
+        named = {cid: run.congruence(cid) for cid in ("plus", "minus", "dbb")}
         keep = _sampled_indices(named["plus"].times.shape[0])
 
     xs = config.grid.x
@@ -662,10 +672,10 @@ def run_compose(config, out_dir, case=None):
                    result.q_C[j], result.J_B[j], result.J_C[j], result.residual[j])
                   for j in _sampled_indices(result.times.shape[0])])
 
-    library, congruences = run.library, run.congruences
+    library, hosts = run.library, {cid: run.congruence(cid) for cid in ("plus", "minus")}
     with run.timed("sources"):
         rho, rho0 = library.rho(), library.initial("rho")
-        tables = {cid: source_term(congruences[cid], rho, library.source("u", factor), rho0=rho0)
+        tables = {cid: source_term(hosts[cid], rho, library.source("u", factor), rho0)
                   for cid, factor in (("plus", -0.5), ("minus", +0.5))}
     run.emit_csv("sources.csv", ("congruence_id", "q0", "time", "c", "rho_ratio"),
                  [(cid, tab.labels, tab.times[k], tab.c_A[k], tab.rho_ratio[k])
@@ -692,8 +702,7 @@ RECONSTRUCTION_COLUMNS = ("x", "t", "re_psi_bihj", "im_psi_bihj", "re_psi_polar"
 
 def run_reconstruct(config, out_dir):
     run = RunBundle("reconstruct", config, out_dir)
-    congruences, library, field_times = run.congruences, run.library, run.field_times
-    bi, dbb = congruences["bi"], congruences["dbb"]
+    bi, dbb, library, field_times = run.pair, run.congruence("dbb"), run.library, run.field_times
     with run.timed("probes"):
         rho0 = library.initial("rho")
         if run.analytic:
@@ -763,7 +772,7 @@ def run_figure(config, out_dir, figure_id):
     if figure_id == "fig2":
         blocks = []
         for cid in ("dbb", "plus", "minus"):
-            c = run.congruences[cid]
+            c = run.congruence(cid)
             keep = _sampled_indices(c.times.shape[0], 81)
             times = c.times[keep]
             blocks += [(cid, c.labels.values[i], times, c.q[keep, i]) for i in keep_labels]

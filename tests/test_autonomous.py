@@ -42,9 +42,9 @@ class TestPropagation:
         assert np.abs(auto_pair.plus.chi[-1] - gaussian.chi_plus(g, labels, T)).max() < 1e-4
         assert np.abs(auto_pair.minus.chi[-1] - gaussian.chi_minus(g, labels, T)).max() < 1e-4
         assert np.abs(auto_pair.plus.J[-1]
-                      - gaussian.path_jacobian(g, "plus", T)).max() < 1e-5
+                      - gaussian.path_scale(g, "plus", T)).max() < 1e-5
         assert np.abs(auto_pair.minus.J[-1]
-                      - gaussian.path_jacobian(g, "minus", T)).max() < 1e-5
+                      - gaussian.path_scale(g, "minus", T)).max() < 1e-5
 
     def test_matches_reference_driven_run(self, g, params, auto_pair):
         labels = auto_pair.plus.labels

@@ -7,6 +7,7 @@ from bihj.congruence import (
     CallableSource,
     FieldSource,
     LabelSet,
+    ScaledSource,
     integrate_congruence,
     invert_labels,
     trajectory_density,
@@ -106,13 +107,17 @@ class TestIntegration:
         drift = np.abs(carried / carried[0] - 1.0)
         assert drift.max() <= 1e-4
 
-    def test_exit_error_names_label_and_time(self, g):
-        src = CallableSource(*gaussian.velocity_field(g, "minus"), x_span=(-5.0, 5.0))
+    def test_exit_error_names_label_and_time(self, params):
+        # the minus flow spreads faster than the region where the
+        # Crank-Nicolson density stays above its floor (|x| < 5.7 by t = 0.4)
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=10))
         labels = LabelSet.uniform(-4.0, 4.0, 9)
         with pytest.raises(TrajectoryExitError) as err:
-            integrate_congruence(src, labels, np.linspace(0.0, 1.0, 201))
-        assert abs(err.value.label) == pytest.approx(4.0, abs=0.5)
-        assert 0.0 < err.value.time <= 1.0
+            integrate_congruence(FieldSource(fs, "v_minus"), labels, np.linspace(0.0, 0.4, 401))
+        assert abs(err.value.label) == 4.0
+        assert 0.0 < err.value.time < 0.4
 
     def test_crossing_and_focal_point_rejected_by_container(self, labels, times):
         from bihj.congruence import Congruence
@@ -239,8 +244,8 @@ class TestFieldSource:
             # reference: separate velocity, slope and rate calls per stage
             def rhs(qv, Jv, t):
                 v = np.asarray(velocity.velocity(qv, t), dtype=float) + np.zeros(len(labels))
-                g = np.asarray(velocity.dvdx(qv, t), dtype=float) + np.zeros(len(labels))
-                L = np.asarray(rate(qv, t), dtype=float) + np.zeros(len(labels))
+                g = np.asarray(velocity.sample(qv, t)[1], dtype=float) + np.zeros(len(labels))
+                L = np.asarray(rate.velocity(qv, t), dtype=float) + np.zeros(len(labels))
                 return v, g * Jv, L
 
             q, J = labels.values.copy(), np.ones(len(labels))
@@ -278,10 +283,32 @@ class TestFieldSource:
                 for name, arr in zip(("q", "qdot", "J", "chi"), want):
                     assert np.array_equal(getattr(got, name), arr), (flow, name)
                 # the field column of a source with a rate is the field alone
-                for method in ("velocity", "dvdx"):
-                    assert np.array_equal(getattr(rated, method)(got.q[5], times[5]),
-                                          getattr(alone, method)(got.q[5], times[5]))
+                assert np.array_equal(rated.velocity(got.q[5], times[5]),
+                                      alone.velocity(got.q[5], times[5]))
+                assert np.array_equal(rated.sample(got.q[5], times[5])[1],
+                                      alone.sample(got.q[5], times[5])[1])
         assert snapshot_stage >= len(fs.times)
+
+    def test_velocity_is_the_value_of_sample(self, g):
+        # the two operations of every source give one field, byte for byte
+        params = PhysicalParams(potential=Potential.harmonic(0.5))
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
+        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 40, store_every=10))
+        analytic = CallableSource(*gaussian.velocity_field(g, "plus"),
+                                  gaussian.action_rate(g, "plus"))
+        sources = [analytic, ScaledSource(analytic, -0.5),
+                   CallableSource(*gaussian.velocity_field(g, "u")),
+                   FieldSource(fs, "v_plus"), FieldSource(fs, "v_plus", "L_plus"),
+                   FieldSource(fs, "rho"), ScaledSource(FieldSource(fs, "u"), 0.5)]
+        x = np.r_[np.linspace(-2.0, 2.0, 41), -0.0, 0.0]
+        # snapshot times and times between them
+        for t in np.r_[fs.times, fs.times[:-1] + 0.37 * fs.dt]:
+            for src in sources:
+                value = src.velocity(x, t)
+                sampled = src.sample(x, t)[0]
+                assert np.shape(value) == np.shape(sampled) == x.shape
+                assert np.asarray(value).tobytes() == np.asarray(sampled).tobytes()
 
     def test_queries_outside_span_raise(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)
@@ -309,7 +336,7 @@ class TestFieldSource:
                 lagrangian = 0.5 * params.mass * getattr(s, v) ** 2 - getattr(s, Q) - V
                 a, b = s.largest_run()
                 expected = CubicSpline(grid.x[a:b], lagrangian[a:b])(x)
-                assert np.abs(src(x, fs.times[k]) - expected).max() <= 1e-12 * np.abs(expected).max()
-                assert np.array_equal(src(x, fs.times[k]), src.velocity(x, fs.times[k]))
+                got = src.velocity(x, fs.times[k])
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         with pytest.raises(PreconditionError):
             FieldSource(fs, "Q_plus")

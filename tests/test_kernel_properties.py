@@ -96,7 +96,7 @@ def test_not_a_knot_spline_reproduces_cubics(n, columns, data):
     # knot gap ratios up to 20 keep the slope system well conditioned;
     # random cases stay below 32 eps
     assert np.abs(sp(u[:, 0]) - value_at).max() <= 256 * EPS * scale
-    assert np.abs(sp(u[:, 0], 1) - slope_at).max() <= 256 * EPS * scale / gaps.min()
+    assert np.abs(sp.value_and_slope(u[:, 0])[1] - slope_at).max() <= 256 * EPS * scale / gaps.min()
 
 
 @st.composite

@@ -367,6 +367,26 @@ class TestOutputs:
         run_compose(parse_config(small_doc(solver="crank_nicolson")), tmp_path / "c")
         assert calls == [1]
 
+    def test_commands_build_only_the_congruences_they_use(self, tmp_path, monkeypatch):
+        calls = []
+        original = scenario.integrate_congruence
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "integrate_congruence", counted)
+        cfg = parse_config(small_doc())
+        for name, run, expected in (
+                ("fig3", lambda out: run_figure(cfg, out, "fig3"), 1),
+                ("compose", lambda out: run_compose(cfg, out, "i"), 2),
+                ("reconstruct", lambda out: run_reconstruct(cfg, out), 3),
+                ("simulate", lambda out: run_simulate(cfg, out), 3)):
+            calls.clear()
+            run(tmp_path / name)
+            assert len(calls) == expected, name
+            assert_stages_cover_total(tmp_path / name)
+
     def test_empty_bundle_emits_manifest_only(self, tmp_path):
         from bihj.scenario import RunBundle
         cfg = parse_config(small_doc())
