@@ -14,6 +14,14 @@ Partner quantities are differentiated in label space and interpolated over
 the partner's positions with a natural cubic spline; beyond the partner
 hull they are continued linearly from the edge (exact whenever the partner
 velocity field is spatially linear, as for the free Gaussian).
+
+Each step builds what depends on the positions alone once, after its drift
+(``_CoupledStepper.positions``): dq/dq0, the potential, the partner-hull
+extrapolation, and both flows' spline systems as one block-diagonal system,
+factored once, with the interval and Hermite basis of every evaluation
+point.  The step's two force evaluations (``evaluate``), at the half-kicked
+and at the new velocities, then take one solve and one basis combination
+each for both flows.
 """
 from dataclasses import dataclass, field
 
@@ -27,11 +35,11 @@ from .errors import (
     PreconditionError,
 )
 from .kernels import (
+    NaturalSplines,
     NotAKnotSpline,
     fd_derivative,
     hermite_eval,
     pchip_slopes,
-    spline_slopes_natural,
 )
 
 
@@ -86,21 +94,27 @@ FLOWS = ("plus", "minus")  # the columns of the stepper's (n, 2) arrays
 _PARTNER_SIGN = np.array([1.0, -1.0])  # sign of the partner term (hbar/2) div v, per flow
 
 
-def _sample_partner(q, vd, x, out):
-    """Write into out, shape (m, 2), the partner (v, div v) at positions x
-    from its stacked columns vd, shape (n, 2), on its positions q; return
-    the largest distance of x beyond q's hull.
+class _Positions:
+    """What the forces need of the positions q, shape (n, 2), alone: dq/dq0,
+    the potential, and both flows' natural splines, factored, with their
+    intervals and Hermite bases at the partner's positions clipped to the
+    hull.  A partner's positions beyond that hull continue the flow's
+    velocity linearly from the edge, with slope div v."""
 
-    One natural-spline solve and one interval search serve both columns;
-    beyond the hull v continues linearly with slope div v from the edge.
-    """
-    lo, hi = q[0], q[-1]
-    out[:] = hermite_eval(q, vd, spline_slopes_natural(q, vd), np.minimum(np.maximum(x, lo), hi))
-    for beyond, k, edge in ((x < lo, 0, lo), (x > hi, -1, hi)):
-        if beyond.any():
-            out[beyond, 0] = vd[k, 0] + vd[k, 1] * (x[beyond] - edge)
-            out[beyond, 1] = vd[k, 1]
-    return float(np.maximum(lo - x, x - hi).max(initial=0.0))
+    def __init__(self, q, h, potential_values):
+        self.dq = fd_derivative(q, h)
+        self.pot = potential_values
+        partner = q[:, ::-1]  # column f holds the positions that sample flow f
+        clipped = np.minimum(np.maximum(partner, q[0]), q[-1])
+        beyond = partner - clipped  # signed distance beyond the hull of flow f
+        self.extrapolation = float(np.abs(beyond).max())
+        self.splines = NaturalSplines(q, clipped)
+        # each point beyond a hull, as an entry of the flattened (n, 2) arrays,
+        # with the entry of the edge it continues from and its distance
+        rows, flows = np.nonzero(beyond)
+        self.dist = beyond[rows, flows]
+        self.points = 2 * rows + flows
+        self.edges = np.where(self.dist < 0.0, 0, 2 * (q.shape[0] - 1)) + flows
 
 
 class _CoupledStepper:
@@ -108,32 +122,49 @@ class _CoupledStepper:
         self.mass = params.mass
         self.potential = params.potential
         self.partner_coef = 0.5 * params.hbar * _PARTNER_SIGN
+        self.labels = labels
         self.h = labels[1] - labels[0]
         if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
             raise PreconditionError("autonomous propagation needs uniform labels")
         self.max_extrap = max_extrapolation
         self.max_seen_extrap = 0.0
+        self.min_spacing = np.inf
 
-    def evaluate(self, q, v, t):
-        """Accelerations, own divergences and action rates of both flows,
-        each of shape (n, 2) like the positions q and velocities v."""
-        dq = fd_derivative(q, self.h)
-        div = fd_derivative(v, self.h) / dq
-        own = np.stack((v, div), axis=1)  # (label, quantity, flow)
-        at = np.empty_like(own)  # the partner's quantities at the own positions
-        extrap = max(_sample_partner(q[:, 1 - f], own[:, :, 1 - f], q[:, f], at[:, :, f])
-                     for f in (0, 1))
-        self.max_seen_extrap = max(self.max_seen_extrap, extrap)
-        if self.max_extrap is not None and extrap > self.max_extrap:
+    def positions(self, q, t):
+        """Check the paths of q at time t and build their _Positions."""
+        gaps = np.diff(q, axis=0)
+        crossed = gaps <= 0
+        if crossed.any():
+            k, f = np.argwhere(crossed)[0]
+            raise CongruenceCrossingError(
+                f"{FLOWS[f]} paths of labels {self.labels[k]:.6g} and "
+                f"{self.labels[k + 1]:.6g} crossed at t={t:.6g}")
+        self.min_spacing = min(self.min_spacing, float(gaps.min()))
+        pos = _Positions(q, self.h, self.potential.at(q, self.mass))
+        self.max_seen_extrap = max(self.max_seen_extrap, pos.extrapolation)
+        if self.max_extrap is not None and pos.extrapolation > self.max_extrap:
             raise HullOverlapError(
-                f"partner-hull extrapolation {extrap:.3g} exceeds the allowed "
+                f"partner-hull extrapolation {pos.extrapolation:.3g} exceeds the allowed "
                 f"{self.max_extrap:.3g} at t={t:.6g}")
+        return pos
+
+    def evaluate(self, pos, v):
+        """Accelerations, own divergences and action rates of both flows at
+        the positions pos, each of shape (n, 2) like the velocities v."""
+        div = fd_derivative(v, self.h) / pos.dq
+        own = np.stack((v, div))  # (quantity, label, flow)
+        sampled = pos.splines(own)  # column f: flow f at its partner's positions
+        if pos.dist.size:
+            edge = own.reshape(2, -1).take(pos.edges, axis=1)
+            flat = sampled.reshape(2, -1)
+            flat[0, pos.points] = edge[0] + edge[1] * pos.dist
+            flat[1, pos.points] = edge[1]
+        at = sampled[:, :, ::-1]  # the partner's quantities at the own positions
 
         # the relative velocity u enters squared, so its sign does not matter
-        q_pot = self.partner_coef * at[:, 1] - 0.25 * self.mass * (v - at[:, 0])**2
-        pot = self.potential.at(q, self.mass)
-        acc = -fd_derivative(q_pot + pot, self.h) / dq / self.mass
-        rate = 0.5 * self.mass * v**2 - q_pot - pot
+        q_pot = self.partner_coef * at[1] - 0.25 * self.mass * (v - at[0])**2
+        acc = -fd_derivative(q_pot + pos.pot, self.h) / pos.dq / self.mass
+        rate = 0.5 * self.mass * v**2 - q_pot - pos.pot
         return acc, div, rate
 
 
@@ -154,16 +185,6 @@ def _label_noise_filter(arr, alpha):
     return out
 
 
-def _check_order(q, labels, t):
-    """Raise if the paths of a flow, columns of q, left label order."""
-    crossed = np.diff(q, axis=0) <= 0
-    if crossed.any():
-        k, f = np.argwhere(crossed)[0]
-        raise CongruenceCrossingError(
-            f"{FLOWS[f]} paths of labels {labels[k]:.6g} and {labels[k + 1]:.6g} "
-            f"crossed at t={t:.6g}")
-
-
 def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
                          store_every=1, max_extrapolation=None, rho_ref=1.0):
     """March the coupled pair from action profiles alone.
@@ -173,7 +194,14 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
     Lagrangian rate and expansion factors by the trapezoid rule on the own
     velocity divergence (in the log, preserving positivity).  Initial
     velocities are the label-space gradients of the action profiles.  Both
-    flows step together as the columns of (n, 2) arrays.
+    flows step together as the columns of (n, 2) arrays.  Each step builds
+    the positions' spline systems once, after the drift, and evaluates the
+    forces twice on them: at the half-kicked and at the new velocities.
+
+    ``diagnostics`` holds the largest partner-hull extrapolation, the
+    smallest gap between adjacent paths of either flow after any drift
+    (``min_path_spacing``), and |dt| hbar / (m min_path_spacing^2), the
+    step measured against the dispersive time scale of that gap.
 
     The scheme supports parasitic grid-scale modes whose growth rate scales
     with the cross-coupling stiffness; a fourth-difference filter of strength
@@ -202,18 +230,21 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
     q = np.stack((q0, q0), axis=1)
     v = fd_derivative(chi, h) / params.mass
     J = np.ones_like(q)
-    acc, div, rate = stepper.evaluate(q, v, 0.0)
-    times = [0.0]
-    hist = [np.stack((q, v, J, chi))]
+    acc, div, rate = stepper.evaluate(stepper.positions(q, 0.0), v)
+    # (quantity q, v, J, chi; flow; stored time; label): each [k, f] is one
+    # congruence array, so the history is written in place and never copied
+    times = np.zeros(steps // store_every + 1)
+    hist = np.empty((4, 2, times.shape[0], q0.shape[0]))
+    hist[:, :, 0] = np.stack((q, v, J, chi)).transpose(0, 2, 1)
 
     for n in range(1, steps + 1):
         t = n * dt
         v_half = v + 0.5 * dt * acc
         q = q + dt * v_half
-        _check_order(q, q0, t)
-        acc_mid = stepper.evaluate(q, v_half, t)[0]
+        pos = stepper.positions(q, t)
+        acc_mid = stepper.evaluate(pos, v_half)[0]
         v = _label_noise_filter(v_half + 0.5 * dt * acc_mid, NOISE_FILTER)
-        acc, div_new, rate_new = stepper.evaluate(q, v, t)
+        acc, div_new, rate_new = stepper.evaluate(pos, v)
         chi = chi + 0.5 * dt * (rate + rate_new)
         J = J * np.exp(0.5 * dt * (div + div_new))
         div, rate = div_new, rate_new
@@ -223,16 +254,17 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
             raise InstabilityError(
                 f"non-finite state at t={t:.6g}; reduce dt or use more labels")
         if n % store_every == 0:
-            times.append(t)
-            hist.append(state)
+            j = n // store_every
+            times[j] = t
+            hist[:, :, j] = state.transpose(0, 2, 1)
 
-    times = np.array(times)
-    hist = np.array(hist)  # (stored time, quantity, label, flow)
-    plus, minus = (
-        Congruence(label_set, times, *(np.ascontiguousarray(hist[:, k, :, f]) for k in range(4)))
-        for f in (0, 1))
-    return BiCongruence(params, plus, minus, sp0, sm0, rho_ref,
-                        {"max_partner_extrapolation": stepper.max_seen_extrap})
+    plus, minus = (Congruence(label_set, times, *hist[:, f]) for f in (0, 1))
+    spacing = stepper.min_spacing
+    return BiCongruence(params, plus, minus, sp0, sm0, rho_ref, {
+        "max_partner_extrapolation": stepper.max_seen_extrap,
+        "min_path_spacing": spacing,
+        "max_dt_hbar_over_m_h2": abs(dt) * params.hbar / (params.mass * spacing**2),
+    })
 
 
 # ---------- label intersection map ----------

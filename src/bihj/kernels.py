@@ -5,7 +5,8 @@ gttrs solves); piecewise cubic Hermite evaluation and its monotone inversion
 share one interval locator and one cubic formula.  The not-a-knot spline
 solves its slopes through the same gtsv and evaluates from per-interval
 polynomial coefficients.  Spline slopes, splines and Hermite evaluation take
-several value columns on shared knots at once.
+several value columns on shared knots at once; ``NaturalSplines`` takes
+several knot sets at once, as one block-diagonal system factored once.
 """
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -58,15 +59,18 @@ def _locate(knots, points):
     return np.minimum(np.maximum(i, 0), knots.shape[0] - 2)
 
 
-def _cubic(s, h, y0, y1, d0, d1):
-    """Hermite cubic with end values y0, y1 and end slopes d0, d1 over an
-    interval of width h, at the local coordinate s in [0, 1]."""
+def _basis(s):
+    """The Hermite basis cubics h00, h10, h01, h11 at the local coordinate s
+    in [0, 1] of an interval."""
     s2 = s * s
     s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
+    return (2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s, -2.0 * s3 + 3.0 * s2, s3 - s2)
+
+
+def _cubic(basis, h, y0, y1, d0, d1):
+    """Hermite cubic with end values y0, y1 and end slopes d0, d1 over an
+    interval of width h, from its basis at the local coordinate."""
+    h00, h10, h01, h11 = basis
     return h00 * y0 + h * (h10 * d0 + h11 * d1) + h01 * y1
 
 
@@ -78,10 +82,10 @@ def hermite_eval(xk, yk, dk, xq):
     """
     i = _locate(xk, xq)
     h = xk[i + 1] - xk[i]
-    s = (xq - xk[i]) / h
+    basis = _basis((xq - xk[i]) / h)
     if np.ndim(yk) == 2:
-        s, h = s[:, None], h[:, None]
-    return _cubic(s, h, yk[i], yk[i + 1], dk[i], dk[i + 1])
+        h, basis = h[:, None], tuple(b[:, None] for b in basis)
+    return _cubic(basis, h, yk[i], yk[i + 1], dk[i], dk[i + 1])
 
 
 # ---------- inversion of a monotone increasing piecewise cubic ----------
@@ -107,7 +111,7 @@ def invert_monotone(xk, yk, dk, targets, tol):
     lo = np.zeros_like(s)
     hi = np.ones_like(s)
     for _ in range(_MAX_INVERT_STEPS):
-        f = _cubic(s, h, y0, y1, d0, d1) - targets
+        f = _cubic(_basis(s), h, y0, y1, d0, d1) - targets
         lo = np.where(f < 0.0, s, lo)
         hi = np.where(f > 0.0, s, hi)
         open_ = (np.abs(f) > tol) & (lo < hi)
@@ -156,6 +160,45 @@ def _pchip_edge(h0, h1, d0, d1):
     return d
 
 
+class _NaturalSystem:
+    """The natural-spline slope systems (zero end curvature) of k knot sets,
+    the columns of x of shape (n, k), as one block-diagonal tridiagonal
+    system of size k n: block j holds column j, and the coupling across each
+    seam is zero."""
+
+    def __init__(self, x):
+        self.h = x[1:] - x[:-1]
+        self.inv_lo = 1.0 / self.h[:-1]
+        self.inv_hi = 1.0 / self.h[1:]
+
+    def matrix(self):
+        """The diagonals dl, d, du of the block-diagonal matrix."""
+        k, n = self.h.shape[1], self.h.shape[0] + 1
+        d = np.empty((k, n))
+        dl = np.zeros((k, n))  # dl[j, i] is entry (i + 1, i) of block j; 0 at the seam
+        du = np.zeros((k, n))  # du[j, i] is entry (i, i + 1) of block j; 0 at the seam
+        d[:, 0] = 2.0
+        du[:, 0] = 1.0
+        d[:, -1] = 2.0
+        dl[:, -2] = 1.0
+        dl[:, :-2] = self.inv_lo.T
+        du[:, 1:-1] = self.inv_hi.T
+        d[:, 1:-1] = 2.0 * (self.inv_lo + self.inv_hi).T
+        return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1]
+
+    def rhs(self, y):
+        """Right-hand side of shape (k n, c), Fortran-ordered, for the c sets
+        of knot values y of shape (c, n, k)."""
+        c, n, k = y.shape
+        out = np.empty((c, k, n))
+        rhs = out.transpose(0, 2, 1)  # (c, n, k) view
+        delta = (y[:, 1:] - y[:, :-1]) / self.h
+        rhs[:, 0] = 3.0 * delta[:, 0]
+        rhs[:, -1] = 3.0 * delta[:, -1]
+        rhs[:, 1:-1] = 3.0 * (delta[:, :-1] * self.inv_lo + delta[:, 1:] * self.inv_hi)
+        return out.reshape(c, k * n).T
+
+
 def spline_slopes_natural(x, y):
     """Knot slopes of the natural cubic spline (zero end curvature).
 
@@ -164,30 +207,61 @@ def spline_slopes_natural(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    h = np.diff(x)
-    per_row = (-1,) + (1,) * (y.ndim - 1)  # broadcasts a knot quantity over columns
-    delta = np.diff(y, axis=0) / h.reshape(per_row)
-    if n == 2:
-        return np.array([delta[0], delta[0]])
-    d = np.empty(n)
-    dl = np.empty(n - 1)
-    du = np.empty(n - 1)
-    rhs = np.empty(y.shape, order="F")
-    d[0] = 2.0
-    du[0] = 1.0
-    rhs[0] = 3.0 * delta[0]
-    d[-1] = 2.0
-    dl[-1] = 1.0
-    rhs[-1] = 3.0 * delta[-1]
-    inv_lo = 1.0 / h[:-1]
-    inv_hi = 1.0 / h[1:]
-    dl[:-1] = inv_lo
-    du[1:] = inv_hi
-    d[1:-1] = 2.0 * (inv_lo + inv_hi)
-    rhs[1:-1] = 3.0 * (delta[:-1] * inv_lo.reshape(per_row)
-                       + delta[1:] * inv_hi.reshape(per_row))
-    return tridiag_solve(dl, d, du, rhs)
+    if x.shape[0] == 2:
+        delta = (y[1] - y[0]) / (x[1] - x[0])
+        return np.array([delta, delta])
+    system = _NaturalSystem(x[:, None])
+    columns = y.reshape(y.shape[0], -1).T[:, :, None]  # value sets on one knot set
+    return tridiag_solve(*system.matrix(), system.rhs(columns)).reshape(y.shape)
+
+
+class NaturalSplines:
+    """Natural cubic splines on k knot sets, the columns of x of shape (n, k),
+    each evaluated at the points in the same column of xq, shape (m, k).
+    Points beyond the ends use the end intervals.
+
+    What depends only on the knots and the points is made once: the k slope
+    systems as one block-diagonal system of size k n, factored once
+    (``make_tridiag_solver``), and each point's interval and Hermite basis.
+    A call on c sets of knot values then takes one solve, one gather and one
+    basis combination.  Every column has the bits of ``spline_slopes_natural``
+    and ``hermite_eval`` on its own knots: the seam's zero entries keep the
+    blocks apart, and gttrf with gttrs makes the operations of gtsv, row
+    interchanges included.  The one exception is the sign of a zero: where
+    the values hold -0.0, a zero slope may differ from gtsv's in sign.
+    """
+
+    def __init__(self, x, xq):
+        x = np.ascontiguousarray(x, dtype=float)
+        xq = np.asarray(xq, dtype=float)
+        n, k = x.shape
+        self._system = _NaturalSystem(x)
+        self._solve = make_tridiag_solver(*self._system.matrix())
+        i = np.stack([_locate(x[:, j], xq[:, j]) for j in range(k)], axis=1)
+        # the knots i and i + 1 of column j: entries i k + j and (i + 1) k + j
+        # of the flattened values, rows i + j n and i + 1 + j n of the system
+        at = i * k + np.arange(k)
+        row = i + np.arange(0, n * k, n)
+        self._values_at = (at, at + k)
+        self._rows_at = (row, row + 1)
+        x_lo = x.take(at)
+        self._h = x.take(at + k) - x_lo
+        self._basis = _basis((xq - x_lo) / self._h)
+
+    def slopes(self, y):
+        """Knot slopes, shaped like the knot values y of shape (c, n, k)."""
+        c, n, k = y.shape
+        return self._solve(self._system.rhs(y)).T.reshape(c, k, n).transpose(0, 2, 1)
+
+    def __call__(self, y):
+        """Values of shape (c, m, k) at the points, for the c sets of knot
+        values y of shape (c, n, k), each set shaped like the knots."""
+        c, n, k = y.shape
+        dk = self._solve(self._system.rhs(y)).T  # (c, k n)
+        yk = y.reshape(c, n * k)
+        (v0, v1), (r0, r1) = self._values_at, self._rows_at
+        return _cubic(self._basis, self._h, yk.take(v0, axis=1), yk.take(v1, axis=1),
+                      dk.take(r0, axis=1), dk.take(r1, axis=1))
 
 
 # ---------- not-a-knot cubic spline ----------

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,6 +132,59 @@ class TestPropagation:
         assert auto_pair.diagnostics["max_partner_extrapolation"] > 1.0
 
 
+def _min_path_spacing(g, labels, dt, steps):
+    """Closed form of the smallest gap between adjacent paths of either flow
+    over every step time: the label gap times the smaller path scale."""
+    times = np.arange(steps + 1) * dt
+    h0 = labels.values[1] - labels.values[0]
+    return h0 * min(gaussian.path_scale(g, kind, times).min() for kind in ("plus", "minus"))
+
+
+class TestDiagnostics:
+    def _check(self, g, params, bi, dt, steps):
+        spacing = _min_path_spacing(g, bi.labels, dt, steps)
+        assert bi.diagnostics["min_path_spacing"] == pytest.approx(spacing, rel=1e-6)
+        ratio = abs(dt) * params.hbar / (params.mass * spacing**2)
+        assert bi.diagnostics["max_dt_hbar_over_m_h2"] == pytest.approx(ratio, rel=1e-6)
+
+    def test_forward_stability_numbers_match_closed_forms(self, g, params, auto_pair):
+        # the contracting plus flow sets the spacing: q0 sqrt(1+t^2) e^{-arctan t}
+        self._check(g, params, auto_pair, 2e-4, 2500)
+        assert auto_pair.diagnostics["min_path_spacing"] < 0.04 * 0.99
+
+    def test_backward_stability_numbers_match_closed_forms_and_repeat(self, g, params):
+        def run():
+            return propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
+                                        lambda q: gaussian.action_minus(g, q, 0.0),
+                                        LabelSet.uniform(-3.0, 3.0, 101), params, -5e-4, 400,
+                                        store_every=100)
+        bi = run()
+        # backwards in time the minus flow contracts
+        self._check(g, params, bi, -5e-4, 400)
+        assert run().diagnostics == bi.diagnostics
+        assert set(bi.diagnostics) == {"max_partner_extrapolation", "min_path_spacing",
+                                       "max_dt_hbar_over_m_h2"}
+
+
+class TestHistoryMemory:
+    def test_history_is_written_in_place(self, g, params):
+        """The stored history is allocated once: no list of per-step states,
+        no final stack and no per-congruence copy."""
+        labels = LabelSet.uniform(-3.0, 3.0, 101)
+        steps = 1000
+        tracemalloc.start()
+        try:
+            bi = propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
+                                      lambda q: gaussian.action_minus(g, q, 0.0),
+                                      labels, params, 2e-4, steps, store_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = 4 * 2 * (steps + 1) * len(labels) * 8  # q, qdot, J, chi of both flows
+        assert bi.plus.q.nbytes * 8 == history
+        assert peak < 1.5 * history
+
+
 class _ReferencePartnerView:
     """The partner sampling of the coupled stepper as it was first written:
     two natural-spline solves and two Hermite evaluations per partner."""
@@ -192,19 +246,24 @@ class TestCoupledStepper:
             # the wobble makes the velocity fields nonlinear in position
             qp = labels * gaussian.path_scale(g, "plus", t) + 0.01 * np.sin(labels)
             qm = labels * gaussian.path_scale(g, "minus", t)
-            vp = gaussian.velocity_plus(g, qp, t) + 0.05 * np.cos(2.0 * qp)
-            vm = gaussian.velocity_minus(g, qm, t) - 0.03 * np.sin(qm) ** 2
-            want, extrap = _reference_evaluate(params.hbar, params.mass, h, potential_fn,
-                                               qp, vp, qm, vm)
             stepper = _CoupledStepper(params, labels, None)
-            got = stepper.evaluate(np.column_stack((qp, qm)), np.column_stack((vp, vm)), t)
-            # got: (acc, div, rate) with the flows as columns; want: per flow
-            assert len(got) == 3 and len(want) == 6
-            for k, a in enumerate(got):
-                assert a.shape == (labels.shape[0], 2)
-                assert np.array_equal(a[:, 0], want[2 * k])
-                assert np.array_equal(a[:, 1], want[2 * k + 1])
-            assert stepper.max_seen_extrap == extrap
+            pos = stepper.positions(np.column_stack((qp, qm)), t)
+            # one positions object serves both force evaluations of a step:
+            # two velocity fields, each against a fresh per-flow reference
+            fields = ((gaussian.velocity_plus(g, qp, t) + 0.05 * np.cos(2.0 * qp),
+                       gaussian.velocity_minus(g, qm, t) - 0.03 * np.sin(qm) ** 2),
+                      (0.4 * np.sin(qp) - 0.1 * qp**2, np.tanh(qm) + 0.2 * qm))
+            for vp, vm in fields:
+                want, extrap = _reference_evaluate(params.hbar, params.mass, h, potential_fn,
+                                                   qp, vp, qm, vm)
+                got = stepper.evaluate(pos, np.column_stack((vp, vm)))
+                # got: (acc, div, rate) with the flows as columns; want: per flow
+                assert len(got) == 3 and len(want) == 6
+                for k, a in enumerate(got):
+                    assert a.shape == (labels.shape[0], 2)
+                    assert np.array_equal(a[:, 0], want[2 * k])
+                    assert np.array_equal(a[:, 1], want[2 * k + 1])
+                assert stepper.max_seen_extrap == extrap
             if t > 0.0:
                 assert qm[0] < qp[0] and qm[-1] > qp[-1]
 

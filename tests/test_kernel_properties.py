@@ -1,5 +1,6 @@
 """Property tests of the tridiagonal solve, the natural-spline and PCHIP
-slopes, the not-a-knot spline and the monotone inversion."""
+slopes, the block natural splines, the not-a-knot spline and the monotone
+inversion."""
 import numpy as np
 import pytest
 
@@ -70,6 +71,39 @@ def test_natural_spline_slopes_exact_on_subnormal_slope():
     y = 2.225073858507e-311 * x  # three subnormal ulps of error
     s = K.spline_slopes_natural(x, y)
     assert np.abs(s - 2.225073858507e-311).max() <= _linear_slope_bound(y, np.diff(x))
+
+
+@st.composite
+def knot_sets(draw):
+    """k knot sets of n knots each, whose gaps span eight decades, with c
+    sets of values of shape (c, n, k) and m points per knot set, some of
+    them beyond the ends."""
+    n = draw(st.integers(3, 30))
+    k = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 3))
+    gaps = draw(arrays(float, (n - 1, k), elements=st.floats(1e-4, 1e4)))
+    start = draw(arrays(float, k, elements=st.floats(-100.0, 100.0)))
+    x = start + np.r_[np.zeros((1, k)), np.cumsum(gaps, axis=0)]
+    y = draw(arrays(float, (c, n, k), elements=st.floats(-1e6, 1e6)))
+    where = draw(arrays(float, (draw(st.integers(1, 30)), k), elements=st.floats(-0.1, 1.1)))
+    return x, y, x[0] + where * (x[-1] - x[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_sets())
+def test_block_natural_splines_are_the_separate_splines(data):
+    # equal doubles other than zero have equal bits; at the seams a zero
+    # slope may come out as -0.0 where the separate solve gives +0.0
+    x, y, xq = data
+    splines = K.NaturalSplines(x, xq)
+    slopes = splines.slopes(y)
+    values = splines(y)
+    assert slopes.shape == y.shape and values.shape == (y.shape[0],) + xq.shape
+    for j in range(x.shape[1]):
+        own = y[:, :, j].T  # (n, c): the c value columns on knot set j
+        want = K.spline_slopes_natural(x[:, j], own)
+        assert np.array_equal(slopes[:, :, j].T, want)
+        assert np.array_equal(values[:, :, j].T, K.hermite_eval(x[:, j], own, want, xq[:, j]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -224,11 +224,18 @@ class TestOutputs:
         assert "crossmap.csv" in manifest["files"]
         head = (tmp_path / "crossmap.csv").read_text().splitlines()[0]
         assert head == "time,q_plus0,q_minus0"
-        # the health diagnostic reaches the manifest and repeats exactly
-        extrap = bundle.autonomous.diagnostics["max_partner_extrapolation"]
-        assert extrap > 0.0
+        # the health diagnostics reach the manifest and repeat exactly
+        diagnostics = bundle.autonomous.diagnostics
+        extrap = diagnostics["max_partner_extrapolation"]
+        spacing = diagnostics["min_path_spacing"]
+        assert extrap > 0.0 and spacing > 0.0
         listed = json.loads((tmp_path / "manifest.json").read_text())
-        assert listed["diagnostics"] == {"max_partner_extrapolation": extrap}
+        assert listed["diagnostics"] == {
+            "max_partner_extrapolation": extrap,
+            "min_path_spacing": spacing,
+            "max_dt_hbar_over_m_h2": cfg.dt_solver * cfg.params.hbar
+            / (cfg.params.mass * spacing**2),
+        }
         again, _ = run_simulate(cfg, tmp_path / "again")
         assert again["diagnostics"] == listed["diagnostics"]
         assert again["files"] == manifest["files"]
