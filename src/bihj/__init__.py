@@ -24,7 +24,9 @@ from .congruence import (  # noqa: F401
     CallableSource,
     Congruence,
     FieldSource,
+    FieldStack,
     LabelSet,
+    SourceStack,
     integrate_congruence,
     invert_labels,
     trajectory_density,

@@ -26,9 +26,10 @@ from .compose import (
 )
 from .congruence import (
     CallableSource,
-    FieldSource,
+    FieldStack,
     LabelSet,
     ScaledSource,
+    SourceStack,
     integrate_congruence,
     trajectory_density,
 )
@@ -157,14 +158,9 @@ class AcceptanceContext:
 
     def reference_driven_fine(self):
         def build():
-            times = self.autonomous().times
-            plus = integrate_congruence(
-                CallableSource(*gaussian.velocity_field(self.g, "plus")),
-                self.labels(), times)
-            minus = integrate_congruence(
-                CallableSource(*gaussian.velocity_field(self.g, "minus")),
-                self.labels(), times)
-            return plus, minus
+            stack = SourceStack([CallableSource(*gaussian.velocity_field(self.g, flow))
+                                 for flow in ("plus", "minus")], ("plus", "minus"))
+            return integrate_congruence(stack, self.labels(), self.autonomous().times)
         return self._get("reference_driven_fine", build)
 
     # -- grid reference runs --
@@ -191,10 +187,10 @@ class AcceptanceContext:
             lo, hi = grid.x[keep].min(), grid.x[keep].max()
             labels = LabelSet.uniform(lo, hi, 161)
             times = np.linspace(0.0, 0.5, 501)
-            plus, minus = (integrate_congruence(FieldSource(fs, "v_" + flow, "L_" + flow),
-                                                labels, times,
-                                                initial_actions=self._spline_of(fs, "S_" + flow))
-                           for flow in ("plus", "minus"))
+            flows = ("plus", "minus")
+            plus, minus = integrate_congruence(
+                FieldStack(fs, [("v_" + flow, "L_" + flow, 1.0) for flow in flows], flows),
+                labels, times, initial_actions=[self._spline_of(fs, "S_" + flow) for flow in flows])
             bi = BiCongruence.from_congruences(self.params, plus, minus,
                                                self._spline_of(fs, "S_plus"),
                                                self._spline_of(fs, "S_minus"))

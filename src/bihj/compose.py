@@ -89,7 +89,7 @@ class CompositionResult:
 
 def _rk4_pair(y, J, s0, s1, s2, h, span):
     """One RK4 step of size h; s0, s1 and s2 give the value and slope of the
-    field at t, t+h/2 and t+h (a spline's ``value_and_slope``)."""
+    field at t, t+h/2 and t+h, stacked as a spline's ``value_and_slope``."""
     def f(sp, yy):
         _check_span(yy, span)
         return sp(yy)
@@ -105,6 +105,17 @@ def _rk4_pair(y, J, s0, s1, s2, h, span):
     k4j = g4 * (J + h * k3j)
     J_new = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
     return y_new, J_new
+
+
+def _column(spline, k):
+    """Value and slope of the spline's column k, as a function of the points."""
+    return lambda y: spline.own_column(spline.locate(y), k, slope=True)
+
+
+def _on_rows(spline, points):
+    """Values at each row j of points, shape (c, m), of the spline's column j."""
+    c, m = points.shape
+    return spline.own_column(spline.locate(points.ravel()), np.arange(c).repeat(m)).reshape(c, m)
 
 
 def _check_span(y, span):
@@ -130,12 +141,14 @@ def compose_trajectories(setup):
     nt = A.times.shape[0]
     if nt < 3:
         raise PreconditionError("composition needs at least three stored times")
-    # V_B and its label derivative on the host label grid, per stored time
-    V_B = []
+    # V_B on the host label grid: one spline with a column per stored time,
+    # each time evaluated with its slope on its own column
+    V_B = np.empty((labels.shape[0], nt))
     for k in range(nt):
         vb = np.asarray(setup.field_B.velocity(A.q[k], float(A.times[k])), dtype=float)
-        vb = vb + np.zeros_like(A.q[k])
-        V_B.append(NotAKnotSpline(labels, vb / A.J[k]).value_and_slope)
+        V_B[:, k] = (vb + np.zeros_like(A.q[k])) / A.J[k]
+    spline = NotAKnotSpline(labels, V_B)
+    V_B = [_column(spline, k) for k in range(nt)]
 
     y = setup.labels_C.values.copy()
     J = np.ones_like(y)
@@ -167,11 +180,12 @@ def compose_trajectories(setup):
     JB = np.array(JB)
 
     qC = np.empty_like(QB)
-    JA_at = np.empty_like(QB)
     for j, k in enumerate(out_idx):
         pos = A.q[k]
         qC[j] = hermite_eval(labels, pos, pchip_slopes(labels, pos), QB[j])
-        JA_at[j] = NotAKnotSpline(labels, A.J[k])(QB[j])
+    # J_A and v_A at Q_B: one spline each, with a column per output time;
+    # row j of Q_B is evaluated on column j
+    JA_at, vA = (_on_rows(NotAKnotSpline(labels, table[out_idx].T), QB) for table in (A.J, A.qdot))
 
     lc = setup.labels_C.values
     h_lab = np.diff(lc)
@@ -188,9 +202,8 @@ def compose_trajectories(setup):
     for j in range(QB.shape[0]):
         k = out_idx[j]
         # q_C is the A path of label Q_B, so v_A is read at Q_B
-        vA = NotAKnotSpline(labels, A.qdot[k])(QB[j])
         vB = np.asarray(setup.field_B.velocity(qC[j], float(A.times[k])), dtype=float)
-        velocity[j] = vA + vB
+        velocity[j] = vA[j] + vB
         vscale = max(vscale, float(np.max(np.abs(velocity[j]))))
     for j in range(1, QB.shape[0] - 1):
         dqdt = (qC[j + 1] - qC[j - 1]) / (times[j + 1] - times[j - 1])

@@ -5,7 +5,7 @@ expansion factor J = dq/dq0 (integrated through its variational equation) and
 the accumulated action.  Positions must stay strictly monotone in the label
 and J strictly positive; violations abort with diagnostics.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,33 +90,27 @@ class ScaledSource:
         return self.factor * v, self.factor * g, L
 
 
-class FieldSource:
-    """Sampler of one field of a field series, and optionally of an action rate.
+class _SnapshotSplines:
+    """Splines of grid values of a field series over each snapshot's largest
+    valid run, blended linearly between snapshots in time.
 
-    Cubic interpolation over the largest valid run in x, linear interpolation
-    between snapshots in time.  Queries outside the valid region raise.
-    Besides the stored fields, ``L_plus``, ``L_minus`` and ``L`` are the
-    Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows.
-    ``velocity`` gives the values of the field, ``sample`` the (v, dv/dx, L)
-    triple of the RK4 march.  A source built with one of the rates as
-    ``rate`` splines the field and the rate as the two columns of one spline
-    per snapshot (they share the valid run, so the knots), and ``sample``
-    gives v, dv/dx and L from one interval search per bracketing snapshot.
+    Only the splines of the snapshots that bracket the latest query are
+    kept: a march moves one way in time, so an older snapshot is not asked
+    for again.  Besides the stored fields, ``L_plus``, ``L_minus`` and ``L``
+    are the Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean
+    flows.
     """
 
     FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
     RATE_TERMS = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"),
                   "L": ("v", "Q")}
 
-    def __init__(self, fseries, field="v", rate=None):
-        if field not in self.FIELD_NAMES and field not in self.RATE_TERMS:
-            raise PreconditionError(f"unknown field {field!r}")
-        if rate is not None and rate not in self.RATE_TERMS:
-            raise PreconditionError(f"unknown action rate {rate!r}")
+    def __init__(self, fseries, names):
+        for name in names:
+            if name not in self.FIELD_NAMES and name not in self.RATE_TERMS:
+                raise PreconditionError(f"unknown field {name!r}")
         self.fseries = fseries
-        self.field = field
-        self.rate = rate
-        self._splines = [None] * len(fseries.snapshots)
+        self._splines = {}
 
     def _values(self, snap, name):
         if name not in self.RATE_TERMS:
@@ -125,15 +119,9 @@ class FieldSource:
         params = self.fseries.params
         return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
 
-    def _spline(self, k):
-        if self._splines[k] is None:
-            snap = self.fseries.snapshots[k]
-            values = self._values(snap, self.field)
-            if self.rate is not None:
-                values = np.stack((values, self._values(snap, self.rate)), axis=1)
-            sp = snap.spline(values)
-            self._splines[k] = sp, sp.x[0], sp.x[-1]
-        return self._splines[k]
+    def _grid_values(self, snap):
+        """The grid values of a snapshot to spline: one column or several."""
+        raise NotImplementedError
 
     def _bracket(self, t):
         times = self.fseries.times
@@ -149,42 +137,146 @@ class FieldSource:
 
     def _blend(self, x, t, evaluate):
         """Time blend 0.0 + (1 - w) evaluate(sp_k, x) + w evaluate(sp_k+1, x)
-        over the splines of the two bracketing snapshots."""
+        over the splines of the two snapshots bracketing t; the splines of
+        other snapshots are dropped.  The first point of x outside a valid
+        run raises a DomainError that carries its flat index."""
         x = np.asarray(x, dtype=float)
         k0, k1, w = self._bracket(t)
+        for k in [k for k in self._splines if k not in (k0, k1)]:
+            del self._splines[k]
         x_lo, x_hi = x.min(initial=np.inf), x.max(initial=-np.inf)
         out = 0.0
         for k, wk in ((k0, 1.0 - w), (k1, w)):
             if wk == 0.0 and k != k0:
                 continue
-            sp, lo, hi = self._spline(k)
+            if k not in self._splines:
+                sp = self.fseries.snapshots[k].spline(self._grid_values(self.fseries.snapshots[k]))
+                self._splines[k] = sp, sp.x[0], sp.x[-1]
+            sp, lo, hi = self._splines[k]
             if x_lo < lo or x_hi > hi:
-                raise DomainError(float(np.atleast_1d(x[(x < lo) | (x > hi)])[0]), t)
+                i = int(np.flatnonzero((x < lo) | (x > hi))[0])
+                raise DomainError(float(x.flat[i]), t, index=i)
             out = out + wk * evaluate(sp, x)
         return out
 
+
+class FieldSource(_SnapshotSplines):
+    """Sampler of one field of a field series: cubic interpolation over the
+    largest valid run in x, linear interpolation between snapshots in time.
+    Queries outside the valid region raise.  ``velocity`` gives the values
+    of the field, ``sample`` the (v, dv/dx, L) triple of the RK4 march with
+    L = 0.0."""
+
+    def __init__(self, fseries, field="v"):
+        super().__init__(fseries, (field,))
+        self.field = field
+
+    def _grid_values(self, snap):
+        return self._values(snap, self.field)
+
     def velocity(self, x, t):
-        out = self._blend(x, t, NotAKnotSpline.__call__)
-        return out if self.rate is None else out[..., 0]
+        return self._blend(x, t, NotAKnotSpline.__call__)
 
     def sample(self, x, t):
-        """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""
-        both = self._blend(x, t, NotAKnotSpline.value_and_slope)
-        if self.rate is None:
-            return both[0], both[1], 0.0
-        return both[0, ..., 0], both[1, ..., 0], both[0, ..., 1]
+        v, g = self._blend(x, t, NotAKnotSpline.value_and_slope)
+        return v, g, 0.0
+
+
+# ---------- stacks: the flows of one march ----------
+
+class SourceStack:
+    """k velocity sources marched together as one state of shape
+    (k, n_labels); ``flows`` names them in errors.  ``sample(x, t)`` on x of
+    shape (k, n) asks each source for its own row in turn and gives v,
+    dv/dx and L, each of shape (k, n)."""
+
+    def __init__(self, sources, flows=None):
+        self.sources = tuple(sources)
+        self.flows = tuple(flows) if flows is not None else (None,) * len(self.sources)
+
+    def sample(self, x, t):
+        out = np.empty((3,) + x.shape)
+        for j, src in enumerate(self.sources):
+            try:
+                out[0, j], out[1, j], out[2, j] = src.sample(x[j], t)
+            except DomainError as err:
+                i = err.index if err.index is not None else int(np.argmin(np.abs(x[j] - err.x)))
+                err.index = j * x.shape[1] + i
+                raise
+        return out
+
+    def part(self, j):
+        """The stack of flow j alone."""
+        return SourceStack(self.sources[j:j + 1], self.flows[j:j + 1])
+
+
+class FieldStack(_SnapshotSplines):
+    """The velocity fields and action rates of k flows of one field series,
+    marched together as one state of shape (k, n_labels).
+
+    ``specs`` holds one (field, rate, factor) per flow: the flow's velocity
+    is ``factor`` times ``field``, and its action rate is ``rate`` (one of
+    ``L_plus``, ``L_minus`` and ``L``), or 0.0 when ``rate`` is None.  Each
+    snapshot is splined once, with one column per distinct field and rate;
+    the columns share the largest valid run, so the knots.  ``sample`` makes
+    one interval search per bracketing snapshot over all k n points, then
+    gathers for each point only its own flow's field and rate columns, and
+    gives v, dv/dx and L, each of shape (k, n).
+    Every flow gets the bits of a ``FieldSource`` of its field, scaled as
+    ``ScaledSource`` scales, with its rate's values as L.
+    """
+
+    def __init__(self, fseries, specs, flows=None):
+        self.specs = tuple(specs)
+        self.flows = tuple(flows) if flows is not None else (None,) * len(self.specs)
+        self.columns = tuple(dict.fromkeys(
+            name for field, rate, _ in self.specs for name in (field, rate) if name is not None))
+        super().__init__(fseries, self.columns)
+        self._v_cols = np.array([self.columns.index(f) for f, _, _ in self.specs])
+        # a flow without a rate gathers its field column, and sample sets its L to 0.0
+        self._rate_cols = np.array([self.columns.index(r or f) for f, r, _ in self.specs])
+        self._cols = np.empty((2, 0), dtype=int)  # each point's two columns, for the last size
+
+    def _grid_values(self, snap):
+        return np.stack([self._values(snap, name) for name in self.columns], axis=1)
+
+    def sample(self, x, t):
+        k, n = x.shape
+        flat = x.ravel()
+        if self._cols.shape[1] != k * n:
+            self._cols = np.stack((self._v_cols.repeat(n), self._rate_cols.repeat(n)))
+        out = self._blend(flat, t, lambda sp, x: sp.own_column(sp.locate(x), self._cols, slope=True))
+        # [value, slope] x [field, rate] of every point
+        v, g, L = (a.reshape(k, n) for a in (out[0, 0], out[1, 0], out[0, 1]))
+        for j, (_, rate, factor) in enumerate(self.specs):
+            if factor != 1.0:
+                v[j], g[j] = factor * v[j], factor * g[j]
+            if rate is None:
+                L[j] = 0.0
+        return v, g, L
+
+    def part(self, j):
+        """The stack of flow j alone."""
+        return FieldStack(self.fseries, self.specs[j:j + 1], self.flows[j:j + 1])
 
 
 # ---------- the congruence container ----------
 
 @dataclass(frozen=True)
 class Congruence:
+    """Positions, velocities, expansion factors and actions of a labelled
+    ensemble, one row per stored time.  ``min_path_spacing`` (the smallest
+    gap between adjacent paths) and ``min_expansion_factor`` are taken over
+    every stored time by the order and J checks of the container."""
+
     labels: LabelSet
     times: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
     J: np.ndarray
     chi: np.ndarray
+    min_path_spacing: float = field(init=False, repr=False, compare=False)
+    min_expansion_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -200,7 +292,9 @@ class Congruence:
             object.__setattr__(self, name, arr)
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        _check_paths(self.times, self.q, self.J, self.labels.values)
+        spacing, expansion = _check_paths(self.times, self.q, self.J, self.labels.values)
+        object.__setattr__(self, "min_path_spacing", spacing)
+        object.__setattr__(self, "min_expansion_factor", expansion)
 
     @property
     def dt(self):
@@ -231,28 +325,44 @@ class Congruence:
         return worst
 
 
-def _check_paths(times, q, J, labels):
+def _check_paths(times, q, J, labels, flow=None):
     """Raise at the first of the stored times, rows of q and J, where a label's
-    expansion factor is not positive or two neighbouring paths crossed."""
+    expansion factor is not positive or two neighbouring paths crossed; the
+    message names ``flow`` if it is given.  Return the smallest gap between
+    neighbouring paths and the smallest expansion factor."""
     focal = J <= 0.0
     if focal.any():
         k, i = np.argwhere(focal)[0]
+        of = f"the {flow} path of label" if flow else "label"
         raise FocalPointError(
-            f"non-positive expansion factor of label {labels[i]:.6g} at t={times[k]:.6g}")
-    crossed = np.diff(q, axis=1) <= 0.0
+            f"non-positive expansion factor of {of} {labels[i]:.6g} at t={times[k]:.6g}")
+    gaps = np.diff(q, axis=1)
+    crossed = gaps <= 0.0
     if crossed.any():
         k, i = np.argwhere(crossed)[0]
         raise CongruenceCrossingError(
-            f"paths of labels {labels[i]:.6g} and {labels[i + 1]:.6g} crossed at t={times[k]:.6g}")
+            f"{flow + ' ' if flow else ''}paths of labels {labels[i]:.6g} and "
+            f"{labels[i + 1]:.6g} crossed at t={times[k]:.6g}")
+    return float(gaps.min()), float(J.min())
 
 
 def integrate_congruence(source, labels, times, initial_actions=None):
-    """March the labelled ensemble along a velocity field with classic RK4.
+    """March a labelled ensemble along a velocity field with classic RK4.
 
     The augmented state per label is (q, J, chi) with dq/dt = v(q, t),
-    dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t), where
-    ``source.sample(q, t)`` gives (v, dv/dx, L) in one call.
+    dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t).  ``source`` is one
+    velocity source, whose ``sample(q, t)`` gives (v, dv/dx, L), or a stack
+    of k of them (``SourceStack``, ``FieldStack``), marched as one state of
+    shape (k, n_labels) with one ``sample`` call per stage for all k flows.
+    A stack takes one initial-action entry per flow (or None) and gives a
+    tuple of k congruences; its errors name the flow, and the first failure
+    in time is the one raised, whichever flow it is in.
     """
+    stacked = isinstance(source, (SourceStack, FieldStack))
+    if not stacked:
+        source, initial_actions = SourceStack((source,)), (initial_actions,)
+    elif initial_actions is None:
+        initial_actions = (None,) * len(source.flows)
     if isinstance(labels, LabelSet):
         label_set = labels
     else:
@@ -262,51 +372,64 @@ def integrate_congruence(source, labels, times, initial_actions=None):
         raise PreconditionError("need at least two time points")
 
     q0 = label_set.values
-    nl = q0.shape[0]
-    if initial_actions is None:
-        chi = np.zeros(nl)
-    elif callable(initial_actions):
-        chi = np.asarray(initial_actions(q0), dtype=float)
-    else:
-        chi = np.asarray(initial_actions, dtype=float)
-
-    zeros = np.zeros(nl)
+    flows = source.flows
+    nf, nl, n = len(flows), q0.shape[0], times.shape[0]
+    # one contiguous (n_times, n_labels) block per flow and quantity
+    history = np.empty((4, nf, n, nl))
+    qs, qdots, Js, chis = history
+    for j, actions in enumerate(initial_actions):
+        if actions is None:
+            chis[j, 0] = 0.0
+        elif callable(actions):
+            chis[j, 0] = np.asarray(actions(q0), dtype=float)
+        else:
+            chis[j, 0] = np.asarray(actions, dtype=float)
+    qs[:, 0], Js[:, 0] = q0, 1.0
+    q, J, chi = qs[:, 0].copy(), Js[:, 0].copy(), chis[:, 0].copy()
 
     def rhs(qv, Jv, t):
-        # adding zeros broadcasts scalars and turns -0.0 into +0.0
-        v, g, L = (np.asarray(f, dtype=float) + zeros for f in source.sample(qv, t))
-        return v, g * Jv, L
-
-    n = times.shape[0]
-    qs, qdots, Js, chis = (np.empty((n, nl)) for _ in range(4))
-    qs[0], Js[0], chis[0] = q0, 1.0, chi
-    q, J, chi = qs[0], Js[0], chis[0]
+        v, g, L = source.sample(qv, t)
+        # adding 0.0 turns -0.0 into +0.0
+        return v + 0.0, (g + 0.0) * Jv, L + 0.0
 
     for k in range(n - 1):
         t = times[k]
         h = times[k + 1] - t
         try:
             k1 = rhs(q, J, t)
-            qdots[k] = k1[0]
+            qdots[:, k] = k1[0]
             k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
             k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
             k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
         except DomainError as err:
-            idx = int(np.argmin(np.abs(q - err.x)))
-            raise TrajectoryExitError(q0[idx], err.t) from err
-        q = qs[k + 1] = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        J = Js[k + 1] = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        chi = chis[k + 1] = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            at = err.index if err.index is not None else int(np.argmin(np.abs(q - err.x)))
+            j, i = divmod(at, nl)
+            raise TrajectoryExitError(q0[i], err.t, flows[j]) from err
+        q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        qs[:, k + 1], Js[:, k + 1], chis[:, k + 1] = q, J, chi
         tn = times[k + 1]
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(J)) and np.all(np.isfinite(chi))):
-            raise InstabilityError(f"non-finite trajectory state at t={tn:.6g}")
-        _check_paths((tn,), q[None], J[None], q0)
+        if not (np.isfinite(q).all() and np.isfinite(J).all() and np.isfinite(chi).all()):
+            finite = np.isfinite(q).all(1) & np.isfinite(J).all(1) & np.isfinite(chi).all(1)
+            flow = flows[int(np.argmin(finite))]
+            raise InstabilityError(
+                f"non-finite {flow + ' ' if flow else ''}trajectory state at t={tn:.6g}")
+        if (J <= 0.0).any() or (np.diff(q, axis=1) <= 0.0).any():
+            for j in range(nf):
+                _check_paths((tn,), q[j:j + 1], J[j:j + 1], q0, flows[j])
     try:
-        qdots[-1] = np.asarray(source.sample(q, times[-1])[0], dtype=float) + zeros
+        qdots[:, -1] = source.sample(q, times[-1])[0] + 0.0
     except DomainError:
-        qdots[-1] = qdots[-2]
+        # a flow whose final positions left the valid region keeps its last velocities
+        for j in range(nf):
+            try:
+                qdots[j, -1] = source.part(j).sample(q[j:j + 1], times[-1])[0][0] + 0.0
+            except DomainError:
+                qdots[j, -1] = qdots[j, -2]
 
-    return Congruence(label_set, times, qs, qdots, Js, chis)
+    out = tuple(Congruence(label_set, times, qs[j], qdots[j], Js[j], chis[j]) for j in range(nf))
+    return out if stacked else out[0]
 
 
 # ---------- label inversion and trajectory density ----------

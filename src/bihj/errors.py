@@ -45,21 +45,26 @@ class UnwrapError(BihjError):
 
 
 class DomainError(BihjError):
-    """A sampled field was queried outside its valid region."""
+    """A sampled field was queried outside its valid region; ``index`` is
+    the flat index of the point x in the query, when the sampler knows it."""
 
-    def __init__(self, x, t, message=None):
+    def __init__(self, x, t, message=None, index=None):
         self.x = x
         self.t = t
+        self.index = index
         super().__init__(message or f"query at (x={x:.6g}, t={t:.6g}) is outside the valid region")
 
 
 class TrajectoryExitError(BihjError):
-    """A trajectory left the valid region of its driving field."""
+    """A trajectory left the valid region of its driving field; ``flow``
+    names its congruence when the march has names."""
 
-    def __init__(self, label, time):
+    def __init__(self, label, time, flow=None):
         self.label = label
         self.time = time
-        super().__init__(f"trajectory with label {label:.6g} left the valid region at t={time:.6g}")
+        self.flow = flow
+        super().__init__(f"{flow + ' ' if flow else ''}trajectory with label {label:.6g} "
+                         f"left the valid region at t={time:.6g}")
 
 
 class FocalPointError(BihjError):

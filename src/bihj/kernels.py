@@ -275,7 +275,8 @@ class NotAKnotSpline:
     solve and the one interval search per query point.  Calling the spline
     at points of shape (m,) gives values of shape (m,) or (m, k), and
     ``value_and_slope`` gives values and first derivatives from one search;
-    points beyond the ends use the end intervals.
+    ``locate`` and ``own_column`` evaluate each point on a column of its
+    own.  Points beyond the ends use the end intervals.
     The slope system, the coefficients and the order of every sum are those
     of SciPy's CubicSpline, so the results are bit-identical to it.
     """
@@ -337,6 +338,33 @@ class NotAKnotSpline:
 
     def __call__(self, xq):
         return self._value(*self._terms(xq))
+
+    def locate(self, xq):
+        """Interval index, local coordinate s and s^2 at the points xq: the
+        one interval search that ``own_column`` calls at these points share."""
+        xq = np.asarray(xq, dtype=float)
+        i = self._inner.searchsorted(xq, side="right")
+        s = xq - self.x.take(i)
+        return i, s, s * s
+
+    def own_column(self, located, cols, slope=False):
+        """Value at each located point of its own column: ``cols`` holds a
+        column index per point, or one for all, or rows of them of shape
+        (r, m) for r columns per point.  With ``slope`` the first
+        derivatives are stacked with the values along a new first axis.
+        Each point gathers only its own columns' coefficients, at flat index
+        i n_cols + col of the coefficients reshaped to (4, -1), so a column
+        costs what it costs on a one-column spline and gets that spline's
+        bits."""
+        i, s, s2 = located
+        n_cols = self._c.shape[2] if self._c.ndim == 3 else 1
+        terms = (s, s2) + tuple(self._c.reshape(4, -1).take(i * n_cols + cols, axis=1))
+        if not slope:
+            return self._value(*terms)
+        out = np.empty((2,) + terms[2].shape)
+        out[0] = self._value(*terms)
+        out[1] = self._slope(*terms)
+        return out
 
     def value_and_slope(self, xq):
         """Values and first derivatives at xq from one interval search,

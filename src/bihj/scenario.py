@@ -36,8 +36,10 @@ from .compose import (
 from .congruence import (
     CallableSource,
     FieldSource,
+    FieldStack,
     LabelSet,
     ScaledSource,
+    SourceStack,
     integrate_congruence,
 )
 from .errors import BihjError, ConfigurationError
@@ -54,8 +56,10 @@ from .reference import (
 )
 
 MODES = ("reference_driven", "autonomous")
+REFERENCE_FLOWS = ("plus", "minus", "dbb")
 SOLVERS = ("analytic", "crank_nicolson")
 CASES = ("i", "ii", "converse")
+COMPOSITION_HOSTS = {"i": "plus", "ii": "half_plus", "converse": "dbb"}
 # (potential kind, state kind, momentum, center) of the scenarios the closed
 # forms of bihj.gaussian describe: a free gaussian at rest at x = 0
 CLOSED_FORM = ("free", "gaussian", 0.0, 0.0)
@@ -329,7 +333,13 @@ class FieldLibrary:
     """Uniform access to velocity fields, density and action rates."""
 
     CLOSED_FORM_KEYS = {"v": "dbb", "v_plus": "plus", "v_minus": "minus", "u": "u"}
-    FLOWS = {"plus": ("v_plus", "L_plus"), "minus": ("v_minus", "L_minus"), "polar": ("v", "L")}
+    # the reference-driven congruences: velocity field, action rate, factor,
+    # and the flow ("plus", "minus" or "polar") of the closed-form rate and of
+    # the initial action; "half_plus", the host of case ii, has neither
+    FLOWS = {"plus": ("v_plus", "L_plus", 1.0, "plus"),
+             "minus": ("v_minus", "L_minus", 1.0, "minus"),
+             "dbb": ("v", "L", 1.0, "polar"),
+             "half_plus": ("v_plus", None, 0.5, None)}
 
     def __init__(self, config, fseries=None):
         self.config = config
@@ -354,13 +364,24 @@ class FieldLibrary:
             return lambda x, t: gaussian.rho(self.g, x, t)
         return FieldSource(self.fseries, "rho").velocity
 
-    def congruence_source(self, which):
-        """Velocity field and action rate of the plus, minus or polar flow."""
-        flow, rate = self.FLOWS[which]
-        if self.analytic:
-            return CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[flow]),
-                                  gaussian.action_rate(self.g, which))
-        return FieldSource(self.fseries, flow, rate)
+    def congruence_sources(self, cids):
+        """The velocity fields and action rates of the congruences ``cids``,
+        as one stack to march together."""
+        specs = [self.FLOWS[cid] for cid in cids]
+        if not self.analytic:
+            return FieldStack(self.fseries, [spec[:3] for spec in specs], cids)
+        sources = []
+        for f, _, factor, which in specs:
+            src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[f]),
+                                 None if which is None else gaussian.action_rate(self.g, which))
+            sources.append(src if factor == 1.0 else ScaledSource(src, factor))
+        return SourceStack(sources, cids)
+
+    def initial_actions(self, cids):
+        """The t = 0 action profile of each of the congruences ``cids`` (None
+        for zero)."""
+        return [None if self.FLOWS[cid][3] is None else self.initial(self.FLOWS[cid][3])
+                for cid in cids]
 
     def initial(self, which):
         """t = 0 profile of the density ("rho") or of the plus, minus or polar action."""
@@ -525,22 +546,26 @@ class RunBundle:
             return LabelSet.from_density(library.initial("rho"), cfg.grid.x_min, cfg.grid.x_max,
                                          count=cfg.label_count, floor=span["floor"])
 
-    def congruence(self, cid):
-        """Reference-driven "plus", "minus" or mean-flow ("dbb") congruence."""
-        if cid not in self._congruences:
+    def congruences(self, *cids):
+        """Reference-driven congruences: "plus", "minus", the mean flow "dbb"
+        and "half_plus", the host of composition case ii.  Those not built
+        yet are marched together, in one call."""
+        todo = [cid for cid in dict.fromkeys(cids) if cid not in self._congruences]
+        if todo:
             library, labels, times = self.library, self.labels, self.times
-            which = "polar" if cid == "dbb" else cid
             with self.timed("congruences"):
-                self._congruences[cid] = integrate_congruence(
-                    library.congruence_source(which), labels, times,
-                    initial_actions=library.initial(which))
-        return self._congruences[cid]
+                built = integrate_congruence(library.congruence_sources(todo), labels, times,
+                                             initial_actions=library.initial_actions(todo))
+            for cid, c in zip(todo, built):
+                self._congruences[cid] = c
+                self.diagnostics[cid] = {"min_path_spacing": c.min_path_spacing,
+                                         "min_expansion_factor": c.min_expansion_factor}
+        return tuple(self._congruences[cid] for cid in cids)
 
     @cached_property
     def pair(self):
         """The coupled pair of the plus and minus congruences."""
-        plus, minus, library, cfg = (self.congruence("plus"), self.congruence("minus"),
-                                     self.library, self.config)
+        (plus, minus), library, cfg = self.congruences("plus", "minus"), self.library, self.config
         with self.timed("congruences"):
             return BiCongruence.from_congruences(cfg.params, plus, minus,
                                                  library.initial("plus"),
@@ -559,17 +584,15 @@ class RunBundle:
 
     def composition(self, case):
         """Setup (host congruence, complement field, generator labels) and
-        result of one composition case."""
+        result of one composition case; the host is a congruence stage."""
         if case not in self._compositions:
-            # the hosts of cases i and converse are congruence stages of their own
-            host = None if case == "ii" else self.congruence("plus" if case == "i" else "dbb")
-            library, labels, times = self.library, self.labels, self.times
+            host, = self.congruences(COMPOSITION_HOSTS[case])
+            library, labels = self.library, self.labels
             with self.timed("composition"):
                 lo, hi = labels.values[0], labels.values[-1]
                 probe = LabelSet.uniform(0.4 * lo, 0.4 * hi,
                                          max(2 * (self.config.label_count // 4) + 1, 21))
                 if case == "ii":
-                    host = integrate_congruence(library.source("v_plus", 0.5), labels, times)
                     comp = library.source("v_minus", 0.5)
                 else:
                     comp = library.source("u", -0.5 if case == "i" else +0.5)
@@ -641,7 +664,7 @@ def run_simulate(config, out_dir):
         with run.timed("crossmap"):
             maps = [cross_map(bi, bi.times[k]) for k in keep]
     else:
-        named = {cid: run.congruence(cid) for cid in ("plus", "minus", "dbb")}
+        named = dict(zip(REFERENCE_FLOWS, run.congruences(*REFERENCE_FLOWS)))
         keep = _sampled_indices(named["plus"].times.shape[0])
 
     xs = config.grid.x
@@ -665,6 +688,8 @@ def run_simulate(config, out_dir):
 def run_compose(config, out_dir, case=None):
     case = case or config.composition_case
     run = RunBundle("compose", config, out_dir)
+    # the host and the two congruences of the source tables, in one march
+    _, plus, minus = run.congruences(COMPOSITION_HOSTS[case], "plus", "minus")
     _, result = run.composition(case)
     run.emit_csv("composition.csv",
                  ("case_id", "q_C0", "time", "Q_B", "q_C", "J_B", "J_C", "residual"),
@@ -672,7 +697,7 @@ def run_compose(config, out_dir, case=None):
                    result.q_C[j], result.J_B[j], result.J_C[j], result.residual[j])
                   for j in _sampled_indices(result.times.shape[0])])
 
-    library, hosts = run.library, {cid: run.congruence(cid) for cid in ("plus", "minus")}
+    library, hosts = run.library, {"plus": plus, "minus": minus}
     with run.timed("sources"):
         rho, rho0 = library.rho(), library.initial("rho")
         tables = {cid: source_term(hosts[cid], rho, library.source("u", factor), rho0)
@@ -702,7 +727,8 @@ RECONSTRUCTION_COLUMNS = ("x", "t", "re_psi_bihj", "im_psi_bihj", "re_psi_polar"
 
 def run_reconstruct(config, out_dir):
     run = RunBundle("reconstruct", config, out_dir)
-    bi, dbb, library, field_times = run.pair, run.congruence("dbb"), run.library, run.field_times
+    _, _, dbb = run.congruences(*REFERENCE_FLOWS)
+    bi, library, field_times = run.pair, run.library, run.field_times
     with run.timed("probes"):
         rho0 = library.initial("rho")
         if run.analytic:
@@ -771,8 +797,7 @@ def run_figure(config, out_dir, figure_id):
     keep_labels = np.arange(0, len(labels), max(1, (len(labels) - 1) // 14))
     if figure_id == "fig2":
         blocks = []
-        for cid in ("dbb", "plus", "minus"):
-            c = run.congruence(cid)
+        for cid, c in zip(("dbb", "plus", "minus"), run.congruences("dbb", "plus", "minus")):
             keep = _sampled_indices(c.times.shape[0], 81)
             times = c.times[keep]
             blocks += [(cid, c.labels.values[i], times, c.q[keep, i]) for i in keep_labels]

@@ -191,5 +191,21 @@ def test_reference_driven_failure_leaves_no_data_file(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: [congruences] trajectory with label -4 left the valid region at t=0.277\n")
+        "error: [congruences] minus trajectory with label -4 left the valid region at t=0.277\n")
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["reconstruct"], ["compose"], ["compose", "--case", "converse"],
+                                  ["figure", "--id", "fig2"]])
+def test_reference_driven_failure_names_the_flow(tmp_path, capsys, argv):
+    # the scenario of the test above: every command that marches the minus
+    # flow with others reports it, at the time it leaves the valid region
+    doc = json.loads((Path(bihj.__file__).parent / "data" / "gaussian.json").read_text())
+    doc["solver"] = "crank_nicolson"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [congruences] minus trajectory with label -4 left the valid region at t=0.277\n")
     assert sorted(p.name for p in out.iterdir()) == []

@@ -6,8 +6,10 @@ from bihj import gaussian
 from bihj.congruence import (
     CallableSource,
     FieldSource,
+    FieldStack,
     LabelSet,
     ScaledSource,
+    SourceStack,
     integrate_congruence,
     invert_labels,
     trajectory_density,
@@ -31,6 +33,36 @@ from bihj.reference import (
 )
 
 SIGMA0 = np.sqrt(0.5)
+
+
+def three_calls(labels, velocity, rate, chi, times):
+    """Reference RK4 march of one flow, with separate velocity, slope and
+    rate calls per stage; a rate of None is zero, and so is a chi of None."""
+    zeros = np.zeros(len(labels))
+
+    def rhs(qv, Jv, t):
+        v = np.asarray(velocity.velocity(qv, t), dtype=float) + zeros
+        g = np.asarray(velocity.sample(qv, t)[1], dtype=float) + zeros
+        L = (0.0 if rate is None else np.asarray(rate.velocity(qv, t), dtype=float)) + zeros
+        return v, g * Jv, L
+
+    q, J = labels.values.copy(), np.ones(len(labels))
+    chi = zeros if chi is None else chi
+    qs, qdots, Js, chis = [q], [], [J], [chi]
+    for t, h in zip(times[:-1], np.diff(times)):
+        k1 = rhs(q, J, t)
+        qdots.append(k1[0])
+        k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
+        k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
+        k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
+        q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        qs.append(q)
+        Js.append(J)
+        chis.append(chi)
+    qdots.append(np.asarray(velocity.velocity(q, times[-1]), dtype=float) + zeros)
+    return np.array(qs), np.array(qdots), np.array(Js), np.array(chis)
 
 
 class TestLabelSet:
@@ -118,6 +150,79 @@ class TestIntegration:
             integrate_congruence(FieldSource(fs, "v_minus"), labels, np.linspace(0.0, 0.4, 401))
         assert abs(err.value.label) == 4.0
         assert 0.0 < err.value.time < 0.4
+
+    def test_stacked_exit_error_names_the_flow_that_left_first(self, params):
+        # on the series of the test above the minus flow leaves first, though
+        # it is the second flow of the stack, at the time it leaves alone
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=10))
+        labels = LabelSet.uniform(-4.0, 4.0, 9)
+        times = np.linspace(0.0, 0.4, 401)
+        with pytest.raises(TrajectoryExitError) as alone:
+            integrate_congruence(FieldSource(fs, "v_minus"), labels, times)
+        stack = FieldStack(fs, [("v", "L", 1.0), ("v_minus", "L_minus", 1.0)], ("dbb", "minus"))
+        with pytest.raises(TrajectoryExitError) as err:
+            integrate_congruence(stack, labels, times)
+        assert (err.value.flow, err.value.label, err.value.time) == (
+            "minus", alone.value.label, alone.value.time)
+        assert str(err.value) == "minus " + str(alone.value)
+
+    def test_stacked_guard_errors_name_the_flow_that_failed_first(self):
+        # the cubic squeeze of the test below, switched on at t=0 in the
+        # second flow and at t=0.5 in the first: the second fails first
+        labels = LabelSet.uniform(-1.0, 1.0, 11)
+        times = np.linspace(0.0, 2.0, 9)
+        zero = lambda x, t: 0.0 * np.asarray(x, dtype=float)
+
+        def squeeze(start, slope=True):
+            v = lambda x, t: -8.0 * (t >= start) * np.asarray(x, dtype=float) ** 3
+            g_ = (lambda x, t: -24.0 * (t >= start) * np.asarray(x, dtype=float) ** 2)
+            return CallableSource(v, g_ if slope else zero)
+
+        with pytest.raises(FocalPointError, match=r"^non-positive expansion factor of the "
+                                                  r"early path of label -0\.8 at t=0\.25$"):
+            integrate_congruence(SourceStack([squeeze(0.5), squeeze(0.0)], ("late", "early")),
+                                 labels, times)
+        with pytest.raises(CongruenceCrossingError,
+                           match=r"^early paths of labels -0\.8 and -0\.6 crossed at t=0\.25$"):
+            integrate_congruence(SourceStack([squeeze(0.5, False), squeeze(0.0, False)],
+                                             ("late", "early")), labels, times)
+        # alone, the first flow fails too, but later
+        with pytest.raises(FocalPointError, match=r"at t=0\.5$"):
+            integrate_congruence(squeeze(0.5), labels, times)
+
+    def test_stacked_callable_sources_are_the_per_flow_march(self, g):
+        labels = LabelSet.uniform(-4.0, 4.0, 41)
+        times = np.linspace(0.0, 1.0, 201)
+        zero = lambda x, t: 0.0 * np.asarray(x, dtype=float)
+        # (velocity, rate, initial action): the three flows of simulate, and
+        # the rate-less half-speed host of composition case ii
+        flows = {"plus": ("plus", "plus", gaussian.action_plus),
+                 "minus": ("minus", "minus", gaussian.action_minus),
+                 "dbb": ("dbb", "polar", gaussian.phase_action)}
+        sources = [CallableSource(*gaussian.velocity_field(g, kind), gaussian.action_rate(g, rate))
+                   for kind, rate, _ in flows.values()]
+        sources.append(ScaledSource(CallableSource(*gaussian.velocity_field(g, "plus")), 0.5))
+        rates = [CallableSource(gaussian.action_rate(g, rate), zero)
+                 for _, rate, _ in flows.values()] + [None]
+        chi0 = [action(g, labels.values, 0.0) for *_, action in flows.values()] + [None]
+        got = integrate_congruence(SourceStack(sources, list(flows) + ["half_plus"]),
+                                   labels, times, initial_actions=chi0)
+        for c, src, rate, chi in zip(got, sources, rates, chi0):
+            want = three_calls(labels, src, rate, chi, times)
+            for name, arr in zip(("q", "qdot", "J", "chi"), want):
+                assert np.array_equal(getattr(c, name), arr), name
+
+    def test_health_of_the_closed_form_flows(self, g, labels, times, plus_congruence,
+                                             minus_congruence, dbb_congruence):
+        # q = q0 scale(t), so the gaps are h0 scale(t) and J is scale(t)
+        h0 = labels.values[1] - labels.values[0]
+        for kind, c in (("plus", plus_congruence), ("minus", minus_congruence),
+                        ("dbb", dbb_congruence)):
+            scale = gaussian.path_scale(g, kind, times).min()
+            assert c.min_path_spacing == pytest.approx(h0 * scale, rel=1e-9)
+            assert c.min_expansion_factor == pytest.approx(scale, rel=1e-9)
 
     def test_crossing_and_focal_point_rejected_by_container(self, labels, times):
         from bihj.congruence import Congruence
@@ -239,32 +344,16 @@ class TestFieldSource:
         snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
         fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=10))
         labels = LabelSet.uniform(-1.5, 1.5, 41)
-
-        def three_calls(velocity, rate, chi, times):
-            # reference: separate velocity, slope and rate calls per stage
-            def rhs(qv, Jv, t):
-                v = np.asarray(velocity.velocity(qv, t), dtype=float) + np.zeros(len(labels))
-                g = np.asarray(velocity.sample(qv, t)[1], dtype=float) + np.zeros(len(labels))
-                L = np.asarray(rate.velocity(qv, t), dtype=float) + np.zeros(len(labels))
-                return v, g * Jv, L
-
-            q, J = labels.values.copy(), np.ones(len(labels))
-            qs, qdots, Js, chis = [q], [], [J], [chi]
-            for t, h in zip(times[:-1], np.diff(times)):
-                k1 = rhs(q, J, t)
-                qdots.append(k1[0])
-                k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
-                k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
-                k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
-                q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-                qs.append(q)
-                Js.append(J)
-                chis.append(chi)
-            qdots.append(np.asarray(velocity.velocity(q, times[-1]), dtype=float)
-                         + np.zeros(len(labels)))
-            return np.array(qs), np.array(qdots), np.array(Js), np.array(chis)
+        # (name, field, rate, factor, initial action): the three flows of
+        # simulate, and the rate-less half-speed host of composition case ii
+        flows = (("plus", "v_plus", "L_plus", 1.0, "S_plus"),
+                 ("minus", "v_minus", "L_minus", 1.0, "S_minus"),
+                 ("dbb", "v", "L", 1.0, "S"), ("half_plus", "v_plus", None, 0.5, None))
+        snap0 = fs.snapshots[0]
+        chi0 = [snap0.spline(getattr(snap0, a))(labels.values) if a else None
+                for *_, a in flows]
+        alone = [(ScaledSource(FieldSource(fs, f), c) if c != 1.0 else FieldSource(fs, f),
+                  FieldSource(fs, r) if r else None) for _, f, r, c, _ in flows]
 
         # the snapshot times themselves put the first stage of every step on
         # a snapshot, where one of the two weights is 0; the finer times also
@@ -274,20 +363,45 @@ class TestFieldSource:
             for t in times:
                 k0, k1, w = FieldSource(fs, "v")._bracket(t)
                 snapshot_stage += w in (0.0, 1.0)
-            for flow, rate, action in (("v_plus", "L_plus", "S_plus"),
-                                       ("v_minus", "L_minus", "S_minus"), ("v", "L", "S")):
-                chi0 = fs.snapshots[0].spline(getattr(fs.snapshots[0], action))(labels.values)
-                rated, alone = FieldSource(fs, flow, rate), FieldSource(fs, flow)
-                got = integrate_congruence(rated, labels, times, initial_actions=chi0)
-                want = three_calls(alone, FieldSource(fs, rate), chi0, times)
+            stack = FieldStack(fs, [(f, r, c) for _, f, r, c, _ in flows],
+                               [name for name, *_ in flows])
+            got = integrate_congruence(stack, labels, times, initial_actions=chi0)
+            assert len(got) == len(flows)
+            for c, (velocity, rate), chi, flow in zip(got, alone, chi0, flows):
+                want = three_calls(labels, velocity, rate, chi, times)
                 for name, arr in zip(("q", "qdot", "J", "chi"), want):
-                    assert np.array_equal(getattr(got, name), arr), (flow, name)
-                # the field column of a source with a rate is the field alone
-                assert np.array_equal(rated.velocity(got.q[5], times[5]),
-                                      alone.velocity(got.q[5], times[5]))
-                assert np.array_equal(rated.sample(got.q[5], times[5])[1],
-                                      alone.sample(got.q[5], times[5])[1])
+                    assert np.array_equal(getattr(c, name), arr), (flow[0], name)
+            # each flow's rows of one stacked sample are its own field's
+            x = np.stack([c.q[5] for c in got])
+            stacked = stack.sample(x, times[5])
+            for j, (velocity, rate) in enumerate(alone):
+                v, g, L = velocity.sample(x[j], times[5])
+                assert np.array_equal(stacked[0][j], v) and np.array_equal(stacked[1][j], g)
+                assert np.array_equal(stacked[2][j],
+                                      rate.velocity(x[j], times[5]) if rate else 0.0 * v)
         assert snapshot_stage >= len(fs.times)
+
+    def test_stack_keeps_at_most_two_snapshots_of_splines(self, params):
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+                               np.arange(0.0, 0.2 + 1e-9, 0.01))
+        fs = derive_series(wave)
+        flows = ("plus", "minus", "dbb")
+        stack = FieldStack(fs, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0),
+                                ("v", "L", 1.0)], flows)
+        held, sample = [], stack.sample
+
+        def counted(x, t):
+            out = sample(x, t)
+            held.append(sorted(stack._splines))
+            return out
+
+        stack.sample = counted
+        integrate_congruence(stack, LabelSet.uniform(-1.5, 1.5, 31), np.linspace(0.0, 0.2, 81))
+        # 4 stages per step and the final velocity; every snapshot was used
+        assert len(held) == 4 * 80 + 1
+        assert max(len(keys) for keys in held) == 2
+        assert sorted(set().union(*held)) == list(range(len(fs.times)))
 
     def test_velocity_is_the_value_of_sample(self, g):
         # the two operations of every source give one field, byte for byte
@@ -299,7 +413,7 @@ class TestFieldSource:
                                   gaussian.action_rate(g, "plus"))
         sources = [analytic, ScaledSource(analytic, -0.5),
                    CallableSource(*gaussian.velocity_field(g, "u")),
-                   FieldSource(fs, "v_plus"), FieldSource(fs, "v_plus", "L_plus"),
+                   FieldSource(fs, "v_plus"), FieldSource(fs, "L_plus"),
                    FieldSource(fs, "rho"), ScaledSource(FieldSource(fs, "u"), 0.5)]
         x = np.r_[np.linspace(-2.0, 2.0, 41), -0.0, 0.0]
         # snapshot times and times between them

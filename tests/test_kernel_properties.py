@@ -1,6 +1,6 @@
 """Property tests of the tridiagonal solve, the natural-spline and PCHIP
-slopes, the block natural splines, the not-a-knot spline and the monotone
-inversion."""
+slopes, the block natural splines, the not-a-knot spline, its own-column
+evaluation and the monotone inversion."""
 import numpy as np
 import pytest
 
@@ -131,6 +131,31 @@ def test_not_a_knot_spline_reproduces_cubics(n, columns, data):
     # random cases stay below 32 eps
     assert np.abs(sp(u[:, 0]) - value_at).max() <= 256 * EPS * scale
     assert np.abs(sp.value_and_slope(u[:, 0])[1] - slope_at).max() <= 256 * EPS * scale / gaps.min()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 30), st.integers(1, 6), st.booleans(), st.data())
+def test_own_column_is_the_one_column_spline(n, c, one_column, data):
+    # gaps over eight decades, values with both zeros, points beyond the ends
+    gaps = data.draw(arrays(float, n - 1, elements=st.floats(1e-4, 1e4)))
+    x = np.r_[0.0, np.cumsum(gaps)] + data.draw(st.floats(-100.0, 100.0))
+    y = data.draw(arrays(float, (n, c), elements=st.floats(-1e6, 1e6)))
+    m = data.draw(st.integers(1, 30))
+    xq = x[0] + data.draw(arrays(float, m, elements=st.floats(-0.1, 1.1))) * (x[-1] - x[0])
+    if one_column:
+        cols = data.draw(st.integers(0, c - 1))
+        want_cols = np.full(m, cols)
+    else:
+        cols = want_cols = data.draw(arrays(np.intp, m, elements=st.integers(0, c - 1)))
+    sp = K.NotAKnotSpline(x, y)
+    at = sp.locate(xq)
+    values = sp.own_column(at, cols)
+    both = sp.own_column(at, cols, slope=True)
+    assert values.shape == (m,) and both.shape == (2, m)
+    for p, col in enumerate(want_cols):
+        alone = K.NotAKnotSpline(x, y[:, col]).value_and_slope(xq[p:p + 1])[:, 0]
+        assert both[:, p].tobytes() == alone.tobytes()
+        assert values[p:p + 1].tobytes() == alone[:1].tobytes()
 
 
 @st.composite

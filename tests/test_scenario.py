@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,24 +376,50 @@ class TestOutputs:
         assert calls == [1]
 
     def test_commands_build_only_the_congruences_they_use(self, tmp_path, monkeypatch):
-        calls = []
+        # each command marches the congruences it uses in one call
+        marches = []
         original = scenario.integrate_congruence
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(source, *args, **kwargs):
+            marches.append(source.flows)
+            return original(source, *args, **kwargs)
 
         monkeypatch.setattr(scenario, "integrate_congruence", counted)
         cfg = parse_config(small_doc())
         for name, run, expected in (
-                ("fig3", lambda out: run_figure(cfg, out, "fig3"), 1),
-                ("compose", lambda out: run_compose(cfg, out, "i"), 2),
-                ("reconstruct", lambda out: run_reconstruct(cfg, out), 3),
-                ("simulate", lambda out: run_simulate(cfg, out), 3)):
-            calls.clear()
+                ("fig3", lambda out: run_figure(cfg, out, "fig3"), ("plus",)),
+                ("fig2", lambda out: run_figure(cfg, out, "fig2"), ("dbb", "plus", "minus")),
+                ("compose", lambda out: run_compose(cfg, out, "i"), ("plus", "minus")),
+                ("compose ii", lambda out: run_compose(cfg, out, "ii"),
+                 ("half_plus", "plus", "minus")),
+                ("compose converse", lambda out: run_compose(cfg, out, "converse"),
+                 ("dbb", "plus", "minus")),
+                ("reconstruct", lambda out: run_reconstruct(cfg, out), ("plus", "minus", "dbb")),
+                ("simulate", lambda out: run_simulate(cfg, out), ("plus", "minus", "dbb"))):
+            marches.clear()
             run(tmp_path / name)
-            assert len(calls) == expected, name
+            assert marches == [expected], name
             assert_stages_cover_total(tmp_path / name)
+
+    def test_congruence_health_is_the_closed_form(self, tmp_path):
+        # the bundled scenario: q = q0 scale(t), so the smallest gap between
+        # paths is h0 min_t scale(t), and the smallest J is min_t scale(t)
+        from bihj import gaussian
+        cfg = load_config(Path(scenario.__file__).parent / "data" / "gaussian.json")
+        g = gaussian.GaussianParams(cfg.initial_state.sigma0, cfg.hbar, cfg.mass)
+        times = np.arange(cfg.solver_steps + 1) * cfg.dt_solver
+        span = cfg.label_span
+        h0 = (span["hi"] - span["lo"]) / (cfg.label_count - 1)
+        manifest, _ = run_reconstruct(cfg, tmp_path / "a")
+        health = manifest["diagnostics"]
+        assert set(health) == {"plus", "minus", "dbb"}
+        for kind, numbers in health.items():
+            scale = gaussian.path_scale(g, kind, times).min()
+            assert numbers["min_path_spacing"] == pytest.approx(h0 * scale, rel=1e-9)
+            assert numbers["min_expansion_factor"] == pytest.approx(scale, rel=1e-9)
+        again, _ = run_reconstruct(cfg, tmp_path / "b")
+        assert again["diagnostics"] == health
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["diagnostics"] == health
 
     def test_empty_bundle_emits_manifest_only(self, tmp_path):
         from bihj.scenario import RunBundle
