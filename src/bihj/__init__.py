@@ -23,7 +23,6 @@ from .compose import (  # noqa: F401
 from .congruence import (  # noqa: F401
     CallableSource,
     Congruence,
-    FieldSource,
     FieldStack,
     LabelSet,
     SourceStack,

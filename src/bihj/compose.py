@@ -89,7 +89,8 @@ class CompositionResult:
 
 def _rk4_pair(y, J, s0, s1, s2, h, span):
     """One RK4 step of size h; s0, s1 and s2 give the value and slope of the
-    field at t, t+h/2 and t+h, stacked as a spline's ``value_and_slope``."""
+    field at t, t+h/2 and t+h, stacked along a first axis as a spline's
+    ``own_column`` gives them with ``slope``."""
     def f(sp, yy):
         _check_span(yy, span)
         return sp(yy)

@@ -90,98 +90,6 @@ class ScaledSource:
         return self.factor * v, self.factor * g, L
 
 
-class _SnapshotSplines:
-    """Splines of grid values of a field series over each snapshot's largest
-    valid run, blended linearly between snapshots in time.
-
-    Only the splines of the snapshots that bracket the latest query are
-    kept: a march moves one way in time, so an older snapshot is not asked
-    for again.  Besides the stored fields, ``L_plus``, ``L_minus`` and ``L``
-    are the Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean
-    flows.
-    """
-
-    FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
-    RATE_TERMS = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"),
-                  "L": ("v", "Q")}
-
-    def __init__(self, fseries, names):
-        for name in names:
-            if name not in self.FIELD_NAMES and name not in self.RATE_TERMS:
-                raise PreconditionError(f"unknown field {name!r}")
-        self.fseries = fseries
-        self._splines = {}
-
-    def _values(self, snap, name):
-        if name not in self.RATE_TERMS:
-            return getattr(snap, name)
-        v, Q = (getattr(snap, term) for term in self.RATE_TERMS[name])
-        params = self.fseries.params
-        return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
-
-    def _grid_values(self, snap):
-        """The grid values of a snapshot to spline: one column or several."""
-        raise NotImplementedError
-
-    def _bracket(self, t):
-        times = self.fseries.times
-        dt = self.fseries.dt
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise DomainError(0.0, t, "time outside the sampled span")
-        if dt == 0.0:
-            return 0, 0, 0.0
-        k = int(np.floor((t - times[0]) / dt))
-        k = min(max(k, 0), len(times) - 2)
-        w = (t - times[k]) / dt
-        return k, k + 1, min(max(w, 0.0), 1.0)
-
-    def _blend(self, x, t, evaluate):
-        """Time blend 0.0 + (1 - w) evaluate(sp_k, x) + w evaluate(sp_k+1, x)
-        over the splines of the two snapshots bracketing t; the splines of
-        other snapshots are dropped.  The first point of x outside a valid
-        run raises a DomainError that carries its flat index."""
-        x = np.asarray(x, dtype=float)
-        k0, k1, w = self._bracket(t)
-        for k in [k for k in self._splines if k not in (k0, k1)]:
-            del self._splines[k]
-        x_lo, x_hi = x.min(initial=np.inf), x.max(initial=-np.inf)
-        out = 0.0
-        for k, wk in ((k0, 1.0 - w), (k1, w)):
-            if wk == 0.0 and k != k0:
-                continue
-            if k not in self._splines:
-                sp = self.fseries.snapshots[k].spline(self._grid_values(self.fseries.snapshots[k]))
-                self._splines[k] = sp, sp.x[0], sp.x[-1]
-            sp, lo, hi = self._splines[k]
-            if x_lo < lo or x_hi > hi:
-                i = int(np.flatnonzero((x < lo) | (x > hi))[0])
-                raise DomainError(float(x.flat[i]), t, index=i)
-            out = out + wk * evaluate(sp, x)
-        return out
-
-
-class FieldSource(_SnapshotSplines):
-    """Sampler of one field of a field series: cubic interpolation over the
-    largest valid run in x, linear interpolation between snapshots in time.
-    Queries outside the valid region raise.  ``velocity`` gives the values
-    of the field, ``sample`` the (v, dv/dx, L) triple of the RK4 march with
-    L = 0.0."""
-
-    def __init__(self, fseries, field="v"):
-        super().__init__(fseries, (field,))
-        self.field = field
-
-    def _grid_values(self, snap):
-        return self._values(snap, self.field)
-
-    def velocity(self, x, t):
-        return self._blend(x, t, NotAKnotSpline.__call__)
-
-    def sample(self, x, t):
-        v, g = self._blend(x, t, NotAKnotSpline.value_and_slope)
-        return v, g, 0.0
-
-
 # ---------- stacks: the flows of one march ----------
 
 class SourceStack:
@@ -210,35 +118,101 @@ class SourceStack:
         return SourceStack(self.sources[j:j + 1], self.flows[j:j + 1])
 
 
-class FieldStack(_SnapshotSplines):
+class FieldStack:
     """The velocity fields and action rates of k flows of one field series,
     marched together as one state of shape (k, n_labels).
 
     ``specs`` holds one (field, rate, factor) per flow: the flow's velocity
-    is ``factor`` times ``field``, and its action rate is ``rate`` (one of
-    ``L_plus``, ``L_minus`` and ``L``), or 0.0 when ``rate`` is None.  Each
-    snapshot is splined once, with one column per distinct field and rate;
-    the columns share the largest valid run, so the knots.  ``sample`` makes
-    one interval search per bracketing snapshot over all k n points, then
-    gathers for each point only its own flow's field and rate columns, and
-    gives v, dv/dx and L, each of shape (k, n).
-    Every flow gets the bits of a ``FieldSource`` of its field, scaled as
-    ``ScaledSource`` scales, with its rate's values as L.
+    is ``factor`` times ``field``, and its action rate is ``rate``, or 0.0
+    when ``rate`` is None.  Fields and rates are named from the stored
+    fields (``v``, ``v_plus``, ``v_minus``, ``u``, ``rho``) and the
+    Lagrangian rates m v^2 / 2 - Q - V of the plus, minus and mean flows
+    (``L_plus``, ``L_minus``, ``L``).
+
+    Each snapshot is splined once over its largest valid run, with one
+    column per distinct field and rate; the columns share the run, so the
+    knots.  Between snapshots the splines are blended linearly in time.
+    Only the splines of the two snapshots that bracket the latest query are
+    kept: a march moves one way in time, so an older snapshot is not asked
+    for again.  Queries outside the valid run or the sampled span raise a
+    ``DomainError``.
+
+    ``sample(x, t)`` on x of shape (k, n) makes one interval search per
+    bracketing snapshot over all k n points, then gathers for each point
+    only its own flow's field and rate columns, and gives v, dv/dx and L,
+    each of shape (k, n).  On a one-flow stack, ``velocity(x, t)`` gives
+    ``factor`` times the field at points of any shape, with the bits of the
+    v of ``sample``.
     """
 
+    FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
+    RATE_TERMS = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"),
+                  "L": ("v", "Q")}
+
     def __init__(self, fseries, specs, flows=None):
+        self.fseries = fseries
         self.specs = tuple(specs)
         self.flows = tuple(flows) if flows is not None else (None,) * len(self.specs)
         self.columns = tuple(dict.fromkeys(
             name for field, rate, _ in self.specs for name in (field, rate) if name is not None))
-        super().__init__(fseries, self.columns)
+        for name in self.columns:
+            if name not in self.FIELD_NAMES and name not in self.RATE_TERMS:
+                raise PreconditionError(f"unknown field {name!r}")
+        self._splines = {}
         self._v_cols = np.array([self.columns.index(f) for f, _, _ in self.specs])
         # a flow without a rate gathers its field column, and sample sets its L to 0.0
         self._rate_cols = np.array([self.columns.index(r or f) for f, r, _ in self.specs])
         self._cols = np.empty((2, 0), dtype=int)  # each point's two columns, for the last size
 
-    def _grid_values(self, snap):
-        return np.stack([self._values(snap, name) for name in self.columns], axis=1)
+    def _values(self, snap, name):
+        if name not in self.RATE_TERMS:
+            return getattr(snap, name)
+        v, Q = (getattr(snap, term) for term in self.RATE_TERMS[name])
+        params = self.fseries.params
+        return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
+
+    def _bracket(self, t):
+        times = self.fseries.times
+        dt = self.fseries.dt
+        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+            raise DomainError(0.0, t, "time outside the sampled span")
+        if dt == 0.0:
+            return 0, 0, 0.0
+        k = int(np.floor((t - times[0]) / dt))
+        k = min(max(k, 0), len(times) - 2)
+        w = (t - times[k]) / dt
+        return k, k + 1, min(max(w, 0.0), 1.0)
+
+    def _blend(self, x, t, evaluate):
+        """Time blend 0.0 + (1 - w) evaluate(sp_k, x) + w evaluate(sp_k+1, x)
+        over the splines of the two snapshots bracketing t, without a term
+        of weight 0; the splines of other snapshots are dropped.  The first
+        point of x outside a valid run raises a DomainError that carries its
+        flat index."""
+        x = np.asarray(x, dtype=float)
+        k0, k1, w = self._bracket(t)
+        for k in [k for k in self._splines if k not in (k0, k1)]:
+            del self._splines[k]
+        x_lo, x_hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+        out = 0.0
+        for k, wk in ((k0, 1.0 - w), (k1, w)):
+            if wk == 0.0:
+                continue
+            if k not in self._splines:
+                snap = self.fseries.snapshots[k]
+                sp = snap.spline(np.stack([self._values(snap, name) for name in self.columns], 1))
+                self._splines[k] = sp, sp.x[0], sp.x[-1]
+            sp, lo, hi = self._splines[k]
+            if x_lo < lo or x_hi > hi:
+                i = int(np.flatnonzero((x < lo) | (x > hi))[0])
+                raise DomainError(float(x.flat[i]), t, index=i)
+            out = out + wk * evaluate(sp, x)
+        return out
+
+    def velocity(self, x, t):
+        """``factor`` times the field of a one-flow stack at the points x."""
+        (_, _, factor), = self.specs  # its field is column 0
+        return factor * self._blend(x, t, lambda sp, x: sp(x)[..., 0])
 
     def sample(self, x, t):
         k, n = x.shape

@@ -4,9 +4,12 @@ Tridiagonal systems go straight to LAPACK (gtsv, or one gttrf reused by
 gttrs solves); piecewise cubic Hermite evaluation and its monotone inversion
 share one interval locator and one cubic formula.  The not-a-knot spline
 solves its slopes through the same gtsv and evaluates from per-interval
-polynomial coefficients.  Spline slopes, splines and Hermite evaluation take
-several value columns on shared knots at once; ``NaturalSplines`` takes
-several knot sets at once, as one block-diagonal system factored once.
+polynomial coefficients along one path: an interval search (``locate``),
+then a gather of each point's own columns (``own_column``), which calling
+the spline does over every column.  Spline slopes, splines and Hermite
+evaluation take several value columns on shared knots at once;
+``NaturalSplines`` takes several knot sets at once, as one block-diagonal
+system factored once.
 """
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -272,11 +275,12 @@ class NotAKnotSpline:
     A Practical Guide to Splines, ch. IV).
 
     y of shape (n,) or (n, k): the k columns share the knots, the one slope
-    solve and the one interval search per query point.  Calling the spline
-    at points of shape (m,) gives values of shape (m,) or (m, k), and
-    ``value_and_slope`` gives values and first derivatives from one search;
-    ``locate`` and ``own_column`` evaluate each point on a column of its
-    own.  Points beyond the ends use the end intervals.
+    solve and the one interval search per query point.  ``locate`` makes
+    that search, and ``own_column`` evaluates each located point on a
+    column of its own, with first derivatives on request.  Calling the
+    spline is ``own_column`` over every column: points of shape (m,) or a
+    scalar give values of shape (m,) or (m, k), or () or (k,).  Points
+    beyond the ends use the end intervals.
     The slope system, the coefficients and the order of every sum are those
     of SciPy's CubicSpline, so the results are bit-identical to it.
     """
@@ -316,17 +320,12 @@ class NotAKnotSpline:
         t = (m[:-1] + m[1:] - 2 * delta) / hr
         self.x = x
         self._inner = x[1:-1]
-        self._c = np.stack((t / hr, (delta - m[:-1]) / hr - t, m[:-1] + 0.0, y[:-1] + 0.0))
-
-    def _terms(self, xq):
-        """Local coordinate, its square and the four coefficients at xq."""
-        xq = np.asarray(xq, dtype=float)
-        i = self._inner.searchsorted(xq, side="right")
-        s = xq - self.x.take(i)
-        if self._c.ndim == 3:
-            # a full (m, k) array: numpy broadcasts a (m, 1) one more slowly
-            s = s[..., None].repeat(self._c.shape[2], axis=-1)
-        return (s, s * s) + tuple(self._c.take(i, axis=1))
+        # in C order, whatever the order of y, so that column col of interval
+        # i is entry i n_cols + col of a (4, -1) view
+        self._c = np.empty((4,) + delta.shape)
+        np.stack((t / hr, (delta - m[:-1]) / hr - t, m[:-1] + 0.0, y[:-1] + 0.0), out=self._c)
+        self._n_cols = self._c.shape[2] if self._c.ndim == 3 else 1
+        self._flat = self._c.reshape(4, -1)
 
     @staticmethod
     def _value(s, s2, c0, c1, c2, c3):
@@ -337,7 +336,8 @@ class NotAKnotSpline:
         return (c2 + (c1 * s) * 2.0) + (c0 * s2) * 3.0
 
     def __call__(self, xq):
-        return self._value(*self._terms(xq))
+        """Values at the points xq, of shape xq.shape or xq.shape + (k,)."""
+        return self.own_column(self.locate(xq))
 
     def locate(self, xq):
         """Interval index, local coordinate s and s^2 at the points xq: the
@@ -347,29 +347,28 @@ class NotAKnotSpline:
         s = xq - self.x.take(i)
         return i, s, s * s
 
-    def own_column(self, located, cols, slope=False):
+    def own_column(self, located, cols=None, slope=False):
         """Value at each located point of its own column: ``cols`` holds a
         column index per point, or one for all, or rows of them of shape
-        (r, m) for r columns per point.  With ``slope`` the first
-        derivatives are stacked with the values along a new first axis.
-        Each point gathers only its own columns' coefficients, at flat index
-        i n_cols + col of the coefficients reshaped to (4, -1), so a column
-        costs what it costs on a one-column spline and gets that spline's
-        bits."""
+        (r, m) for r columns per point; None gives every column, last.
+        With ``slope`` the first derivatives are stacked with the values
+        along a new first axis.  Each point gathers only its own columns'
+        coefficients, at flat index i n_cols + col of the coefficients
+        reshaped to (4, -1), so a column costs what it costs on a one-column
+        spline and gets that spline's bits."""
         i, s, s2 = located
-        n_cols = self._c.shape[2] if self._c.ndim == 3 else 1
-        terms = (s, s2) + tuple(self._c.reshape(4, -1).take(i * n_cols + cols, axis=1))
+        if cols is None:
+            coef = self._c.take(i, axis=1)
+            if self._c.ndim == 3:
+                s, s2 = s[..., None], s2[..., None]
+                if self._n_cols > 1:
+                    # full arrays: numpy broadcasts a (..., 1) one more slowly
+                    s, s2 = s.repeat(self._n_cols, axis=-1), s2.repeat(self._n_cols, axis=-1)
+        else:
+            coef = self._flat.take(i * self._n_cols + cols, axis=1)
+        terms = (s, s2) + tuple(coef)
         if not slope:
             return self._value(*terms)
-        out = np.empty((2,) + terms[2].shape)
-        out[0] = self._value(*terms)
-        out[1] = self._slope(*terms)
-        return out
-
-    def value_and_slope(self, xq):
-        """Values and first derivatives at xq from one interval search,
-        stacked along a new first axis; the values are the bits of self(xq)."""
-        terms = self._terms(xq)
         out = np.empty((2,) + terms[2].shape)
         out[0] = self._value(*terms)
         out[1] = self._slope(*terms)

@@ -35,7 +35,6 @@ from .compose import (
 )
 from .congruence import (
     CallableSource,
-    FieldSource,
     FieldStack,
     LabelSet,
     ScaledSource,
@@ -355,14 +354,13 @@ class FieldLibrary:
         """The velocity field ``name`` scaled by ``factor``."""
         if self.analytic:
             src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[name]))
-        else:
-            src = FieldSource(self.fseries, name)
-        return ScaledSource(src, factor)
+            return ScaledSource(src, factor)
+        return FieldStack(self.fseries, [(name, None, factor)])
 
     def rho(self):
         if self.analytic:
             return lambda x, t: gaussian.rho(self.g, x, t)
-        return FieldSource(self.fseries, "rho").velocity
+        return FieldStack(self.fseries, [("rho", None, 1.0)]).velocity
 
     def congruence_sources(self, cids):
         """The velocity fields and action rates of the congruences ``cids``,

@@ -5,7 +5,6 @@ from scipy.interpolate import CubicSpline
 from bihj import gaussian
 from bihj.congruence import (
     CallableSource,
-    FieldSource,
     FieldStack,
     LabelSet,
     ScaledSource,
@@ -16,6 +15,7 @@ from bihj.congruence import (
 )
 from bihj.errors import (
     CongruenceCrossingError,
+    DomainError,
     ExtrapolationError,
     FocalPointError,
     PreconditionError,
@@ -63,6 +63,59 @@ def three_calls(labels, velocity, rate, chi, times):
         chis.append(chi)
     qdots.append(np.asarray(velocity.velocity(q, times[-1]), dtype=float) + zeros)
     return np.array(qs), np.array(qdots), np.array(Js), np.array(chis)
+
+
+def field_values(fs, snap, name):
+    """Grid values of a stored field of a snapshot, or of the Lagrangian
+    rate m v^2 / 2 - Q - V of the plus, minus or mean flow."""
+    terms = {"L_plus": ("v_plus", "Q_plus"), "L_minus": ("v_minus", "Q_minus"), "L": ("v", "Q")}
+    if name not in terms:
+        return getattr(snap, name)
+    v, Q = (getattr(snap, term) for term in terms[name])
+    return 0.5 * fs.params.mass * v**2 - Q - fs.params.potential.on_grid(snap.grid, fs.params.mass)
+
+
+def bracket(fs, t):
+    """The snapshots k and k + 1 around t, and the weight w of k + 1."""
+    k = min(max(int(np.floor((t - fs.times[0]) / fs.dt)), 0), len(fs.times) - 2)
+    return k, k + 1, min(max((t - fs.times[k]) / fs.dt, 0.0), 1.0)
+
+
+class SnapshotBlend:
+    """Reference of one flow of a FieldStack, written out: the one-column
+    splines snapshot.spline(values) of the snapshots k and k + 1 around t,
+    summed as 0.0 + (1 - w) sp_k + w sp_k+1 without a term of weight 0, and
+    scaled by ``factor``."""
+
+    def __init__(self, fs, name, factor=1.0):
+        self.fs, self.factor = fs, factor
+        self.splines = [snap.spline(field_values(fs, snap, name)) for snap in fs.snapshots]
+
+    def _blend(self, x, t):
+        k0, k1, w = bracket(self.fs, t)
+        out = 0.0
+        for k, wk in ((k0, 1.0 - w), (k1, w)):
+            if wk != 0.0:
+                sp = self.splines[k]
+                out = out + wk * sp.own_column(sp.locate(x), 0, slope=True)
+        return self.factor * out
+
+    def velocity(self, x, t):
+        return self._blend(x, t)[0]
+
+    def sample(self, x, t):
+        v, g = self._blend(x, t)
+        return v, g, 0.0
+
+
+@pytest.fixture(scope="module")
+def harmonic_series():
+    """A moving Gaussian in a harmonic well on Crank-Nicolson snapshots:
+    200 steps of 1e-3, every tenth stored."""
+    params = PhysicalParams(potential=Potential.harmonic(0.5))
+    grid = SpatialGrid(-10.0, 10.0, 512)
+    snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
+    return derive_series(evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=10))
 
 
 class TestLabelSet:
@@ -147,7 +200,8 @@ class TestIntegration:
         fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=10))
         labels = LabelSet.uniform(-4.0, 4.0, 9)
         with pytest.raises(TrajectoryExitError) as err:
-            integrate_congruence(FieldSource(fs, "v_minus"), labels, np.linspace(0.0, 0.4, 401))
+            integrate_congruence(FieldStack(fs, [("v_minus", None, 1.0)]), labels,
+                                 np.linspace(0.0, 0.4, 401))
         assert abs(err.value.label) == 4.0
         assert 0.0 < err.value.time < 0.4
 
@@ -160,7 +214,7 @@ class TestIntegration:
         labels = LabelSet.uniform(-4.0, 4.0, 9)
         times = np.linspace(0.0, 0.4, 401)
         with pytest.raises(TrajectoryExitError) as alone:
-            integrate_congruence(FieldSource(fs, "v_minus"), labels, times)
+            integrate_congruence(FieldStack(fs, [("v_minus", None, 1.0)]), labels, times)
         stack = FieldStack(fs, [("v", "L", 1.0), ("v_minus", "L_minus", 1.0)], ("dbb", "minus"))
         with pytest.raises(TrajectoryExitError) as err:
             integrate_congruence(stack, labels, times)
@@ -213,6 +267,33 @@ class TestIntegration:
             want = three_calls(labels, src, rate, chi, times)
             for name, arr in zip(("q", "qdot", "J", "chi"), want):
                 assert np.array_equal(getattr(c, name), arr), name
+
+    def test_final_velocity_of_a_flow_outside_keeps_its_last_row(self):
+        # both flows contract as dq/dt = -q; the field of the "edge" flow
+        # ends at x = edge at the final time.  The last RK4 stage lands
+        # inside, by q (1 - h + h^2/2 - h^3/4) from the previous positions;
+        # the final positions, by one RK4 step, do not
+        labels = LabelSet.uniform(0.5, 1.0, 6)
+        times = np.linspace(0.0, 1.0, 5)
+        h = times[1]
+        step = 1.0 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
+        edge = step**3 * (step + (1.0 - h + h**2 / 2 - h**3 / 4)) / 2
+
+        def bounded(x, t):
+            x = np.asarray(x, dtype=float)
+            if t >= times[-1] and (x > edge).any():
+                raise DomainError(float(x.max()), t)
+            return -x
+
+        minus_one = lambda x, t: -1.0 + 0.0 * np.asarray(x, dtype=float)
+        stack = SourceStack([CallableSource(bounded, minus_one),
+                             CallableSource(lambda x, t: -np.asarray(x, dtype=float), minus_one)],
+                            ("edge", "calm"))
+        edge_flow, calm = integrate_congruence(stack, labels, times)
+        assert edge_flow.q[-1, -1] > edge
+        assert np.array_equal(edge_flow.qdot[-1], edge_flow.qdot[-2])
+        assert not np.array_equal(edge_flow.qdot[-1], -edge_flow.q[-1])
+        assert np.array_equal(calm.qdot[-1], -calm.q[-1])
 
     def test_health_of_the_closed_form_flows(self, g, labels, times, plus_congruence,
                                              minus_congruence, dbb_congruence):
@@ -326,6 +407,9 @@ class TestTrajectoryDensity:
 
 
 class TestFieldSource:
+    """Sampled fields: one-flow and k-flow FieldStacks against the spline
+    blends of their snapshots."""
+
     def test_sampled_fields_drive_accurate_trajectories(self, params, g):
         grid = SpatialGrid(-10.0, 10.0, 2048)
         wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
@@ -333,16 +417,12 @@ class TestFieldSource:
         fs = derive_series(wave)
         labels = LabelSet.uniform(-3.0, 3.0, 61)
         times = np.linspace(0.0, 1.0, 1001)
-        c = integrate_congruence(FieldSource(fs, "v_plus"), labels, times)
+        c, = integrate_congruence(FieldStack(fs, [("v_plus", None, 1.0)]), labels, times)
         exact = labels.values * gaussian.path_scale(g, "plus", 1.0)
         assert np.abs(c.q[-1] - exact).max() < 1e-4
 
-    def test_one_sample_per_stage_is_the_three_call_march(self):
-        # a moving Gaussian in a harmonic well on Crank-Nicolson snapshots
-        params = PhysicalParams(potential=Potential.harmonic(0.5))
-        grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
-        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=10))
+    def test_one_sample_per_stage_is_the_three_call_march(self, harmonic_series):
+        fs = harmonic_series
         labels = LabelSet.uniform(-1.5, 1.5, 41)
         # (name, field, rate, factor, initial action): the three flows of
         # simulate, and the rate-less half-speed host of composition case ii
@@ -352,8 +432,8 @@ class TestFieldSource:
         snap0 = fs.snapshots[0]
         chi0 = [snap0.spline(getattr(snap0, a))(labels.values) if a else None
                 for *_, a in flows]
-        alone = [(ScaledSource(FieldSource(fs, f), c) if c != 1.0 else FieldSource(fs, f),
-                  FieldSource(fs, r) if r else None) for _, f, r, c, _ in flows]
+        alone = [(SnapshotBlend(fs, f, c), SnapshotBlend(fs, r) if r else None)
+                 for _, f, r, c, _ in flows]
 
         # the snapshot times themselves put the first stage of every step on
         # a snapshot, where one of the two weights is 0; the finer times also
@@ -361,8 +441,7 @@ class TestFieldSource:
         snapshot_stage = 0
         for times in (fs.times, np.linspace(0.0, 0.2, 81)):
             for t in times:
-                k0, k1, w = FieldSource(fs, "v")._bracket(t)
-                snapshot_stage += w in (0.0, 1.0)
+                snapshot_stage += bracket(fs, t)[2] in (0.0, 1.0)
             stack = FieldStack(fs, [(f, r, c) for _, f, r, c, _ in flows],
                                [name for name, *_ in flows])
             got = integrate_congruence(stack, labels, times, initial_actions=chi0)
@@ -403,18 +482,17 @@ class TestFieldSource:
         assert max(len(keys) for keys in held) == 2
         assert sorted(set().union(*held)) == list(range(len(fs.times)))
 
-    def test_velocity_is_the_value_of_sample(self, g):
-        # the two operations of every source give one field, byte for byte
-        params = PhysicalParams(potential=Potential.harmonic(0.5))
-        grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
-        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 40, store_every=10))
+    def test_velocity_is_the_value_of_sample(self, g, harmonic_series):
+        # the two operations of every source give one field, byte for byte,
+        # and a one-flow stack's velocity is the blend of its snapshots
+        fs = harmonic_series
         analytic = CallableSource(*gaussian.velocity_field(g, "plus"),
                                   gaussian.action_rate(g, "plus"))
         sources = [analytic, ScaledSource(analytic, -0.5),
-                   CallableSource(*gaussian.velocity_field(g, "u")),
-                   FieldSource(fs, "v_plus"), FieldSource(fs, "L_plus"),
-                   FieldSource(fs, "rho"), ScaledSource(FieldSource(fs, "u"), 0.5)]
+                   CallableSource(*gaussian.velocity_field(g, "u"))]
+        fields = (("v_plus", 1.0), ("L_plus", 1.0), ("rho", 1.0), ("u", 0.5))
+        stacks = [(FieldStack(fs, [(name, None, factor)]), SnapshotBlend(fs, name, factor))
+                  for name, factor in fields]
         x = np.r_[np.linspace(-2.0, 2.0, 41), -0.0, 0.0]
         # snapshot times and times between them
         for t in np.r_[fs.times, fs.times[:-1] + 0.37 * fs.dt]:
@@ -423,29 +501,49 @@ class TestFieldSource:
                 sampled = src.sample(x, t)[0]
                 assert np.shape(value) == np.shape(sampled) == x.shape
                 assert np.asarray(value).tobytes() == np.asarray(sampled).tobytes()
+            for stack, blend in stacks:
+                value = stack.velocity(x, t)
+                sampled = stack.sample(x[None], t)[0][0]
+                assert value.shape == sampled.shape == x.shape
+                assert value.tobytes() == sampled.tobytes() == blend.velocity(x, t).tobytes()
+                assert stack.velocity(x[3], t).tobytes() == value[3].tobytes()
+
+    def test_last_snapshot_time_reads_only_the_last_snapshot(self, params):
+        # at the last snapshot time the earlier snapshot has weight 0: a point
+        # inside the last valid run but outside the one before is sampled
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        snap = build_initial_state(InitialStateSpec.gaussian(0.7, momentum=3.0), grid, params)
+        wave = evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=100)
+        fs = derive_series(wave, rho_min=1e-4 * snap.density().max())
+        x = np.array([3.4834])
+        (a, b), (a_last, b_last) = (s.largest_run() for s in fs.snapshots[-2:])
+        assert not grid.x[a] <= x[0] <= grid.x[b - 1]
+        assert grid.x[a_last] <= x[0] <= grid.x[b_last - 1]
+        last = fs.snapshots[-1].spline(fs.snapshots[-1].v)(x)
+        stack = FieldStack(fs, [("v", None, 1.0)])
+        assert last[0] == pytest.approx(3.5716, abs=1e-4)
+        assert stack.velocity(x, fs.times[-1]).tobytes() == last.tobytes()
+        assert stack.sample(x[None], fs.times[-1])[0].tobytes() == last.tobytes()
 
     def test_queries_outside_span_raise(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)
         wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
                                np.arange(3) * 1e-2)
         fs = derive_series(wave)
-        src = FieldSource(fs, "v")
-        from bihj.errors import DomainError
+        src = FieldStack(fs, [("v", None, 1.0)])
         with pytest.raises(DomainError):
             src.velocity(np.array([25.0]), 0.0)
         with pytest.raises(DomainError):
             src.velocity(np.array([0.0]), 5.0)
 
-    def test_action_rates_are_lagrangians_of_the_flows(self):
-        params = PhysicalParams(potential=Potential.harmonic(0.5))
-        grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
-        fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 20, store_every=10))
+    def test_action_rates_are_lagrangians_of_the_flows(self, harmonic_series):
+        fs = harmonic_series
+        params, grid = fs.params, fs.snapshots[0].grid
         V = params.potential.on_grid(grid, params.mass)
         x = np.linspace(-2.0, 2.0, 33)
         for name, v, Q in (("L_plus", "v_plus", "Q_plus"), ("L_minus", "v_minus", "Q_minus"),
                            ("L", "v", "Q")):
-            src = FieldSource(fs, name)
+            src = FieldStack(fs, [(name, None, 1.0)])
             for k, s in enumerate(fs.snapshots):
                 lagrangian = 0.5 * params.mass * getattr(s, v) ** 2 - getattr(s, Q) - V
                 a, b = s.largest_run()
@@ -453,4 +551,4 @@ class TestFieldSource:
                 got = src.velocity(x, fs.times[k])
                 assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         with pytest.raises(PreconditionError):
-            FieldSource(fs, "Q_plus")
+            FieldStack(fs, [("Q_plus", None, 1.0)])

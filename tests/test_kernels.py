@@ -155,6 +155,13 @@ def _bits(a):
     return a.shape, a.tobytes()
 
 
+def _own_columns(sp, xq, columns):
+    """Values and slopes of each column j at xq from one own_column call,
+    shape (2,) + xq.shape per column; the one column of y of shape (n,) is 0."""
+    at = sp.locate(xq)
+    return [sp.own_column(at, j, slope=True) for j in range(1 if columns is None else columns)]
+
+
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("columns", [None, 1, 3])
 def test_not_a_knot_spline_is_scipy_cubic_spline(rng, uniform, columns):
@@ -164,13 +171,14 @@ def test_not_a_knot_spline_is_scipy_cubic_spline(rng, uniform, columns):
         y = rng.normal(size=(n,) if columns is None else (n, columns))
         xq = np.r_[x, rng.uniform(x[0], x[-1], 100), x[0] - 0.7, x[-1] + 0.4, x[0] - 1e-9]
         sp = K.NotAKnotSpline(x, y)
-        for nu in (0, 1):
-            out = sp(xq) if nu == 0 else sp.value_and_slope(xq)[1]
-            assert out.shape == xq.shape + y.shape[1:]
-            # every column is the one-column scipy spline of that column
-            for j in range(1 if columns is None else columns):
-                yj, oj = (y, out) if columns is None else (y[:, j], out[:, j])
-                assert _bits(oj) == _bits(CubicSpline(x, yj)(xq, nu))
+        values = sp(xq)
+        assert values.shape == xq.shape + y.shape[1:]
+        # every column, called or gathered, is the one-column scipy spline
+        for j, both in enumerate(_own_columns(sp, xq, columns)):
+            yj, vj = (y, values) if columns is None else (y[:, j], values[:, j])
+            assert _bits(vj) == _bits(CubicSpline(x, yj)(xq))
+            for nu in (0, 1):
+                assert _bits(both[nu]) == _bits(CubicSpline(x, yj)(xq, nu))
         assert np.shape(sp(x[2])) == y.shape[1:]
 
 
@@ -181,14 +189,17 @@ def test_not_a_knot_spline_keeps_the_sign_of_zero():
     y = -x - x**2 - x**3
     sp = K.NotAKnotSpline(x, y)
     assert _bits(sp(x)) == _bits(CubicSpline(x, y)(x, 0))
-    assert _bits(sp.value_and_slope(x)[1]) == _bits(CubicSpline(x, y)(x, 1))
+    both, = _own_columns(sp, x, None)
+    assert _bits(both[0]) == _bits(CubicSpline(x, y)(x, 0))
+    assert _bits(both[1]) == _bits(CubicSpline(x, y)(x, 1))
 
 
 @pytest.mark.parametrize("columns", [None, 3])
 def test_value_and_slope_is_both_calls(rng, columns):
-    # one interval search gives the bits of sp(x) and of scipy's first
-    # derivative, sign of zero included; queries lie at the knots, inside and
-    # beyond both ends
+    # one interval search and one gather give the bits of scipy's value and
+    # first derivative of each column, sign of zero included, and the bits
+    # of calling the spline; queries lie at the knots, inside and beyond
+    # both ends, as (m,) arrays and as scalars
     for n, uniform in ((4, True), (9, False), (201, True), (201, False)):
         x = (np.linspace(-4.0, 4.0, n) if uniform
              else np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0)
@@ -196,12 +207,17 @@ def test_value_and_slope_is_both_calls(rng, columns):
                   -x - x**2 - x**3 if columns is None else np.stack([-x - x**2 - x**3] * 3, 1)):
             sp = K.NotAKnotSpline(x, y)
             xq = np.r_[x, rng.uniform(x[0], x[-1], 50), x[0] - 0.7, x[-1] + 0.4, x[0] - 1e-9]
-            value, slope = sp.value_and_slope(xq)
-            slopes = [CubicSpline(x, yj)(xq, 1) for yj in np.atleast_2d(y.T)]
-            scipy_slope = slopes[0] if columns is None else np.stack(slopes, 1)
-            assert np.array_equal(value, sp(xq)) and np.array_equal(slope, scipy_slope)
-            assert _bits(value) == _bits(sp(xq)) and _bits(slope) == _bits(scipy_slope)
-            assert sp.value_and_slope(x[2]).shape == (2,) + y.shape[1:]
+            values = sp(xq).reshape(xq.shape[0], -1)
+            for j, both in enumerate(_own_columns(sp, xq, columns)):
+                scipy = CubicSpline(x, y if columns is None else y[:, j])
+                assert both.shape == (2,) + xq.shape
+                assert _bits(both[0]) == _bits(scipy(xq)) == _bits(values[:, j])
+                assert _bits(both[1]) == _bits(scipy(xq, 1))
+                for p in (2, n + 3):
+                    at = _own_columns(sp, xq[p], columns)[j]
+                    assert _bits(at) == _bits(np.array([scipy(xq[p]), scipy(xq[p], 1)]))
+                    assert _bits(np.reshape(sp(xq[p]), -1)[j]) == _bits(scipy(xq[p]))
+            assert np.shape(sp(xq[2])) == y.shape[1:]
 
 
 def test_not_a_knot_spline_needs_four_knots():
