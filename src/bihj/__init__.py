@@ -21,11 +21,9 @@ from .compose import (  # noqa: F401
     source_term,
 )
 from .congruence import (  # noqa: F401
-    CallableSource,
     Congruence,
     FieldStack,
     LabelSet,
-    SourceStack,
     integrate_congruence,
     invert_labels,
     trajectory_density,
@@ -41,7 +39,7 @@ from .fields import (  # noqa: F401
     stationary_points,
     time_reversal_check,
 )
-from .gaussian import GaussianParams  # noqa: F401
+from .gaussian import GaussianParams, GaussianStack  # noqa: F401
 from .reconstruct import (  # noqa: F401
     bihj_wavefunction_at,
     polar_wavefunction_at,

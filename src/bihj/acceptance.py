@@ -24,15 +24,7 @@ from .compose import (
     conservation_check,
     mixture_check,
 )
-from .congruence import (
-    CallableSource,
-    FieldStack,
-    LabelSet,
-    ScaledSource,
-    SourceStack,
-    integrate_congruence,
-    trajectory_density,
-)
+from .congruence import FieldStack, LabelSet, integrate_congruence, trajectory_density
 from .fields import (
     derive_series,
     fokker_planck_residuals,
@@ -40,6 +32,7 @@ from .fields import (
     stationary_points,
     time_reversal_check,
 )
+from .gaussian import GaussianStack
 from .kernels import fd_derivative, strict_extrema
 from .reconstruct import (
     bihj_wavefunction_at,
@@ -94,30 +87,25 @@ class AcceptanceContext:
     def times(self):
         return self._get("times", lambda: np.linspace(0.0, 1.0, 1001))
 
-    def _oracle_congruence(self, kind, rate, action0):
-        src = CallableSource(*gaussian.velocity_field(self.g, kind),
-                             gaussian.action_rate(self.g, rate) if rate else None)
-        act = (lambda q: action0(q)) if action0 else None
-        return integrate_congruence(src, self.labels(), self.times(), initial_actions=act)
-
-    def plus(self):
-        return self._get("plus", lambda: self._oracle_congruence(
-            "plus", "plus", lambda q: gaussian.action_plus(self.g, q, 0.0)))
-
-    def minus(self):
-        return self._get("minus", lambda: self._oracle_congruence(
-            "minus", "minus", lambda q: gaussian.action_minus(self.g, q, 0.0)))
-
-    def dbb(self):
-        return self._get("dbb", lambda: self._oracle_congruence(
-            "dbb", "polar", lambda q: gaussian.phase_action(self.g, q, 0.0)))
-
-    def half_plus(self):
-        return self._get("half_plus", lambda: self._oracle_congruence("half_plus", None, None))
+    def oracle(self, flow):
+        """The closed-form congruence of ``flow`` ("plus", "minus", the mean
+        flow "dbb" or "half_plus"); the first use marches all four together."""
+        def build():
+            g = self.g
+            flows = {
+                "plus": (("v_plus", "L_plus", 1.0), lambda q: gaussian.action_plus(g, q, 0.0)),
+                "minus": (("v_minus", "L_minus", 1.0), lambda q: gaussian.action_minus(g, q, 0.0)),
+                "dbb": (("v", "L", 1.0), lambda q: gaussian.phase_action(g, q, 0.0)),
+                "half_plus": (("v_plus", None, 0.5), None)}
+            stack = GaussianStack(g, [spec for spec, _ in flows.values()], tuple(flows))
+            return dict(zip(flows, integrate_congruence(
+                stack, self.labels(), self.times(),
+                initial_actions=[act for _, act in flows.values()])))
+        return self._get("oracle", build)[flow]
 
     def bi(self):
         return self._get("bi", lambda: BiCongruence.from_congruences(
-            self.params, self.plus(), self.minus(),
+            self.params, self.oracle("plus"), self.oracle("minus"),
             lambda q: gaussian.action_plus(self.g, q, 0.0),
             lambda q: gaussian.action_minus(self.g, q, 0.0)))
 
@@ -127,24 +115,23 @@ class AcceptanceContext:
     def rho0(self):
         return lambda q: gaussian.rho(self.g, q, 0.0)
 
-    def u_source(self):
-        return CallableSource(*gaussian.velocity_field(self.g, "u"))
+    def field(self, name, factor):
+        """The closed-form field ``name`` scaled by ``factor``, as a one-flow stack."""
+        return GaussianStack(self.g, [(name, None, factor)])
 
     # -- compositions --
 
     def composition(self, case):
         def build():
             if case == "i":
-                setup = CompositionSetup(self.plus(), ScaledSource(self.u_source(), -0.5),
+                setup = CompositionSetup(self.oracle("plus"), self.field("u", -0.5),
                                          LabelSet.uniform(-1.6, 1.6, 81))
             elif case == "converse":
-                setup = CompositionSetup(self.dbb(), ScaledSource(self.u_source(), +0.5),
+                setup = CompositionSetup(self.oracle("dbb"), self.field("u", +0.5),
                                          LabelSet.uniform(-2.5, 2.5, 81))
             else:
-                setup = CompositionSetup(
-                    self.half_plus(),
-                    CallableSource(*gaussian.velocity_field(self.g, "half_minus")),
-                    LabelSet.uniform(-2.0, 2.0, 81))
+                setup = CompositionSetup(self.oracle("half_plus"), self.field("v_minus", 0.5),
+                                         LabelSet.uniform(-2.0, 2.0, 81))
             return setup, compose_trajectories(setup)
         return self._get(f"composition_{case}", build)
 
@@ -158,8 +145,8 @@ class AcceptanceContext:
 
     def reference_driven_fine(self):
         def build():
-            stack = SourceStack([CallableSource(*gaussian.velocity_field(self.g, flow))
-                                 for flow in ("plus", "minus")], ("plus", "minus"))
+            stack = GaussianStack(self.g, [("v_plus", None, 1.0), ("v_minus", None, 1.0)],
+                                  ("plus", "minus"))
             return integrate_congruence(stack, self.labels(), self.autonomous().times)
         return self._get("reference_driven_fine", build)
 
@@ -225,7 +212,7 @@ def _result(name, measured, tolerance, target=None, detail=""):
 def check_bi_hj_trajectories(ctx):
     g = ctx.g
     out = []
-    for kind, c in (("plus", ctx.plus()), ("minus", ctx.minus())):
+    for kind, c in (("plus", ctx.oracle("plus")), ("minus", ctx.oracle("minus"))):
         i = c.label_index(1.0)
         exact = gaussian.oracle_path(g, kind, 1.0, c.times)
         rel = np.abs(c.q[:, i] - exact) / np.abs(exact)
@@ -237,7 +224,7 @@ def check_bi_hj_trajectories(ctx):
 
 
 def check_mean_flow_trajectory(ctx):
-    c = ctx.dbb()
+    c = ctx.oracle("dbb")
     i = c.label_index(1.0)
     exact = gaussian.oracle_path(ctx.g, "dbb", 1.0, c.times)
     rel = np.abs(c.q[:, i] - exact) / np.abs(exact)
@@ -268,7 +255,7 @@ def check_composition_case_ii_and_converse(ctx):
     out = []
     setup, res = ctx.composition("ii")
     i = int(np.argmin(np.abs(res.labels_C.values - 1.0)))
-    qa = ctx.half_plus()
+    qa = ctx.oracle("half_plus")
     ia = qa.label_index(1.0)
     qa_exact = float(gaussian.oracle_path(g, "half_plus", 1.0, 1.0))
     qb_exact = float(gaussian.oracle_label_generator(g, "ii", 1.0, 1.0))
@@ -296,7 +283,7 @@ def check_composition_case_ii_and_converse(ctx):
     host = res_i.as_congruence()
     probe = LabelSet.uniform(-1.5, 1.5, 61)
     res_rt = compose_trajectories(CompositionSetup(
-        host, ScaledSource(ctx.u_source(), +0.5), probe))
+        host, ctx.field("u", +0.5), probe))
     worst = 0.0
     for j, t in enumerate(res_rt.times):
         exact = probe.values * gaussian.path_scale(g, "plus", t)
@@ -309,7 +296,7 @@ def check_composition_case_ii_and_converse(ctx):
 
 def check_reconstruction(ctx):
     g = ctx.g
-    bi, dbb = ctx.bi(), ctx.dbb()
+    bi, dbb = ctx.bi(), ctx.oracle("dbb")
     psi = bihj_wavefunction_at(bi, 0.0, 1.0)
     target = complex(gaussian.psi(g, 0.0, 1.0))
     out = [_result("wavefunction_from_actions_center", abs(psi - target), 1e-4,
@@ -340,7 +327,7 @@ def check_probability_from_actions(ctx):
     out = [_result("probability_from_action_difference",
                    abs(rho / target - 1.0), 1e-4, target=target,
                    detail=f"rho(0, 1) = {rho:.9f}")]
-    c = ctx.plus()
+    c = ctx.oracle("plus")
     i0 = c.label_index(0.0)
     inc = c.chi[-1, i0] - c.chi[0, i0]
     target_inc = -(np.pi / 4.0 + 0.5 * np.log(2.0)) / 2.0
@@ -352,19 +339,19 @@ def check_probability_from_actions(ctx):
 def check_non_conservation(ctx):
     g = ctx.g
     out = []
-    ratio = trajectory_density(ctx.plus(), ctx.rho0(), 0.0, 1.0) / gaussian.rho(g, 0.0, 1.0)
+    ratio = trajectory_density(ctx.oracle("plus"), ctx.rho0(), 0.0, 1.0) / gaussian.rho(g, 0.0, 1.0)
     target = float(np.exp(np.pi / 4.0))
     out.append(_result("trajectory_density_ratio", abs(ratio - target), 1e-3,
                        target=target,
                        detail=f"carried/true density at (0, 1) = {ratio:.6f}"))
-    rep = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.u_source(), 0.5,
+    rep = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.field("u", 1.0), 0.5,
                         np.array([0.0]), 1.0)
     cosh_target = float(np.cosh(np.pi / 4.0))
     out.append(_result("mixture_density_mismatch",
                        abs(rep.trajectory_ratio[0] - cosh_target), 1e-3,
                        target=cosh_target,
                        detail=f"half/half carried mixture over true density = {rep.trajectory_ratio[0]:.6f}"))
-    rep_w = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.u_source(), 0.5,
+    rep_w = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.field("u", 1.0), 0.5,
                           np.linspace(-1.5, 1.5, 11), 1.0)
     out.append(_result("mixture_restored_by_sources", rep_w.max_restored_gap, 1e-3,
                        detail="weighted carried densities plus weighted sources track the density"))
@@ -478,7 +465,7 @@ def check_properties(ctx):
     drift = abs(series.snapshots[-1].norm() - 1.0)
     out.append(_result("norm_conservation", drift, 1e-8,
                        detail="grid-solver norm drift over 10^4 steps"))
-    out.append(_result("jacobian_consistency", ctx.plus().jacobian_fd_mismatch(), 1e-4,
+    out.append(_result("jacobian_consistency", ctx.oracle("plus").jacobian_fd_mismatch(), 1e-4,
                        detail="variational J vs label finite difference, interior labels"))
 
     # the plus velocity field vanishes identically at t = 1 (the action pair
@@ -486,7 +473,7 @@ def check_properties(ctx):
     # momentum flux across the sampled times rather than per time
     worst = 0.0
     scale = 0.0
-    for c in (ctx.plus(), ctx.minus()):
+    for c in (ctx.oracle("plus"), ctx.oracle("minus")):
         h = c.labels.values[1] - c.labels.values[0]
         for k in (len(c.times) // 4, len(c.times) // 2, 3 * len(c.times) // 4,
                   len(c.times) - 1):

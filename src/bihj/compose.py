@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import LabelSet, ScaledSource, invert_labels
+from .congruence import LabelSet, invert_labels
 from .errors import PreconditionError, SpanExhaustionError
 from .kernels import (
     NotAKnotSpline,
@@ -220,8 +220,6 @@ def compose_trajectories(setup):
 class SourceTable:
     labels: np.ndarray
     times: np.ndarray
-    P_A: np.ndarray
-    integrand: np.ndarray
     c_A: np.ndarray
     rho_ratio: np.ndarray
     decomposition_gap: float
@@ -231,12 +229,14 @@ class SourceTable:
         return out if np.ndim(q0) else float(out[0])
 
 
-def source_term(A, rho_sampler, field_B, rho0):
+def source_term(A, P_A, v_B, rho0):
     """Accumulated source along a flow that does not conserve the density.
 
     c_A(q_A0, t) = -J_A^{-1} d/dq_A0  integral_0^t  P_A J_A V_B dt'
     with P_A the true density read along the congruence and V_B the
-    label-space form of the complementary field.  The leading minus follows
+    label-space form of the complementary field; ``P_A`` and ``v_B`` hold
+    the density and the complementary field at the congruence's positions,
+    one row per stored time.  The leading minus follows
     from time-integrating the label-space conservation law
     d(P_A J_A)/dt + d(P_A J_A V_B)/dq_A0 = 0; it is pinned down here by the
     decomposition identity P_A = rho0 J_A^{-1} + c_A, which the table
@@ -246,22 +246,39 @@ def source_term(A, rho_sampler, field_B, rho0):
     h = labels[1] - labels[0]
     if not np.allclose(np.diff(labels), h, rtol=1e-9, atol=1e-15):
         raise PreconditionError("source_term needs uniform labels")
-    nt = A.times.shape[0]
-    P = np.empty((nt, labels.shape[0]))
-    W = np.empty_like(P)
-    for k in range(nt):
-        t = float(A.times[k])
-        P[k] = rho_sampler(A.q[k], t)
-        vb = np.asarray(field_B.velocity(A.q[k], t), dtype=float) + np.zeros_like(labels)
-        W[k] = P[k] * vb  # J_A V_B reduces to v_B along the path in 1D
+    # J_A V_B reduces to v_B along the path in 1D; adding 0.0 turns -0.0 into +0.0
+    W = v_B + 0.0
+    W *= P_A
     cum = cumulative_trapezoid(W, A.times)
-    c = np.empty_like(P)
-    for k in range(nt):
+    c = np.empty_like(cum)
+    for k in range(A.times.shape[0]):
         c[k] = -fd_derivative(cum[k], h) / A.J[k]
 
     carried = np.asarray(rho0(labels), dtype=float)[None, :] / A.J
-    gap = float(np.max(np.abs(carried + c - P) / P.max(axis=1, keepdims=True)))
-    return SourceTable(labels, A.times, P, W, c, carried / P, gap)
+    gap = float(np.max(np.abs(carried + c - P_A) / P_A.max(axis=1, keepdims=True)))
+    return SourceTable(labels, A.times, c, carried / P_A, gap)
+
+
+def pair_source_terms(plus, minus, rho, u, rho0):
+    """Source tables of the plus and minus congruences, whose complementary
+    fields are -u/2 and +u/2, so that both source integrals refer to the
+    conserved mean-flow current.  The density ``rho`` and the osmotic
+    velocity ``u`` (callables of (x, t)) are sampled at both congruences'
+    positions, stacked as (2, n_labels), with one call each per stored time.
+    """
+    if not np.array_equal(plus.times, minus.times):
+        raise PreconditionError("the plus and minus congruences need the same times")
+    # the density and the complement along each flow, one array each, so that
+    # the plus flow's are freed before the minus table is built
+    P_plus, P_minus, V_plus, V_minus = (np.empty(plus.q.shape) for _ in range(4))
+    factors = np.array([[-0.5], [0.5]])
+    for k, t in enumerate(plus.times):
+        x = np.stack((plus.q[k], minus.q[k]))
+        P_plus[k], P_minus[k] = rho(x, float(t))
+        V_plus[k], V_minus[k] = factors * u(x, float(t))
+    table_plus = source_term(plus, P_plus, V_plus, rho0)
+    del P_plus, V_plus
+    return table_plus, source_term(minus, P_minus, V_minus, rho0)
 
 
 # ---------- conservation along composed flows ----------
@@ -302,14 +319,12 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
     """Weighted two-flow trajectory density against the true density.
 
     The weighted mixture r rho0/J_plus + (1-r) rho0/J_minus does not track
-    the density; restoring the weighted source terms c must close the gap.
-    The complementary fields are -u/2 for the plus flow and +u/2 for the
-    minus flow, so that both source integrals refer to the conserved
-    mean-flow current.
+    the density; restoring the weighted source terms c of
+    ``pair_source_terms``, with the osmotic field ``u_source``, must close
+    the gap.
     """
     rho0 = bi.rho0
-    table_p = source_term(bi.plus, rho_sampler, ScaledSource(u_source, -0.5), rho0=rho0)
-    table_m = source_term(bi.minus, rho_sampler, ScaledSource(u_source, +0.5), rho0=rho0)
+    table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_sampler, u_source.velocity, rho0)
     k = bi.plus.time_index(probe_t)
 
     xs = np.atleast_1d(np.asarray(probe_xs, dtype=float))

@@ -1,4 +1,4 @@
-"""Labelled trajectory ensembles driven by sampled or analytic velocity fields.
+"""Labelled trajectory ensembles driven by sampled or closed-form velocity fields.
 
 A congruence stores, per label and stored time, the position, velocity,
 expansion factor J = dq/dq0 (integrated through its variational equation) and
@@ -55,68 +55,7 @@ class LabelSet:
         return LabelSet.uniform(x[keep].min(), x[keep].max(), count)
 
 
-# ---------- velocity sources ----------
-
-class CallableSource:
-    """Analytic velocity field given by (value, slope) callables, and an
-    optional action-rate callable L(x, t)."""
-
-    def __init__(self, velocity, dvdx, rate=None):
-        self._v = velocity
-        self._g = dvdx
-        self._rate = rate
-
-    def velocity(self, x, t):
-        return self._v(x, t)
-
-    def sample(self, x, t):
-        """(v, dv/dx, L) at the points x; L is 0.0 without a rate."""
-        return self._v(x, t), self._g(x, t), 0.0 if self._rate is None else self._rate(x, t)
-
-
-class ScaledSource:
-    """A velocity source multiplied by a constant factor; its action rate is
-    the wrapped source's."""
-
-    def __init__(self, source, factor):
-        self.source = source
-        self.factor = factor
-
-    def velocity(self, x, t):
-        return self.factor * self.source.velocity(x, t)
-
-    def sample(self, x, t):
-        v, g, L = self.source.sample(x, t)
-        return self.factor * v, self.factor * g, L
-
-
 # ---------- stacks: the flows of one march ----------
-
-class SourceStack:
-    """k velocity sources marched together as one state of shape
-    (k, n_labels); ``flows`` names them in errors.  ``sample(x, t)`` on x of
-    shape (k, n) asks each source for its own row in turn and gives v,
-    dv/dx and L, each of shape (k, n)."""
-
-    def __init__(self, sources, flows=None):
-        self.sources = tuple(sources)
-        self.flows = tuple(flows) if flows is not None else (None,) * len(self.sources)
-
-    def sample(self, x, t):
-        out = np.empty((3,) + x.shape)
-        for j, src in enumerate(self.sources):
-            try:
-                out[0, j], out[1, j], out[2, j] = src.sample(x[j], t)
-            except DomainError as err:
-                i = err.index if err.index is not None else int(np.argmin(np.abs(x[j] - err.x)))
-                err.index = j * x.shape[1] + i
-                raise
-        return out
-
-    def part(self, j):
-        """The stack of flow j alone."""
-        return SourceStack(self.sources[j:j + 1], self.flows[j:j + 1])
-
 
 class FieldStack:
     """The velocity fields and action rates of k flows of one field series,
@@ -321,21 +260,26 @@ def _check_paths(times, q, J, labels, flow=None):
 
 
 def integrate_congruence(source, labels, times, initial_actions=None):
-    """March a labelled ensemble along a velocity field with classic RK4.
+    """March the k flows of a stack as one labelled ensemble with classic RK4.
 
-    The augmented state per label is (q, J, chi) with dq/dt = v(q, t),
-    dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t).  ``source`` is one
-    velocity source, whose ``sample(q, t)`` gives (v, dv/dx, L), or a stack
-    of k of them (``SourceStack``, ``FieldStack``), marched as one state of
-    shape (k, n_labels) with one ``sample`` call per stage for all k flows.
-    A stack takes one initial-action entry per flow (or None) and gives a
-    tuple of k congruences; its errors name the flow, and the first failure
-    in time is the one raised, whichever flow it is in.
+    The augmented state per flow and label is (q, J, chi) with
+    dq/dt = v(q, t), dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t), one
+    state of shape (k, n_labels).  ``source`` is any stack
+    (``GaussianStack``, ``FieldStack``):
+
+    - ``flows`` holds one name per flow (or None), for errors;
+    - ``sample(x, t)`` on positions x of shape (k, n_labels) gives v, dv/dx
+      and L, each of shape (k, n_labels); a point outside the field's
+      domain raises a ``DomainError`` whose ``index`` is its flat index in
+      x, or None for the point nearest its ``x``;
+    - ``part(j)`` is the stack of flow j alone.
+
+    ``sample`` is called once per RK4 stage for all k flows.
+    ``initial_actions`` holds one entry per flow (or None for all zero).
+    Returns a tuple of k congruences; errors name the flow, and the first
+    failure in time is the one raised, whichever flow it is in.
     """
-    stacked = isinstance(source, (SourceStack, FieldStack))
-    if not stacked:
-        source, initial_actions = SourceStack((source,)), (initial_actions,)
-    elif initial_actions is None:
+    if initial_actions is None:
         initial_actions = (None,) * len(source.flows)
     if isinstance(labels, LabelSet):
         label_set = labels
@@ -402,8 +346,7 @@ def integrate_congruence(source, labels, times, initial_actions=None):
             except DomainError:
                 qdots[j, -1] = qdots[j, -2]
 
-    out = tuple(Congruence(label_set, times, qs[j], qdots[j], Js[j], chis[j]) for j in range(nf))
-    return out if stacked else out[0]
+    return tuple(Congruence(label_set, times, qs[j], qdots[j], Js[j], chis[j]) for j in range(nf))
 
 
 # ---------- label inversion and trajectory density ----------

@@ -3,11 +3,15 @@
 Every quantity here has an exact expression: the Eulerian fields, the three
 trajectory families (mean-flow, plus, minus), the fractional-flow family, and
 the label-generator curves used by the composition checks.  These closed forms
-are the ground truth against which the numerical machinery is verified.
+are the ground truth against which the numerical machinery is verified;
+``GaussianStack`` evaluates the fields and action rates of k flows at once,
+byte for byte these closed forms, for the march and for composition.
 """
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -168,34 +172,85 @@ def chi_polar(g, q0, t, rho_ref=1.0):
     return phase_action(g, oracle_path(g, "dbb", q0, t), t)
 
 
-def velocity_field(g, kind):
-    """(v, dv/dx) callables for a named flow; all these fields are linear in x."""
-    table = {
-        "dbb": velocity,
-        "plus": velocity_plus,
-        "minus": velocity_minus,
-        "u": osmotic_velocity,
-        "half_plus": lambda gg, x, t: 0.5 * velocity_plus(gg, x, t),
-        "half_minus": lambda gg, x, t: 0.5 * velocity_minus(gg, x, t),
+# ---------- stacks of closed-form flows ----------
+
+class GaussianStack:
+    """The closed-form velocity fields and action rates of k flows, marched
+    together as one state of shape (k, n_labels); the interface of
+    ``congruence.FieldStack``.
+
+    ``specs`` holds one (field, rate, factor) per flow: the flow's velocity
+    is ``factor`` times ``field`` (``v``, ``v_plus``, ``v_minus``, ``u`` or
+    ``rho``), and its action rate is ``rate``, the Lagrangian
+    m v^2 / 2 - Q of its field's flow (``L`` of ``v``, ``L_plus`` of
+    ``v_plus``, ``L_minus`` of ``v_minus``), or 0.0 when ``rate`` is None.
+    ``flows`` names the flows in errors.
+
+    The velocity fields are linear in x, v = ((P x) / D) E, and the
+    potentials are Q = C - (hbar^2 / m) x^2 / Dq.  ``sample(x, t)`` on x of
+    shape (k, n) builds the scalars P, D, E, C and Dq of every row by the
+    expressions of the closed forms above, evaluates all rows in one set of
+    array operations in the closed forms' order, and gives v, dv/dx and L,
+    each of shape (k, n): every row is byte for byte the closed form, its
+    slope is (v(1) - v(0)) + 0.0, and ``factor`` scales v and the slope.
+    On a one-flow stack, ``velocity(x, t)`` gives ``factor`` times the
+    field at points of any shape, the density ``rho`` included, with the
+    bits of the v of ``sample``.
+    """
+
+    # per field, (P, D, E) of v = ((P x) / D) E from (g, s2 = sigma_sq(t), t),
+    # and per rate, its field and (C, Dq) of Q = C - (hbar^2 / m) x^2 / Dq
+    # from (h2m = hbar^2 / m, s2, kt = kappa t), by the closed forms' expressions
+    FIELD_TERMS = {
+        "v": lambda g, s2, t: (g.hbar * g.kappa * t, 2.0 * g.mass * s2, 1.0),
+        "v_plus": lambda g, s2, t: (g.hbar, 2.0 * g.mass * s2, g.kappa * t - 1.0),
+        "v_minus": lambda g, s2, t: (g.hbar, 2.0 * g.mass * s2, g.kappa * t + 1.0),
+        "u": lambda g, s2, t: (-g.hbar, g.mass * s2, 1.0),
     }
-    f = table[kind]
+    RATE_TERMS = {
+        "L": ("v", lambda h2m, s2, kt: (h2m / (4.0 * s2), 8.0 * s2**2)),
+        "L_plus": ("v_plus", lambda h2m, s2, kt: (h2m / (4.0 * s2) * (kt + 1.0), 4.0 * s2**2)),
+        "L_minus": ("v_minus",
+                    lambda h2m, s2, kt: (-h2m / (4.0 * s2) * (kt - 1.0), 4.0 * s2**2)),
+        None: (None, lambda h2m, s2, kt: (0.0, 1.0)),
+    }
 
-    def value(x, t):
-        return f(g, x, t)
+    def __init__(self, g, specs, flows=None):
+        self.g = g
+        self.specs = tuple(specs)
+        self.flows = tuple(flows) if flows is not None else (None,) * len(self.specs)
+        for field, rate, _ in self.specs:
+            if field not in self.FIELD_TERMS and field != "rho":
+                raise PreconditionError(f"unknown field {field!r}")
+            if rate is not None and self.RATE_TERMS.get(rate, (None,))[0] != field:
+                raise PreconditionError(f"{rate!r} is not an action rate of {field!r}")
+        self._linear = all(field != "rho" for field, _, _ in self.specs)
+        self._factor = np.array([[factor] for _, _, factor in self.specs])
+        self._no_rate = np.array([[rate is None] for _, rate, _ in self.specs])
 
-    def slope(x, t):
-        # fields are x-linear: slope equals the value at x=1 minus the value at 0
-        return f(g, 1.0, t) - f(g, 0.0, t) + np.zeros_like(np.asarray(x, dtype=float))
+    def velocity(self, x, t):
+        """``factor`` times the field of a one-flow stack at the points x."""
+        (field, _, factor), = self.specs
+        if field == "rho":
+            return factor * rho(self.g, x, t)
+        P, D, E = self.FIELD_TERMS[field](self.g, self.g.sigma_sq(t), t)
+        return factor * (((P * np.asarray(x, dtype=float)) / D) * E)
 
-    return value, slope
+    def sample(self, x, t):
+        if not self._linear:
+            raise PreconditionError("the closed-form density has no sample; use velocity")
+        g = self.g
+        s2, kt, h2m = g.sigma_sq(t), g.kappa * t, g.hbar**2 / g.mass
+        P, D, E, C, Dq = np.array([
+            self.FIELD_TERMS[field](g, s2, t) + self.RATE_TERMS[rate][1](h2m, s2, kt)
+            for field, rate, _ in self.specs]).T[:, :, None]
+        v = ((P * x) / D) * E
+        # (v(1) - v(0)) + 0.0: v(0) is a zero, so the difference is v(1)
+        slope = (P / D) * E + 0.0
+        L = 0.5 * g.mass * v**2 - (C - (h2m * x**2) / Dq)
+        return (self._factor * v, np.broadcast_to(self._factor * slope, x.shape),
+                np.where(self._no_rate, 0.0, L))
 
-
-def action_rate(g, which):
-    """Lagrangian rate L = m qdot^2 / 2 - Q - V sampled in Eulerian variables."""
-    if which == "plus":
-        return lambda x, t: 0.5 * g.mass * velocity_plus(g, x, t) ** 2 - q_potential_plus(g, x, t)
-    if which == "minus":
-        return lambda x, t: 0.5 * g.mass * velocity_minus(g, x, t) ** 2 - q_potential_minus(g, x, t)
-    if which == "polar":
-        return lambda x, t: 0.5 * g.mass * velocity(g, x, t) ** 2 - q_potential(g, x, t)
-    raise ValueError(f"unknown action rate {which!r}")
+    def part(self, j):
+        """The stack of flow j alone."""
+        return GaussianStack(self.g, self.specs[j:j + 1], self.flows[j:j + 1])

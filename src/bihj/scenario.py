@@ -31,18 +31,12 @@ from .compose import (
     CompositionSetup,
     compose_trajectories,
     conservation_check,
-    source_term,
+    pair_source_terms,
 )
-from .congruence import (
-    CallableSource,
-    FieldStack,
-    LabelSet,
-    ScaledSource,
-    SourceStack,
-    integrate_congruence,
-)
+from .congruence import FieldStack, LabelSet, integrate_congruence
 from .errors import BihjError, ConfigurationError
 from .fields import derive_series
+from .gaussian import GaussianStack
 from .reconstruct import reconstruction_probe
 from .reference import (
     InitialStateSpec,
@@ -329,12 +323,13 @@ def load_config(path):
 # ---------- field access, analytic or sampled ----------
 
 class FieldLibrary:
-    """Uniform access to velocity fields, density and action rates."""
+    """Uniform access to velocity fields, density and action rates: stacks
+    of the closed forms (``GaussianStack``) on analytic runs, and of the
+    field series (``FieldStack``) on sampled ones."""
 
-    CLOSED_FORM_KEYS = {"v": "dbb", "v_plus": "plus", "v_minus": "minus", "u": "u"}
     # the reference-driven congruences: velocity field, action rate, factor,
-    # and the flow ("plus", "minus" or "polar") of the closed-form rate and of
-    # the initial action; "half_plus", the host of case ii, has neither
+    # and the action ("plus", "minus" or "polar") of the initial profile;
+    # "half_plus", the host of case ii, has neither rate nor initial action
     FLOWS = {"plus": ("v_plus", "L_plus", 1.0, "plus"),
              "minus": ("v_minus", "L_minus", 1.0, "minus"),
              "dbb": ("v", "L", 1.0, "polar"),
@@ -347,33 +342,23 @@ class FieldLibrary:
         if self.analytic:
             self.g = gaussian.GaussianParams(config.initial_state.sigma0,
                                              config.hbar, config.mass)
+            self._stack = partial(GaussianStack, self.g)
         elif fseries is None:
             raise ConfigurationError("a sampled field library needs a field series")
+        else:
+            self._stack = partial(FieldStack, fseries)
 
     def source(self, name, factor):
-        """The velocity field ``name`` scaled by ``factor``."""
-        if self.analytic:
-            src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[name]))
-            return ScaledSource(src, factor)
-        return FieldStack(self.fseries, [(name, None, factor)])
+        """The velocity field ``name`` scaled by ``factor``, as a one-flow stack."""
+        return self._stack([(name, None, factor)])
 
     def rho(self):
-        if self.analytic:
-            return lambda x, t: gaussian.rho(self.g, x, t)
-        return FieldStack(self.fseries, [("rho", None, 1.0)]).velocity
+        return self._stack([("rho", None, 1.0)]).velocity
 
     def congruence_sources(self, cids):
         """The velocity fields and action rates of the congruences ``cids``,
         as one stack to march together."""
-        specs = [self.FLOWS[cid] for cid in cids]
-        if not self.analytic:
-            return FieldStack(self.fseries, [spec[:3] for spec in specs], cids)
-        sources = []
-        for f, _, factor, which in specs:
-            src = CallableSource(*gaussian.velocity_field(self.g, self.CLOSED_FORM_KEYS[f]),
-                                 None if which is None else gaussian.action_rate(self.g, which))
-            sources.append(src if factor == 1.0 else ScaledSource(src, factor))
-        return SourceStack(sources, cids)
+        return self._stack([self.FLOWS[cid][:3] for cid in cids], cids)
 
     def initial_actions(self, cids):
         """The t = 0 action profile of each of the congruences ``cids`` (None
@@ -532,7 +517,9 @@ class RunBundle:
 
     @cached_property
     def library(self):
-        return FieldLibrary(self.config, None if self.analytic else self.fields)
+        fields = None if self.analytic else self.fields
+        with self.timed("library"):
+            return FieldLibrary(self.config, fields)
 
     @cached_property
     def labels(self):
@@ -602,7 +589,8 @@ class RunBundle:
 
     def emit_csv(self, name, header, blocks):
         """Write ``name`` from row blocks holding one entry per column: an
-        array, or a scalar repeated over the block's rows."""
+        array, or a scalar repeated over the block's rows.  ``blocks`` may be
+        a generator, so that building them is timed with the write."""
         with self.timed(f"write:{name}"):
             self.files[name] = write_csv(self.out_dir / name, header, blocks)
 
@@ -667,19 +655,19 @@ def run_simulate(config, out_dir):
 
     xs = config.grid.x
     run.emit_csv("reference_fields.csv", ("time", "x", "re_psi", "im_psi"),
-                 [(s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots])
+                 ((s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots))
     run.emit_csv("fields.csv", FIELD_COLUMNS,
-                 [(s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
-                  for s in run.fields.snapshots])
+                 ((s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
+                  for s in run.fields.snapshots))
     label_index = np.arange(len(run.labels))
     run.emit_csv("trajectories.csv",
                  ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),
-                 [(cid, label_index, c.labels.values, c.times[k],
+                 ((cid, label_index, c.labels.values, c.times[k],
                    c.q[k], c.qdot[k], c.J[k], c.chi[k])
-                  for cid, c in named.items() for k in keep])
+                  for cid, c in named.items() for k in keep))
     if autonomous:
         run.emit_csv("crossmap.csv", ("time", "q_plus0", "q_minus0"),
-                     [(cm.time, cm.q_plus0, cm.q_minus0) for cm in maps])
+                     ((cm.time, cm.q_plus0, cm.q_minus0) for cm in maps))
     return run.finish(), run
 
 
@@ -691,18 +679,18 @@ def run_compose(config, out_dir, case=None):
     _, result = run.composition(case)
     run.emit_csv("composition.csv",
                  ("case_id", "q_C0", "time", "Q_B", "q_C", "J_B", "J_C", "residual"),
-                 [(case, result.labels_C.values, result.times[j], result.Q_B[j],
+                 ((case, result.labels_C.values, result.times[j], result.Q_B[j],
                    result.q_C[j], result.J_B[j], result.J_C[j], result.residual[j])
-                  for j in _sampled_indices(result.times.shape[0])])
+                  for j in _sampled_indices(result.times.shape[0])))
 
-    library, hosts = run.library, {"plus": plus, "minus": minus}
+    library = run.library
     with run.timed("sources"):
-        rho, rho0 = library.rho(), library.initial("rho")
-        tables = {cid: source_term(hosts[cid], rho, library.source("u", factor), rho0)
-                  for cid, factor in (("plus", -0.5), ("minus", +0.5))}
+        tables = dict(zip(("plus", "minus"), pair_source_terms(
+            plus, minus, library.rho(), library.source("u", 1.0).velocity,
+            library.initial("rho"))))
     run.emit_csv("sources.csv", ("congruence_id", "q0", "time", "c", "rho_ratio"),
-                 [(cid, tab.labels, tab.times[k], tab.c_A[k], tab.rho_ratio[k])
-                  for cid, tab in tables.items() for k in _sampled_indices(tab.times.shape[0])])
+                 ((cid, tab.labels, tab.times[k], tab.c_A[k], tab.rho_ratio[k])
+                  for cid, tab in tables.items() for k in _sampled_indices(tab.times.shape[0])))
 
     with run.timed("checks"):
         drift = conservation_check(result, library.rho()).max_drift
@@ -753,7 +741,7 @@ def run_reconstruct(config, out_dir):
             worst = max(worst, tab["abs_err_bihj"].max(), tab["abs_err_polar"].max())
             scale = max(scale, np.abs(tab["re_psi_ref"] + 1j * tab["im_psi_ref"]).max())
     run.emit_csv("reconstruction.csv", RECONSTRUCTION_COLUMNS,
-                 [tuple(tab[key] for key in RECONSTRUCTION_COLUMNS) for tab in tables])
+                 (tuple(tab[key] for key in RECONSTRUCTION_COLUMNS) for tab in tables))
     run.add_check({
         "name": "reconstruction_against_reference",
         "passed": bool(worst <= 1e-3 * scale),
@@ -793,25 +781,30 @@ def run_figure(config, out_dir, figure_id):
     run = RunBundle("figure", config, out_dir)
     labels = run.labels
     keep_labels = np.arange(0, len(labels), max(1, (len(labels) - 1) // 14))
+    # the blocks are built as the file is written, inside its write stage
     if figure_id == "fig2":
-        blocks = []
-        for cid, c in zip(("dbb", "plus", "minus"), run.congruences("dbb", "plus", "minus")):
-            keep = _sampled_indices(c.times.shape[0], 81)
-            times = c.times[keep]
-            blocks += [(cid, c.labels.values[i], times, c.q[keep, i]) for i in keep_labels]
-        run.emit_csv("fig2.csv", ("series", "q0", "time", "value"), blocks)
+        named = zip(("dbb", "plus", "minus"), run.congruences("dbb", "plus", "minus"))
+
+        def blocks():
+            for cid, c in named:
+                keep = _sampled_indices(c.times.shape[0], 81)
+                times = c.times[keep]
+                yield from ((cid, c.labels.values[i], times, c.q[keep, i]) for i in keep_labels)
+        run.emit_csv("fig2.csv", ("series", "q0", "time", "value"), blocks())
     else:
         setup, result = run.composition("i")
-        host = setup.congruence_A
-        keep_host = _sampled_indices(host.times.shape[0], 81)
-        times = host.times[keep_host]
-        blocks = [("i", "qA_family", host.labels.values[i], times, host.q[keep_host, i])
-                  for i in keep_labels]
-        # the composed track's generator and path, interleaved row by row
-        track = int(np.argmin(np.abs(result.labels_C.values - 1.0)))
-        keep = _sampled_indices(result.times.shape[0], 81)
-        blocks.append(("i", np.tile(["QB", "qC"], len(keep)), result.labels_C.values[track],
-                       np.repeat(result.times[keep], 2),
-                       np.stack([result.Q_B[keep, track], result.q_C[keep, track]], 1).ravel()))
-        run.emit_csv("fig3.csv", ("case_id", "series", "q0", "time", "value"), blocks)
+
+        def blocks():
+            host = setup.congruence_A
+            keep_host = _sampled_indices(host.times.shape[0], 81)
+            times = host.times[keep_host]
+            yield from (("i", "qA_family", host.labels.values[i], times, host.q[keep_host, i])
+                        for i in keep_labels)
+            # the composed track's generator and path, interleaved row by row
+            track = int(np.argmin(np.abs(result.labels_C.values - 1.0)))
+            keep = _sampled_indices(result.times.shape[0], 81)
+            yield ("i", np.tile(["QB", "qC"], len(keep)), result.labels_C.values[track],
+                   np.repeat(result.times[keep], 2),
+                   np.stack([result.Q_B[keep, track], result.q_C[keep, track]], 1).ravel())
+        run.emit_csv("fig3.csv", ("case_id", "series", "q0", "time", "value"), blocks())
     return run.finish(), run

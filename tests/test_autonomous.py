@@ -14,8 +14,9 @@ from bihj.autonomous import (
     exchange_pair,
     propagate_autonomous,
 )
-from bihj.congruence import CallableSource, LabelSet, integrate_congruence
+from bihj.congruence import LabelSet, integrate_congruence
 from bihj.errors import CongruenceCrossingError, HullOverlapError, PreconditionError
+from bihj.gaussian import GaussianStack
 from bihj.kernels import fd_derivative, hermite_eval, spline_slopes_natural
 from bihj.reference import PhysicalParams, Potential
 
@@ -50,10 +51,8 @@ class TestPropagation:
     def test_matches_reference_driven_run(self, g, params, auto_pair):
         labels = auto_pair.plus.labels
         times = auto_pair.times
-        ref_p = integrate_congruence(
-            CallableSource(*gaussian.velocity_field(g, "plus")), labels, times)
-        ref_m = integrate_congruence(
-            CallableSource(*gaussian.velocity_field(g, "minus")), labels, times)
+        ref_p, ref_m = integrate_congruence(
+            GaussianStack(g, [("v_plus", None, 1.0), ("v_minus", None, 1.0)]), labels, times)
         assert np.abs(auto_pair.plus.q - ref_p.q).max() < 1e-3
         assert np.abs(auto_pair.minus.q - ref_m.q).max() < 1e-3
 
@@ -338,8 +337,8 @@ class TestExchange:
 
 class TestBiCongruence:
     def test_label_and_time_base_must_match(self, params, g, plus_congruence):
-        other = integrate_congruence(
-            CallableSource(*gaussian.velocity_field(g, "minus")),
+        other, = integrate_congruence(
+            GaussianStack(g, [("v_minus", None, 1.0)]),
             LabelSet.uniform(-4.0, 4.0, 51), plus_congruence.times)
         with pytest.raises(PreconditionError):
             BiCongruence.from_congruences(params, plus_congruence, other,

@@ -1,40 +1,43 @@
 import numpy as np
 import pytest
 
+from conftest import FakeStack
+
 from bihj import gaussian
 from bihj.compose import (
     CompositionSetup,
     compose_trajectories,
     conservation_check,
     mixture_check,
+    pair_source_terms,
     pushforward_vector,
     source_term,
 )
-from bihj.congruence import (
-    CallableSource,
-    LabelSet,
-    ScaledSource,
-    integrate_congruence,
-)
+from bihj.congruence import LabelSet, integrate_congruence
 from bihj.errors import PreconditionError, SpanExhaustionError
+from bihj.gaussian import GaussianStack
 
 SIGMA0 = np.sqrt(0.5)
 
 
 @pytest.fixture(scope="module")
 def u_source(g):
-    return CallableSource(*gaussian.velocity_field(g, "u"))
+    return GaussianStack(g, [("u", None, 1.0)])
+
+
+def scaled_u(g, factor):
+    return GaussianStack(g, [("u", None, factor)])
 
 
 @pytest.fixture(scope="module")
 def zero_source():
     zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    return CallableSource(zero, zero)
+    return FakeStack([(zero, zero)])
 
 
 @pytest.fixture(scope="module")
-def case_i(plus_congruence, u_source):
-    setup = CompositionSetup(plus_congruence, ScaledSource(u_source, -0.5),
+def case_i(g, plus_congruence):
+    setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
                              LabelSet.uniform(-1.6, 1.6, 81))
     return setup, compose_trajectories(setup)
 
@@ -44,16 +47,16 @@ class TestPushforward:
         setup = CompositionSetup(plus_congruence, zero_source, LabelSet.uniform(-1.0, 1.0, 5))
         assert pushforward_vector(setup, 0.5, 0.5) == 0.0
 
-    def test_identity_at_t0(self, plus_congruence, u_source, g):
-        setup = CompositionSetup(plus_congruence, ScaledSource(u_source, -0.5),
+    def test_identity_at_t0(self, plus_congruence, g):
+        setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
                                  LabelSet.uniform(-1.0, 1.0, 5))
         got = pushforward_vector(setup, 0.8, 0.0)
         assert got == pytest.approx(float(-0.5 * gaussian.osmotic_velocity(g, 0.8, 0.0)),
                                     abs=1e-10)
 
-    def test_gaussian_closed_form(self, plus_congruence, u_source, g):
+    def test_gaussian_closed_form(self, plus_congruence, g):
         # pushing -u/2 through the plus congruence gives q0 / (1 + t^2)
-        setup = CompositionSetup(plus_congruence, ScaledSource(u_source, -0.5),
+        setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
                                  LabelSet.uniform(-1.0, 1.0, 5))
         for q0, t in ((1.0, 0.5), (-0.7, 1.0), (0.3, 0.25)):
             got = pushforward_vector(setup, q0, t)
@@ -70,10 +73,10 @@ class TestComposition:
         assert res.jacobian_factorisation_gap() <= 1e-4
 
     def test_case_ii_values(self, g, labels, times):
-        half_plus = integrate_congruence(
-            CallableSource(*gaussian.velocity_field(g, "half_plus")), labels, times)
+        half_plus, = integrate_congruence(
+            GaussianStack(g, [("v_plus", None, 0.5)]), labels, times)
         setup = CompositionSetup(
-            half_plus, CallableSource(*gaussian.velocity_field(g, "half_minus")),
+            half_plus, GaussianStack(g, [("v_minus", None, 0.5)]),
             LabelSet.uniform(-2.0, 2.0, 41))
         res = compose_trajectories(setup)
         i = np.argmin(np.abs(res.labels_C.values - 1.0))
@@ -82,8 +85,8 @@ class TestComposition:
         assert res.Q_B[-1, i] == pytest.approx(2.0**0.25 * np.exp(np.pi / 8.0), abs=1e-5)
         assert res.q_C[-1, i] == pytest.approx(np.sqrt(2.0), abs=1e-5)
 
-    def test_converse_builds_plus_paths(self, dbb_congruence, u_source):
-        setup = CompositionSetup(dbb_congruence, ScaledSource(u_source, +0.5),
+    def test_converse_builds_plus_paths(self, dbb_congruence, g):
+        setup = CompositionSetup(dbb_congruence, scaled_u(g, +0.5),
                                  LabelSet.uniform(-2.5, 2.5, 41))
         res = compose_trajectories(setup)
         i = np.argmin(np.abs(res.labels_C.values - 1.0))
@@ -98,11 +101,11 @@ class TestComposition:
             exact = probe.values * gaussian.path_scale(g, "plus", t)
             assert np.abs(res.q_C[j] - exact).max() < 1e-7
 
-    def test_round_trip_corollary(self, case_i, u_source, g, labels):
+    def test_round_trip_corollary(self, case_i, g, labels):
         _, res_i = case_i
         host = res_i.as_congruence()
         probe = LabelSet.uniform(-1.5, 1.5, 31)
-        res = compose_trajectories(CompositionSetup(host, ScaledSource(u_source, 0.5), probe))
+        res = compose_trajectories(CompositionSetup(host, scaled_u(g, 0.5), probe))
         worst = 0.0
         for j, t in enumerate(res.times):
             exact = probe.values * gaussian.path_scale(g, "plus", t)
@@ -110,28 +113,32 @@ class TestComposition:
         width = labels.values[-1] - labels.values[0]
         assert worst <= 1e-5 * width
 
-    def test_span_exhaustion_reported(self, plus_congruence, u_source):
+    def test_span_exhaustion_reported(self, plus_congruence, g):
         wide = LabelSet.uniform(-3.5, 3.5, 41)  # generator grows past the host span
         with pytest.raises(SpanExhaustionError, match="widen"):
-            compose_trajectories(CompositionSetup(
-                plus_congruence, ScaledSource(u_source, -0.5), wide))
+            compose_trajectories(CompositionSetup(plus_congruence, scaled_u(g, -0.5), wide))
 
     def test_labels_outside_host_rejected(self, plus_congruence, zero_source):
         with pytest.raises(PreconditionError):
             CompositionSetup(plus_congruence, zero_source, LabelSet.uniform(-9.0, 9.0, 11))
 
 
+def along(congruence, f):
+    """f(q, t) at the congruence's positions, one row per stored time."""
+    return np.array([f(q, float(t)) for q, t in zip(congruence.q, congruence.times)])
+
+
 class TestSourceTerm:
-    def test_source_free_flow(self, g, dbb_congruence, zero_source):
-        rho = lambda x, t: gaussian.rho(g, x, t)
-        tab = source_term(dbb_congruence, rho, zero_source,
+    def test_source_free_flow(self, g, dbb_congruence):
+        P = along(dbb_congruence, lambda x, t: gaussian.rho(g, x, t))
+        tab = source_term(dbb_congruence, P, np.zeros_like(P),
                           rho0=lambda q: gaussian.rho(g, q, 0.0))
         assert np.abs(tab.c_A).max() == 0.0
         assert tab.decomposition_gap <= 1e-4
 
-    def test_plus_flow_center_value(self, g, plus_congruence, u_source):
-        rho = lambda x, t: gaussian.rho(g, x, t)
-        tab = source_term(plus_congruence, rho, ScaledSource(u_source, -0.5),
+    def test_plus_flow_center_value(self, g, plus_congruence):
+        P = along(plus_congruence, lambda x, t: gaussian.rho(g, x, t))
+        tab = source_term(plus_congruence, P, along(plus_congruence, scaled_u(g, -0.5).velocity),
                           rho0=lambda q: gaussian.rho(g, q, 0.0))
         i0 = plus_congruence.label_index(0.0)
         # from the decomposition: rho(0,1) (1 - e^{pi/4})
@@ -140,6 +147,23 @@ class TestSourceTerm:
         assert tab.c_A[0].max() == 0.0
         assert tab.rho_ratio[-1, i0] == pytest.approx(np.exp(np.pi / 4.0), rel=1e-4)
         assert tab.decomposition_gap <= 1e-3
+
+    def test_pair_tables_are_the_per_flow_tables(self, g, bi_pair, u_source):
+        # rho and u sampled once per stored time at both congruences' points
+        # give each table the bits of its own samplers, -u/2 and +u/2
+        rho = GaussianStack(g, [("rho", None, 1.0)]).velocity
+        rho0 = lambda q: gaussian.rho(g, q, 0.0)
+        pair = pair_source_terms(bi_pair.plus, bi_pair.minus, rho, u_source.velocity, rho0)
+        for tab, host, factor in zip(pair, (bi_pair.plus, bi_pair.minus), (-0.5, 0.5)):
+            want = source_term(host, along(host, rho), along(host, scaled_u(g, factor).velocity),
+                               rho0)
+            for name in ("labels", "times", "c_A", "rho_ratio"):
+                assert getattr(tab, name).tobytes() == getattr(want, name).tobytes(), name
+            assert tab.decomposition_gap == want.decomposition_gap
+        short = bi_pair.plus.times[:-1]
+        other, = integrate_congruence(u_source, bi_pair.labels, short)
+        with pytest.raises(PreconditionError, match="same times"):
+            pair_source_terms(bi_pair.plus, other, rho, u_source.velocity, rho0)
 
 
 class TestConservation:
@@ -151,15 +175,15 @@ class TestConservation:
     def test_static_flow_has_zero_drift(self, zero_source, g):
         labels = LabelSet.uniform(-2.0, 2.0, 21)
         times = np.linspace(0.0, 1.0, 101)
-        static = integrate_congruence(zero_source, labels, times)
+        static, = integrate_congruence(zero_source, labels, times)
         res = compose_trajectories(CompositionSetup(static, zero_source,
                                                     LabelSet.uniform(-1.0, 1.0, 11)))
         rep = conservation_check(res, lambda x, t: gaussian.rho(g, x, 0.0))
         assert rep.max_drift == 0.0
 
-    def test_non_conserved_composition_shows_known_drift(self, dbb_congruence, u_source, g):
+    def test_non_conserved_composition_shows_known_drift(self, dbb_congruence, g):
         # composing towards the plus flow: P_C J_C decays like e^{-arctan t}
-        setup = CompositionSetup(dbb_congruence, ScaledSource(u_source, +0.5),
+        setup = CompositionSetup(dbb_congruence, scaled_u(g, +0.5),
                                  LabelSet.uniform(-2.0, 2.0, 21))
         res = compose_trajectories(setup)
         rep = conservation_check(res, lambda x, t: gaussian.rho(g, x, t))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import FakeStack, closed_form_row
+
 from bihj import gaussian
 from bihj.congruence import (
-    CallableSource,
     FieldStack,
     LabelSet,
-    ScaledSource,
-    SourceStack,
     integrate_congruence,
     invert_labels,
     trajectory_density,
@@ -22,6 +21,7 @@ from bihj.errors import (
     TrajectoryExitError,
 )
 from bihj.fields import derive_series
+from bihj.gaussian import GaussianStack
 from bihj.reference import (
     InitialStateSpec,
     PhysicalParams,
@@ -37,13 +37,14 @@ SIGMA0 = np.sqrt(0.5)
 
 def three_calls(labels, velocity, rate, chi, times):
     """Reference RK4 march of one flow, with separate velocity, slope and
-    rate calls per stage; a rate of None is zero, and so is a chi of None."""
+    rate calls per stage; ``rate`` is a callable of (x, t), zero if None,
+    and a chi of None is zero."""
     zeros = np.zeros(len(labels))
 
     def rhs(qv, Jv, t):
         v = np.asarray(velocity.velocity(qv, t), dtype=float) + zeros
         g = np.asarray(velocity.sample(qv, t)[1], dtype=float) + zeros
-        L = (0.0 if rate is None else np.asarray(rate.velocity(qv, t), dtype=float)) + zeros
+        L = (0.0 if rate is None else np.asarray(rate(qv, t), dtype=float)) + zeros
         return v, g * Jv, L
 
     q, J = labels.values.copy(), np.ones(len(labels))
@@ -79,6 +80,23 @@ def bracket(fs, t):
     """The snapshots k and k + 1 around t, and the weight w of k + 1."""
     k = min(max(int(np.floor((t - fs.times[0]) / fs.dt)), 0), len(fs.times) - 2)
     return k, k + 1, min(max((t - fs.times[k]) / fs.dt, 0.0), 1.0)
+
+
+class ClosedFormFlow:
+    """Reference of one flow (field, rate, factor) of a GaussianStack, from
+    the scalar closed forms."""
+
+    def __init__(self, g, spec):
+        self.g, self.spec = g, spec
+
+    def velocity(self, x, t):
+        return closed_form_row(self.g, self.spec, x, t)[0]
+
+    def sample(self, x, t):
+        return closed_form_row(self.g, self.spec, x, t)
+
+    def rate(self, x, t):
+        return closed_form_row(self.g, self.spec, x, t)[2]
 
 
 class SnapshotBlend:
@@ -152,8 +170,8 @@ class TestIntegration:
 
     def test_zero_velocity_field_is_static(self, labels, times):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-        src = CallableSource(zero, zero, lambda x, t: 2.0 + 0.0 * np.asarray(x))
-        c = integrate_congruence(src, labels, times, initial_actions=lambda q: 0.5 * q)
+        src = FakeStack([(zero, zero, lambda x, t: 2.0 + 0.0 * np.asarray(x))])
+        c, = integrate_congruence(src, labels, times, initial_actions=[lambda q: 0.5 * q])
         assert np.abs(c.q - labels.values[None, :]).max() == 0.0
         assert np.abs(c.J - 1.0).max() == 0.0
         expected = 0.5 * labels.values[None, :] + 2.0 * times[:, None]
@@ -161,11 +179,11 @@ class TestIntegration:
 
     def test_rk4_convergence_order(self, g):
         labels = LabelSet.uniform(-2.0, 2.0, 5)
-        src = CallableSource(*gaussian.velocity_field(g, "minus"))
+        src = GaussianStack(g, [("v_minus", None, 1.0)])
 
         def err(dt):
             times = np.arange(0.0, 1.0 + dt / 2, dt)
-            c = integrate_congruence(src, labels, times)
+            c, = integrate_congruence(src, labels, times)
             exact = labels.values * gaussian.path_scale(g, "minus", 1.0)
             return np.abs(c.q[-1] - exact).max()
 
@@ -232,39 +250,37 @@ class TestIntegration:
         def squeeze(start, slope=True):
             v = lambda x, t: -8.0 * (t >= start) * np.asarray(x, dtype=float) ** 3
             g_ = (lambda x, t: -24.0 * (t >= start) * np.asarray(x, dtype=float) ** 2)
-            return CallableSource(v, g_ if slope else zero)
+            return v, g_ if slope else zero
 
         with pytest.raises(FocalPointError, match=r"^non-positive expansion factor of the "
                                                   r"early path of label -0\.8 at t=0\.25$"):
-            integrate_congruence(SourceStack([squeeze(0.5), squeeze(0.0)], ("late", "early")),
+            integrate_congruence(FakeStack([squeeze(0.5), squeeze(0.0)], ("late", "early")),
                                  labels, times)
         with pytest.raises(CongruenceCrossingError,
                            match=r"^early paths of labels -0\.8 and -0\.6 crossed at t=0\.25$"):
-            integrate_congruence(SourceStack([squeeze(0.5, False), squeeze(0.0, False)],
-                                             ("late", "early")), labels, times)
+            integrate_congruence(FakeStack([squeeze(0.5, False), squeeze(0.0, False)],
+                                           ("late", "early")), labels, times)
         # alone, the first flow fails too, but later
         with pytest.raises(FocalPointError, match=r"at t=0\.5$"):
-            integrate_congruence(squeeze(0.5), labels, times)
+            integrate_congruence(FakeStack([squeeze(0.5)]), labels, times)
 
-    def test_stacked_callable_sources_are_the_per_flow_march(self, g):
+    def test_stacked_closed_forms_are_the_per_flow_march(self, g):
         labels = LabelSet.uniform(-4.0, 4.0, 41)
         times = np.linspace(0.0, 1.0, 201)
-        zero = lambda x, t: 0.0 * np.asarray(x, dtype=float)
-        # (velocity, rate, initial action): the three flows of simulate, and
-        # the rate-less half-speed host of composition case ii
-        flows = {"plus": ("plus", "plus", gaussian.action_plus),
-                 "minus": ("minus", "minus", gaussian.action_minus),
-                 "dbb": ("dbb", "polar", gaussian.phase_action)}
-        sources = [CallableSource(*gaussian.velocity_field(g, kind), gaussian.action_rate(g, rate))
-                   for kind, rate, _ in flows.values()]
-        sources.append(ScaledSource(CallableSource(*gaussian.velocity_field(g, "plus")), 0.5))
-        rates = [CallableSource(gaussian.action_rate(g, rate), zero)
-                 for _, rate, _ in flows.values()] + [None]
-        chi0 = [action(g, labels.values, 0.0) for *_, action in flows.values()] + [None]
-        got = integrate_congruence(SourceStack(sources, list(flows) + ["half_plus"]),
-                                   labels, times, initial_actions=chi0)
-        for c, src, rate, chi in zip(got, sources, rates, chi0):
-            want = three_calls(labels, src, rate, chi, times)
+        # (flow, spec, initial action): the three flows of simulate, and the
+        # rate-less half-speed host of composition case ii
+        flows = (("plus", ("v_plus", "L_plus", 1.0), gaussian.action_plus),
+                 ("minus", ("v_minus", "L_minus", 1.0), gaussian.action_minus),
+                 ("dbb", ("v", "L", 1.0), gaussian.phase_action),
+                 ("half_plus", ("v_plus", None, 0.5), None))
+        chi0 = [None if action is None else action(g, labels.values, 0.0)
+                for *_, action in flows]
+        stack = GaussianStack(g, [spec for _, spec, _ in flows], [name for name, *_ in flows])
+        got = integrate_congruence(stack, labels, times, initial_actions=chi0)
+        assert len(got) == len(flows)
+        for c, (_, spec, _), chi in zip(got, flows, chi0):
+            flow = ClosedFormFlow(g, spec)
+            want = three_calls(labels, flow, flow.rate if spec[1] else None, chi, times)
             for name, arr in zip(("q", "qdot", "J", "chi"), want):
                 assert np.array_equal(getattr(c, name), arr), name
 
@@ -286,9 +302,9 @@ class TestIntegration:
             return -x
 
         minus_one = lambda x, t: -1.0 + 0.0 * np.asarray(x, dtype=float)
-        stack = SourceStack([CallableSource(bounded, minus_one),
-                             CallableSource(lambda x, t: -np.asarray(x, dtype=float), minus_one)],
-                            ("edge", "calm"))
+        stack = FakeStack([(bounded, minus_one),
+                           (lambda x, t: -np.asarray(x, dtype=float), minus_one)],
+                          ("edge", "calm"))
         edge_flow, calm = integrate_congruence(stack, labels, times)
         assert edge_flow.q[-1, -1] > edge
         assert np.array_equal(edge_flow.qdot[-1], edge_flow.qdot[-2])
@@ -328,7 +344,7 @@ class TestIntegration:
         labels = LabelSet.uniform(-1.0, 1.0, 11)
         from bihj.errors import InstabilityError
         with pytest.raises((CongruenceCrossingError, FocalPointError, InstabilityError)):
-            integrate_congruence(CallableSource(v, g_), labels, np.linspace(0.0, 2.0, 9))
+            integrate_congruence(FakeStack([(v, g_)]), labels, np.linspace(0.0, 2.0, 9))
 
     def test_guard_errors_name_labels_and_time(self):
         from bihj.congruence import Congruence
@@ -339,12 +355,12 @@ class TestIntegration:
         times = np.linspace(0.0, 2.0, 9)
         with pytest.raises(FocalPointError,
                            match=r"^non-positive expansion factor of label -0\.8 at t=0\.25$"):
-            integrate_congruence(CallableSource(v, g_), labels, times)
+            integrate_congruence(FakeStack([(v, g_)]), labels, times)
         # with a zero slope J stays 1, and the paths cross instead
         zero = lambda x, t: 0.0 * np.asarray(x, dtype=float)
         with pytest.raises(CongruenceCrossingError,
                            match=r"^paths of labels -0\.8 and -0\.6 crossed at t=0\.25$"):
-            integrate_congruence(CallableSource(v, zero), labels, times)
+            integrate_congruence(FakeStack([(v, zero)]), labels, times)
         # the container's checks on stored data say the same
         lab = LabelSet.uniform(-1.0, 1.0, 5)
         t3 = np.array([0.0, 0.1, 0.2])
@@ -432,7 +448,7 @@ class TestFieldSource:
         snap0 = fs.snapshots[0]
         chi0 = [snap0.spline(getattr(snap0, a))(labels.values) if a else None
                 for *_, a in flows]
-        alone = [(SnapshotBlend(fs, f, c), SnapshotBlend(fs, r) if r else None)
+        alone = [(SnapshotBlend(fs, f, c), SnapshotBlend(fs, r).velocity if r else None)
                  for _, f, r, c, _ in flows]
 
         # the snapshot times themselves put the first stage of every step on
@@ -457,7 +473,7 @@ class TestFieldSource:
                 v, g, L = velocity.sample(x[j], times[5])
                 assert np.array_equal(stacked[0][j], v) and np.array_equal(stacked[1][j], g)
                 assert np.array_equal(stacked[2][j],
-                                      rate.velocity(x[j], times[5]) if rate else 0.0 * v)
+                                      rate(x[j], times[5]) if rate else 0.0 * v)
         assert snapshot_stage >= len(fs.times)
 
     def test_stack_keeps_at_most_two_snapshots_of_splines(self, params):
@@ -483,24 +499,22 @@ class TestFieldSource:
         assert sorted(set().union(*held)) == list(range(len(fs.times)))
 
     def test_velocity_is_the_value_of_sample(self, g, harmonic_series):
-        # the two operations of every source give one field, byte for byte,
+        # the two operations of every stack give one field, byte for byte,
         # and a one-flow stack's velocity is the blend of its snapshots
         fs = harmonic_series
-        analytic = CallableSource(*gaussian.velocity_field(g, "plus"),
-                                  gaussian.action_rate(g, "plus"))
-        sources = [analytic, ScaledSource(analytic, -0.5),
-                   CallableSource(*gaussian.velocity_field(g, "u"))]
+        closed = [GaussianStack(g, [spec]) for spec in (
+            ("v_plus", "L_plus", 1.0), ("v_plus", "L_plus", -0.5), ("u", None, 1.0))]
         fields = (("v_plus", 1.0), ("L_plus", 1.0), ("rho", 1.0), ("u", 0.5))
         stacks = [(FieldStack(fs, [(name, None, factor)]), SnapshotBlend(fs, name, factor))
                   for name, factor in fields]
         x = np.r_[np.linspace(-2.0, 2.0, 41), -0.0, 0.0]
         # snapshot times and times between them
         for t in np.r_[fs.times, fs.times[:-1] + 0.37 * fs.dt]:
-            for src in sources:
-                value = src.velocity(x, t)
-                sampled = src.sample(x, t)[0]
-                assert np.shape(value) == np.shape(sampled) == x.shape
-                assert np.asarray(value).tobytes() == np.asarray(sampled).tobytes()
+            for stack in closed:
+                value = stack.velocity(x, t)
+                sampled = stack.sample(x[None], t)[0][0]
+                assert value.shape == sampled.shape == x.shape
+                assert value.tobytes() == sampled.tobytes()
             for stack, blend in stacks:
                 value = stack.velocity(x, t)
                 sampled = stack.sample(x[None], t)[0][0]

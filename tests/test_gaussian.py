@@ -1,8 +1,12 @@
 """Closed-form layer checked against brute-force differentiation of psi."""
 import numpy as np
 import pytest
+from conftest import closed_form_row
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihj import gaussian
+from bihj.errors import PreconditionError
 
 KAPPA = 1.0
 
@@ -146,3 +150,44 @@ def test_psi_modulus_and_phase(g):
     psi = complex(gaussian.psi(g, 0.0, 1.0))
     assert psi == pytest.approx(0.5835396611093846 - 0.24171004181410682j, abs=1e-12)
     assert abs(psi) ** 2 == pytest.approx(gaussian.rho(g, 0.0, 1.0), abs=1e-12)
+
+
+# the (field, rate, factor) rows the program marches or samples: the three
+# flows of simulate, the case ii host and complement, and the complements
+# -u/2 and +u/2 of cases i and converse and of the source terms
+STACK_ROWS = (("v", "L", 1.0), ("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0),
+              ("v_plus", None, 0.5), ("v_minus", None, 0.5), ("u", None, -0.5),
+              ("u", None, 0.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma0=st.floats(0.3, 3.0), hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0),
+       t=st.floats(0.0, 3.0), as_float64=st.booleans(),
+       xs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+def test_stack_rows_are_the_closed_forms(sigma0, hbar, mass, t, as_float64, xs):
+    """Every row kind, alone and stacked, gives the bits of the scalar closed
+    forms and their slope rule, and so does the density's velocity."""
+    g = gaussian.GaussianParams(sigma0, hbar, mass)
+    t = np.float64(t) if as_float64 else t
+    x = np.array([-0.0, 0.0] + xs)
+    points = np.stack([np.roll(x, j) for j in range(len(STACK_ROWS))])  # rows at own points
+    stacked = gaussian.GaussianStack(g, STACK_ROWS).sample(points, t)
+    for j, spec in enumerate(STACK_ROWS):
+        alone = gaussian.GaussianStack(g, [spec])
+        want = closed_form_row(g, spec, points[j], t)
+        for got in (alone.sample(points[j:j + 1], t), [a[j:j + 1] for a in stacked]):
+            for a, w in zip(got, want):
+                assert a.shape == (1, x.size)
+                assert a.tobytes() == np.broadcast_to(w, x.shape).tobytes(), spec
+        assert alone.velocity(points[j], t).tobytes() == want[0].tobytes()
+    rho = gaussian.GaussianStack(g, [("rho", None, 1.0)]).velocity(x, t)
+    assert rho.tobytes() == gaussian.rho(g, x, t).tobytes()
+
+
+def test_stack_rejects_unknown_fields_and_foreign_rates(g):
+    with pytest.raises(PreconditionError, match="unknown field"):
+        gaussian.GaussianStack(g, [("Q_plus", None, 1.0)])
+    with pytest.raises(PreconditionError, match="not an action rate"):
+        gaussian.GaussianStack(g, [("v_plus", "L_minus", 1.0)])
+    with pytest.raises(PreconditionError, match="use velocity"):
+        gaussian.GaussianStack(g, [("rho", None, 1.0)]).sample(np.zeros((1, 3)), 0.5)
