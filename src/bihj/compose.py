@@ -25,6 +25,10 @@ from .kernels import (
     pchip_slopes,
 )
 
+# stored times whose label-space splines or source-table rows are built
+# together: a block's tables are a few hundred kB at 201 labels
+BLOCK_TIMES = 64
+
 
 @dataclass(frozen=True)
 class CompositionSetup:
@@ -127,6 +131,25 @@ def _check_span(y, span):
             f"[{span[0]:.6g}, {span[1]:.6g}]; widen the host congruence labels")
 
 
+class _SplineBlocks:
+    """Value and slope of column k of the label-space spline of ``column(k)``,
+    for k = 0 ... n-1 asked for in rising order.  The columns are splined
+    BLOCK_TIMES at a time, and only the latest block is kept; each column
+    has the bits it would have in one spline of all n."""
+
+    def __init__(self, labels, column, n):
+        self.labels, self.column, self.n = labels, column, n
+        self.start, self.spline = None, None
+
+    def __getitem__(self, k):
+        start = k - k % BLOCK_TIMES
+        if start != self.start:
+            cols = range(start, min(start + BLOCK_TIMES, self.n))
+            self.start = start
+            self.spline = NotAKnotSpline(self.labels, np.stack([self.column(j) for j in cols], 1))
+        return _column(self.spline, k - start)
+
+
 def compose_trajectories(setup):
     """Integrate the label generators and assemble the composed paths.
 
@@ -134,7 +157,9 @@ def compose_trajectories(setup):
     every stage lands on stored data (no interpolation in time); composed
     output is therefore sampled at every second stored time.  The residual
     column checks d(q_C)/dt against v_A + v_B along the composed path by
-    centred time differences.
+    centred time differences.  V_B, and J_A and v_A at Q_B, are splined
+    over the host labels in blocks of BLOCK_TIMES stored times, so that no
+    table of every stored time is held beyond the composed output.
     """
     A = setup.congruence_A
     labels = A.labels.values
@@ -142,14 +167,13 @@ def compose_trajectories(setup):
     nt = A.times.shape[0]
     if nt < 3:
         raise PreconditionError("composition needs at least three stored times")
-    # V_B on the host label grid: one spline with a column per stored time,
-    # each time evaluated with its slope on its own column
-    V_B = np.empty((labels.shape[0], nt))
-    for k in range(nt):
+
+    def pushforward(k):
+        """V_B on the host label grid at stored time k."""
         vb = np.asarray(setup.field_B.velocity(A.q[k], float(A.times[k])), dtype=float)
-        V_B[:, k] = (vb + np.zeros_like(A.q[k])) / A.J[k]
-    spline = NotAKnotSpline(labels, V_B)
-    V_B = [_column(spline, k) for k in range(nt)]
+        return (vb + np.zeros_like(A.q[k])) / A.J[k]
+
+    V_B = _SplineBlocks(labels, pushforward, nt)
 
     y = setup.labels_C.values.copy()
     J = np.ones_like(y)
@@ -159,7 +183,7 @@ def compose_trajectories(setup):
     k = 0
     while k + 2 <= nt - 1:
         h = A.times[k + 2] - A.times[k]
-        y, J = _rk4_pair(y, J, *V_B[k:k + 3], h, span)
+        y, J = _rk4_pair(y, J, V_B[k], V_B[k + 1], V_B[k + 2], h, span)
         k += 2
         out_idx.append(k)
         QB.append(y.copy())
@@ -184,9 +208,13 @@ def compose_trajectories(setup):
     for j, k in enumerate(out_idx):
         pos = A.q[k]
         qC[j] = hermite_eval(labels, pos, pchip_slopes(labels, pos), QB[j])
-    # J_A and v_A at Q_B: one spline each, with a column per output time;
-    # row j of Q_B is evaluated on column j
-    JA_at, vA = (_on_rows(NotAKnotSpline(labels, table[out_idx].T), QB) for table in (A.J, A.qdot))
+    # J_A and v_A at Q_B: splines with a column per output time, a block of
+    # them at a time; row j of Q_B is evaluated on column j
+    JA_at, vA = np.empty_like(QB), np.empty_like(QB)
+    for j in range(0, out_idx.shape[0], BLOCK_TIMES):
+        rows = slice(j, j + BLOCK_TIMES)
+        for table, out in ((A.J, JA_at), (A.qdot, vA)):
+            out[rows] = _on_rows(NotAKnotSpline(labels, table[out_idx[rows]].T), QB[rows])
 
     lc = setup.labels_C.values
     h_lab = np.diff(lc)
@@ -229,6 +257,53 @@ class SourceTable:
         return out if np.ndim(q0) else float(out[0])
 
 
+class _SourceRows:
+    """The source table of the congruence A, accumulated over consecutive
+    blocks of its stored times: ``add`` takes the density and complement
+    rows of the next block, and ``table`` gives the SourceTable.  The
+    cumulative trapezoid is carried across blocks, so the table has the bits
+    of one pass over every row."""
+
+    def __init__(self, A, rho0):
+        labels = A.labels.values
+        self.h = labels[1] - labels[0]
+        if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
+            raise PreconditionError("source_term needs uniform labels")
+        self.A = A
+        self.rho0 = np.asarray(rho0(labels), dtype=float)[None, :]
+        self.c = np.empty(A.q.shape)
+        self.rho_ratio = np.empty(A.q.shape)
+        self.gap = 0.0
+        self.k = 0  # the first row of the next block
+        self.last = None  # the integrand and the integral at the previous row
+
+    def add(self, P, v_B):
+        k0, k1 = self.k, self.k + P.shape[0]
+        times, J = self.A.times, self.A.J[k0:k1]
+        # J_A V_B reduces to v_B along the path in 1D; adding 0.0 turns -0.0 into +0.0
+        W = v_B + 0.0
+        W *= P
+        if self.last is None:  # the integral is zero at the first stored time
+            cum = cumulative_trapezoid(W, times[k0:k1])
+        else:  # carried on from the previous row
+            W_prev, cum_prev = self.last
+            cum = cumulative_trapezoid(np.concatenate((W_prev, W)), times[k0 - 1:k1],
+                                       cum_prev)[1:]
+        self.last = W[-1:], cum[-1]
+        c = self.c[k0:k1]
+        for k in range(k1 - k0):
+            c[k] = -fd_derivative(cum[k], self.h) / J[k]
+        carried = self.rho0 / J
+        self.gap = np.maximum(self.gap, np.max(np.abs(carried + c - P)
+                                               / P.max(axis=1, keepdims=True)))
+        self.rho_ratio[k0:k1] = carried / P
+        self.k = k1
+
+    def table(self):
+        return SourceTable(self.A.labels.values, self.A.times, self.c, self.rho_ratio,
+                           float(self.gap))
+
+
 def source_term(A, P_A, v_B, rho0):
     """Accumulated source along a flow that does not conserve the density.
 
@@ -240,23 +315,14 @@ def source_term(A, P_A, v_B, rho0):
     from time-integrating the label-space conservation law
     d(P_A J_A)/dt + d(P_A J_A V_B)/dq_A0 = 0; it is pinned down here by the
     decomposition identity P_A = rho0 J_A^{-1} + c_A, which the table
-    verifies (a source-free flow must yield c_A = 0).
+    verifies (a source-free flow must yield c_A = 0).  The rows are taken
+    BLOCK_TIMES stored times at a time, so that the integrand and its time
+    integral are never held for every stored time.
     """
-    labels = A.labels.values
-    h = labels[1] - labels[0]
-    if not np.allclose(np.diff(labels), h, rtol=1e-9, atol=1e-15):
-        raise PreconditionError("source_term needs uniform labels")
-    # J_A V_B reduces to v_B along the path in 1D; adding 0.0 turns -0.0 into +0.0
-    W = v_B + 0.0
-    W *= P_A
-    cum = cumulative_trapezoid(W, A.times)
-    c = np.empty_like(cum)
-    for k in range(A.times.shape[0]):
-        c[k] = -fd_derivative(cum[k], h) / A.J[k]
-
-    carried = np.asarray(rho0(labels), dtype=float)[None, :] / A.J
-    gap = float(np.max(np.abs(carried + c - P_A) / P_A.max(axis=1, keepdims=True)))
-    return SourceTable(labels, A.times, c, carried / P_A, gap)
+    rows = _SourceRows(A, rho0)
+    for k in range(0, A.times.shape[0], BLOCK_TIMES):
+        rows.add(P_A[k:k + BLOCK_TIMES], v_B[k:k + BLOCK_TIMES])
+    return rows.table()
 
 
 def pair_source_terms(plus, minus, rho, u, rho0):
@@ -265,20 +331,26 @@ def pair_source_terms(plus, minus, rho, u, rho0):
     conserved mean-flow current.  The density ``rho`` and the osmotic
     velocity ``u`` (callables of (x, t)) are sampled at both congruences'
     positions, stacked as (2, n_labels), with one call each per stored time.
+    Both tables are accumulated BLOCK_TIMES stored times at a time, so that
+    the samples are held for one block only.
     """
     if not np.array_equal(plus.times, minus.times):
         raise PreconditionError("the plus and minus congruences need the same times")
-    # the density and the complement along each flow, one array each, so that
-    # the plus flow's are freed before the minus table is built
-    P_plus, P_minus, V_plus, V_minus = (np.empty(plus.q.shape) for _ in range(4))
+    tables = _SourceRows(plus, rho0), _SourceRows(minus, rho0)
     factors = np.array([[-0.5], [0.5]])
-    for k, t in enumerate(plus.times):
-        x = np.stack((plus.q[k], minus.q[k]))
-        P_plus[k], P_minus[k] = rho(x, float(t))
-        V_plus[k], V_minus[k] = factors * u(x, float(t))
-    table_plus = source_term(plus, P_plus, V_plus, rho0)
-    del P_plus, V_plus
-    return table_plus, source_term(minus, P_minus, V_minus, rho0)
+    n = plus.times.shape[0]
+    for k0 in range(0, n, BLOCK_TIMES):
+        ks = range(k0, min(k0 + BLOCK_TIMES, n))
+        # the density and the complement of each flow (first axis) per row
+        P, V = np.empty((2, 2, len(ks), plus.q.shape[1]))
+        for j, k in enumerate(ks):
+            x = np.stack((plus.q[k], minus.q[k]))
+            t = float(plus.times[k])
+            P[:, j] = rho(x, t)
+            V[:, j] = factors * u(x, t)
+        for f, rows in enumerate(tables):
+            rows.add(P[f], V[f])
+    return tuple(rows.table() for rows in tables)
 
 
 # ---------- conservation along composed flows ----------

@@ -16,6 +16,7 @@ from .errors import (
     FocalPointError,
     InstabilityError,
     PreconditionError,
+    SampledSpanError,
     TrajectoryExitError,
 )
 from .kernels import NotAKnotSpline, invert_monotone, pchip_slopes
@@ -73,8 +74,8 @@ class FieldStack:
     knots.  Between snapshots the splines are blended linearly in time.
     Only the splines of the two snapshots that bracket the latest query are
     kept: a march moves one way in time, so an older snapshot is not asked
-    for again.  Queries outside the valid run or the sampled span raise a
-    ``DomainError``.
+    for again.  Queries outside the valid run raise a ``DomainError``, and
+    times outside the sampled span a ``SampledSpanError``.
 
     ``sample(x, t)`` on x of shape (k, n) makes one interval search per
     bracketing snapshot over all k n points, then gathers for each point
@@ -114,7 +115,7 @@ class FieldStack:
         times = self.fseries.times
         dt = self.fseries.dt
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise DomainError(0.0, t, "time outside the sampled span")
+            raise SampledSpanError(t, times[0], times[-1])
         if dt == 0.0:
             return 0, 0, 0.0
         k = int(np.floor((t - times[0]) / dt))
@@ -271,7 +272,9 @@ def integrate_congruence(source, labels, times, initial_actions=None):
     - ``sample(x, t)`` on positions x of shape (k, n_labels) gives v, dv/dx
       and L, each of shape (k, n_labels); a point outside the field's
       domain raises a ``DomainError`` whose ``index`` is its flat index in
-      x, or None for the point nearest its ``x``;
+      x, or None for the point nearest its ``x``; a time outside the
+      stack's sampled span raises a ``SampledSpanError``, which the march
+      passes on as it is, since no label is at fault;
     - ``part(j)`` is the stack of flow j alone.
 
     ``sample`` is called once per RK4 stage for all k flows.
@@ -319,6 +322,8 @@ def integrate_congruence(source, labels, times, initial_actions=None):
             k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
             k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
             k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
+        except SampledSpanError:
+            raise
         except DomainError as err:
             at = err.index if err.index is not None else int(np.argmin(np.abs(q - err.x)))
             j, i = divmod(at, nl)

@@ -55,6 +55,15 @@ class DomainError(BihjError):
         super().__init__(message or f"query at (x={x:.6g}, t={t:.6g}) is outside the valid region")
 
 
+class SampledSpanError(DomainError):
+    """A sampled field series was queried at a time outside the span of its
+    snapshots; no point is at fault, so ``x`` and ``index`` are None."""
+
+    def __init__(self, t, lo, hi):
+        super().__init__(None, t, f"t={t:.6g} is outside the sampled span "
+                                  f"[{lo:.6g}, {hi:.6g}] of the field series")
+
+
 class TrajectoryExitError(BihjError):
     """A trajectory left the valid region of its driving field; ``flow``
     names its congruence when the march has names."""

@@ -115,6 +115,14 @@ class FieldSnapshot:
         return NotAKnotSpline(self.grid.x[a:b], values[a:b])
 
 
+def _check_action_jump(prev_action, cur, hbar):
+    """Raise if the anchor action moved by pi hbar or more from the previous
+    snapshot's ``prev_action`` to the snapshot ``cur``."""
+    if abs(cur.ref_action - prev_action) >= np.pi * hbar:
+        raise PreconditionError(
+            f"reference-point action jumps between snapshots at t={cur.time:.6g}")
+
+
 @dataclass(frozen=True)
 class FieldSeries:
     params: object
@@ -133,12 +141,10 @@ class FieldSeries:
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
                 raise PreconditionError("field snapshots must be uniformly spaced in time")
         grid = snaps[0].grid
-        hbar = self.params.hbar
         for prev, cur in zip(snaps, snaps[1:]):
             if cur.grid != grid:
                 raise PreconditionError("all field snapshots must share one grid")
-            if abs(cur.ref_action - prev.ref_action) >= np.pi * hbar:
-                raise PreconditionError("reference-point action jumps between snapshots")
+            _check_action_jump(prev.ref_action, cur, self.params.hbar)
         object.__setattr__(self, "snapshots", snaps)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "dt", float(times[1] - times[0]) if len(times) > 1 else 0.0)
@@ -255,20 +261,27 @@ def derive_fields(wave, params, rho_min=None, rho_ref=1.0, ref_index=None,
     )
 
 
-def derive_series(series, rho_min=None, rho_ref=1.0, q_sign="derived"):
-    """Field series with the anchor fixed at t=0 and continued in time."""
+def iter_fields(series, rho_min=None, rho_ref=1.0, q_sign="derived"):
+    """Derived snapshots of a wave series, one at a time, with the anchor
+    fixed at t=0 and continued in time; a jump of the anchor action between
+    two snapshots raises before the later one is yielded."""
     first = series.snapshots[0]
     if rho_min is None:
         rho_min = 1e-12 * first.density().max()
     ref_index = int(np.argmax(first.density()))
-    out = []
     prev = None
     for snap in series.snapshots:
         fs = derive_fields(snap, series.params, rho_min=rho_min, rho_ref=rho_ref,
                            ref_index=ref_index, prev_ref_action=prev, q_sign=q_sign)
+        if prev is not None:
+            _check_action_jump(prev, fs, series.params.hbar)
         prev = fs.ref_action
-        out.append(fs)
-    return FieldSeries(series.params, tuple(out))
+        yield fs
+
+
+def derive_series(series, rho_min=None, rho_ref=1.0, q_sign="derived"):
+    """Field series with the anchor fixed at t=0 and continued in time."""
+    return FieldSeries(series.params, tuple(iter_fields(series, rho_min, rho_ref, q_sign)))
 
 
 # ---------- residual suites ----------

@@ -377,13 +377,22 @@ class NotAKnotSpline:
 
 # ---------- sampled data: running integrals and local extrema ----------
 
-def cumulative_trapezoid(y, t):
-    """Trapezoid-rule integrals of y over t from t[0] to every t[i], zero in
-    the first row; y of shape (n,) or (n, k) is integrated along its rows."""
+def cumulative_trapezoid(y, t, initial=None):
+    """Trapezoid-rule integrals of y over t from t[0] to every t[i]; y of
+    shape (n,) or (n, k) is integrated along its rows.  The first row is
+    zero, or ``initial``, the integral up to t[0] carried from an earlier
+    span: the sums then run on from it in the order of one ``np.cumsum``, so
+    that a span integrated in pieces, each starting at the last point of the
+    one before, gets the bits of the span integrated at once."""
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     dt = np.diff(t).reshape((-1,) + (1,) * (y.ndim - 1))
-    np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    steps = dt * (y[1:] + y[:-1]) / 2.0
+    if initial is None:
+        np.cumsum(steps, axis=0, out=out[1:])
+    else:
+        np.cumsum(np.concatenate((np.reshape(initial, (1,) + y.shape[1:]), steps)), axis=0,
+                  out=out)
     return out
 
 

@@ -17,7 +17,6 @@ import math
 import numbers
 import reprlib
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -35,7 +34,7 @@ from .compose import (
 )
 from .congruence import FieldStack, LabelSet, integrate_congruence
 from .errors import BihjError, ConfigurationError
-from .fields import derive_series
+from .fields import derive_series, iter_fields
 from .gaussian import GaussianStack
 from .reconstruct import reconstruction_probe
 from .reference import (
@@ -398,13 +397,14 @@ def write_csv(path, header, blocks):
     Floats are written with 17 significant digits, integers and booleans as
     integers, anything else as text.  Each block is written in chunks of
     CSV_CHUNK_ROWS rows through one row format, into which its scalars are
-    formatted once; an array object that recurs across blocks is formatted
-    to text once.
+    formatted once.  ``blocks`` may be a generator: the blocks are taken one
+    at a time, and only the previous block's arrays are kept, so an array
+    object that appears in consecutive blocks (the grid of ``fields.csv``)
+    is formatted to text once, when it recurs, and that text is kept while
+    it keeps recurring.
     """
-    blocks = list(blocks)
-    seen = Counter(id(e) for block in blocks for e in block if np.ndim(e))
-    texts = {}  # id -> values as text, of the recurring arrays
     digest = hashlib.sha256()
+    prev = {}  # id -> (array, its values as text or None), of the previous block
     with open(path, "wb") as fh:
         def put(text):
             data = text.encode("utf-8")
@@ -413,19 +413,25 @@ def write_csv(path, header, blocks):
 
         put(",".join(header) + "\n")
         for block in blocks:
-            fmt, columns = [], []
+            fmt, columns, held = [], [], {}
             for e in block:
                 values = np.asarray(e)
                 if not values.ndim:
                     fmt.append((_csv_format(values) % values.item()).replace("%", "%%"))
-                elif seen[id(e)] > 1:
-                    if id(e) not in texts:
-                        texts[id(e)] = [_csv_format(values) % v for v in values.tolist()]
-                    fmt.append("%s")
-                    columns.append(texts[id(e)])
-                else:
+                    continue
+                known = held.get(id(e)) or prev.get(id(e))
+                if known is None:  # written as numbers, unless it recurs
+                    held[id(e)] = e, None
                     fmt.append(_csv_format(values))
                     columns.append(values)
+                    continue
+                text = known[1]
+                if text is None:
+                    text = [_csv_format(values) % v for v in values.tolist()]
+                held[id(e)] = e, text
+                fmt.append("%s")
+                columns.append(text)
+            prev = held
             fmt = ",".join(fmt) + "\n"
             n_rows = min(len(c) for c in columns)
             for start in range(0, n_rows, CSV_CHUNK_ROWS):
@@ -444,6 +450,18 @@ def write_json(path, payload):
 
 
 # ---------- the staged run pipeline ----------
+
+@contextmanager
+def _stage_of_errors(name):
+    """A package error raised in the block that names no stage yet records
+    ``name``."""
+    try:
+        yield
+    except BihjError as err:
+        if err.stage is None:
+            err.stage = name
+        raise
+
 
 class RunBundle:
     """One run: cached, timed pipeline stages, emitted files, checks, numerical
@@ -475,11 +493,8 @@ class RunBundle:
         records the innermost stage it came from."""
         start = time.perf_counter()
         try:
-            yield
-        except BihjError as err:
-            if err.stage is None:
-                err.stage = name
-            raise
+            with _stage_of_errors(name):
+                yield
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
 
@@ -512,8 +527,25 @@ class RunBundle:
     def fields(self):
         wave = self.wave
         with self.timed("fields"):
-            rho_min = self.config.rho_min_factor * wave.snapshots[0].density().max()
-            return derive_series(wave, rho_min=rho_min, rho_ref=self.config.rho_ref)
+            return derive_series(wave, **self._field_thresholds(wave))
+
+    def _field_thresholds(self, wave):
+        return {"rho_min": self.config.rho_min_factor * wave.snapshots[0].density().max(),
+                "rho_ref": self.config.rho_ref}
+
+    def field_snapshots(self):
+        """The derived field snapshots, for a reader that takes each once:
+        those of the ``fields`` stage if a stage built it, else derived one
+        at a time as they are read, so that none holds them all.  Then their
+        time is the reader's, and an error still names the ``fields`` stage."""
+        if "fields" in vars(self):
+            return self.fields.snapshots
+        wave = self.wave
+
+        def derived():
+            with _stage_of_errors("fields"):
+                yield from iter_fields(wave, **self._field_thresholds(wave))
+        return derived()
 
     @cached_property
     def library(self):
@@ -563,7 +595,7 @@ class RunBundle:
         with self.timed("autonomous"):
             bi = propagate_autonomous(library.initial("plus"), library.initial("minus"),
                                       labels, cfg.params, cfg.dt_solver, cfg.solver_steps,
-                                      rho_ref=cfg.rho_ref)
+                                      store_every=cfg.store_every, rho_ref=cfg.rho_ref)
         self.diagnostics.update(bi.diagnostics)
         return bi
 
@@ -658,7 +690,7 @@ def run_simulate(config, out_dir):
                  ((s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots))
     run.emit_csv("fields.csv", FIELD_COLUMNS,
                  ((s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
-                  for s in run.fields.snapshots))
+                  for s in run.field_snapshots()))
     label_index = np.arange(len(run.labels))
     run.emit_csv("trajectories.csv",
                  ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),

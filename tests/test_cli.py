@@ -209,3 +209,18 @@ def test_reference_driven_failure_names_the_flow(tmp_path, capsys, argv):
     assert capsys.readouterr().err == (
         "error: [congruences] minus trajectory with label -4 left the valid region at t=0.277\n")
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_march_past_the_sampled_span_exits_2_naming_the_span(tmp_path, config_path, capsys,
+                                                             monkeypatch):
+    # the trajectory stages marched half again as long as the stored fields
+    import bihj.scenario as scenario
+    doc = json.loads(config_path.read_text())
+    doc["solver"] = "crank_nicolson"
+    config_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(scenario.RunBundle, "times",
+                        property(lambda self: np.arange(76) * self.config.dt_solver))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: [congruences] t=0.101 is outside the sampled span [0, 0.1] "
+        "of the field series\n")

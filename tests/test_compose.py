@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import FakeStack
+from oracles import (
+    composed_path,
+    full_array_pair_samples,
+    full_array_source_term,
+    one_spline_compose,
+)
 
-from bihj import gaussian
+from bihj import compose, gaussian
 from bihj.compose import (
     CompositionSetup,
     compose_trajectories,
@@ -212,3 +218,57 @@ class TestMixture:
                             0.5, np.linspace(-1.5, 1.5, 11), 1.0)
         assert rep.max_restored_gap <= 1e-3
         assert np.abs(rep.trajectory_ratio - 1.0).max() > 0.1
+
+
+class TestBlocks:
+    """Composition and source tables built a block of stored times at a time
+    have the bits of the one-shot algorithms in ``oracles``."""
+
+    # stored times below the block size, equal to it and not a multiple of it
+    # (BLOCK_TIMES 64); an even count leaves compose an odd tail
+    COUNTS = (40, 64, 129, 150)
+
+    @pytest.fixture(scope="class")
+    def flows(self, g):
+        labels = LabelSet.uniform(-4.0, 4.0, 201)
+        stack = GaussianStack(g, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0)])
+        return {n: integrate_congruence(stack, labels, np.linspace(0.0, 1.0, n))
+                for n in self.COUNTS}
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("block", [None, 5, 2])
+    def test_compose_is_the_one_spline_composition(self, g, flows, monkeypatch, n, block):
+        if block is not None:
+            monkeypatch.setattr(compose, "BLOCK_TIMES", block)
+        host = flows[n][0]
+        setup = CompositionSetup(host, scaled_u(g, -0.5), LabelSet.uniform(-1.6, 1.6, 81))
+        res = compose_trajectories(setup)
+        out_idx, QB, JB, JA_at, vA = one_spline_compose(setup)
+        assert (out_idx[-1] - out_idx[-2] == 1) == (n % 2 == 0)  # the odd tail
+        assert np.array_equal(res.times, host.times[out_idx])
+        qC = composed_path(setup, out_idx, QB)
+        vB = np.array([setup.field_B.velocity(qC[j], float(host.times[k]))
+                       for j, k in enumerate(out_idx)])
+        for name, want in (("Q_B", QB), ("J_B", JB), ("J_A_at_QB", JA_at), ("q_C", qC),
+                           ("velocity", vA + vB)):
+            assert getattr(res, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_source_tables_are_the_full_array_tables(self, g, flows, u_source, monkeypatch,
+                                                     n, block):
+        if block is not None:
+            monkeypatch.setattr(compose, "BLOCK_TIMES", block)
+        plus, minus = flows[n]
+        rho = GaussianStack(g, [("rho", None, 1.0)]).velocity
+        rho0 = lambda q: gaussian.rho(g, q, 0.0)
+        pair = pair_source_terms(plus, minus, rho, u_source.velocity, rho0)
+        samples = full_array_pair_samples(plus, minus, rho, u_source.velocity)
+        for tab, host, (P, V) in zip(pair, (plus, minus), samples):
+            alone = source_term(host, P, V, rho0)
+            c, ratio, gap = full_array_source_term(host, P, V, rho0)
+            for got in (tab, alone):
+                assert got.c_A.tobytes() == c.tobytes()
+                assert got.rho_ratio.tobytes() == ratio.tobytes()
+                assert got.decomposition_gap == gap
+                assert got.times is host.times

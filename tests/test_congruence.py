@@ -18,6 +18,7 @@ from bihj.errors import (
     ExtrapolationError,
     FocalPointError,
     PreconditionError,
+    SampledSpanError,
     TrajectoryExitError,
 )
 from bihj.fields import derive_series
@@ -239,6 +240,21 @@ class TestIntegration:
         assert (err.value.flow, err.value.label, err.value.time) == (
             "minus", alone.value.label, alone.value.time)
         assert str(err.value) == "minus " + str(alone.value)
+
+    def test_march_past_the_sampled_span_names_the_span(self, params):
+        # a series stored to t = 0.2 and marched to t = 0.3: the first RK4
+        # stage past the last snapshot is at t = 0.205, and no label is at fault
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        fs = derive_series(analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+                                           np.arange(21) * 0.01))
+        stack = FieldStack(fs, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0)],
+                           ("plus", "minus"))
+        with pytest.raises(SampledSpanError) as err:
+            integrate_congruence(stack, LabelSet.uniform(-1.5, 1.5, 31), np.arange(31) * 0.01)
+        assert str(err.value) == ("t=0.205 is outside the sampled span [0, 0.2] "
+                                  "of the field series")
+        assert err.value.index is None and err.value.x is None
+        assert "label" not in str(err.value)
 
     def test_stacked_guard_errors_name_the_flow_that_failed_first(self):
         # the cubic squeeze of the test below, switched on at t=0 in the

@@ -8,6 +8,7 @@ from bihj.fields import (
     derive_series,
     fokker_planck_residuals,
     hj_residuals,
+    iter_fields,
     polar_residuals,
     stationary_points,
     time_reversal_check,
@@ -121,6 +122,45 @@ class TestDeriveFields:
         snap = WaveSnapshot(grid, 0.0, vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dx))
         with pytest.raises(UnwrapError):
             derive_fields(snap, params)
+
+
+FIELD_ARRAYS = ("rho", "S", "S_plus", "S_minus", "v", "v_plus", "v_minus", "u", "Q",
+                "Q_plus", "Q_minus", "valid")
+
+
+class TestIterFields:
+    def test_snapshots_are_those_of_the_series(self, params):
+        # the tails below the floor are masked, so the fields hold NaNs there
+        grid = SpatialGrid(-10.0, 10.0, 512)
+        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+                               np.arange(6) * 0.1)
+        rho_min = 1e-8 * wave.snapshots[0].density().max()
+        series = derive_series(wave, rho_min=rho_min, rho_ref=2.0)
+        streamed = iter_fields(wave, rho_min=rho_min, rho_ref=2.0)
+        assert iter(streamed) is streamed
+        count = 0
+        for want, got in zip(series.snapshots, streamed, strict=True):
+            assert np.isnan(got.S).any() and not got.valid.all()
+            for name in FIELD_ARRAYS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.time, got.ref_index, got.rho_ref) == (want.time, want.ref_index, 2.0)
+            count += 1
+        assert count == len(wave.snapshots)
+
+    def test_action_jump_raises_at_the_same_snapshot(self, grid, params):
+        # the sign flip at t = 0.02 moves the anchor phase by exactly pi
+        base = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+                               np.zeros(1)).snapshots[0].values
+        wave = WaveSeries(params, tuple(WaveSnapshot(grid, 0.01 * k, sign * base)
+                                        for k, sign in enumerate((1.0, 1.0, -1.0, 1.0))))
+        times = []
+        with pytest.raises(PreconditionError, match="jumps between snapshots at t=0.02") as err:
+            for fs in iter_fields(wave):
+                times.append(fs.time)
+        assert times == [0.0, 0.01]
+        with pytest.raises(PreconditionError) as whole:
+            derive_series(wave)
+        assert str(whole.value) == str(err.value)
 
 
 class TestResiduals:

@@ -232,6 +232,12 @@ def test_sampled_data_helpers_are_scipy(rng):
         y = rng.normal(size=shape)
         ref = cumulative_trapezoid(y, t, axis=0, initial=0.0)
         assert _bits(K.cumulative_trapezoid(y, t)) == _bits(ref)
+        # integrated in pieces, each starting at the last point of the one before
+        at_once = K.cumulative_trapezoid(y, t)
+        for cut in range(1, shape[0]):
+            head = K.cumulative_trapezoid(y[:cut], t[:cut])
+            tail = K.cumulative_trapezoid(y[cut - 1:], t[cut - 1:], head[-1])
+            assert _bits(np.concatenate((head, tail[1:]))) == _bits(at_once)
     for y in (rng.normal(size=200), np.round(rng.normal(size=200)), np.ones(5), np.ones(2)):
         ref = np.concatenate([argrelextrema(y, np.greater)[0], argrelextrema(y, np.less)[0]])
         assert np.array_equal(K.strict_extrema(y), ref)

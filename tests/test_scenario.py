@@ -2,13 +2,16 @@ import filecmp
 import hashlib
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import reference_write_csv
 
 import bihj.scenario as scenario
-from bihj.errors import ConfigurationError
+from bihj.errors import ConfigurationError, UnwrapError
+from bihj.fields import derive_series
 from bihj.scenario import (
     CSV_CHUNK_ROWS,
     load_config,
@@ -359,6 +362,117 @@ class TestOutputs:
             tracemalloc.stop()
         assert (tmp_path / "fields.csv").stat().st_size > 30 * 2**20
         assert peak < 8 * 2**20, peak
+
+    @staticmethod
+    def recurring_blocks():
+        """Block lists whose arrays recur in consecutive blocks, in blocks
+        apart and within one block, with scalars and arrays of float, int,
+        bool and str."""
+        x = np.linspace(-1.0, 1.0, 5)
+        y = np.r_[np.nan, -0.0, 5e-324, np.inf, 1.0 / 3.0]
+        counts = np.arange(5) * 10**17
+        flags = np.array([True, False, True, True, False])
+        names = np.array(["plus", "minus", "a%d", "100%", "ünï"])
+        return {
+            "consecutive": [(0.0, x, counts), (1, x, counts), (True, x, flags), ("s", y, flags)],
+            "apart": [(0.5, x, names), (np.int64(7), y, flags), (np.bool_(False), x, names),
+                      ("%", y, counts), (-0.0, x, names)],
+            "within": [(x, 1.5, x, counts, counts), (y, "t", y, flags, y[:3])],
+            "every kind": [(x, y, counts, flags, names), (x, x, counts, names, names),
+                           (y, x, flags, flags, counts), (y, y, names, counts, flags)],
+        }
+
+    @pytest.mark.parametrize("case", ["consecutive", "apart", "within", "every kind"])
+    def test_csv_bytes_are_those_of_the_reference_writer(self, tmp_path, case):
+        blocks = self.recurring_blocks()[case]
+        header = [f"c{i}" for i in range(len(blocks[0]))]
+        want = reference_write_csv(tmp_path / "want.csv", header, blocks)
+        for name, given in (("list.csv", blocks), ("generator.csv", (b for b in blocks))):
+            assert write_csv(tmp_path / name, header, given) == want
+            assert (tmp_path / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_csv_releases_a_generator_block_before_the_file_ends(self, tmp_path):
+        # the grid recurs in every block, as in fields.csv; each block's own
+        # array must be gone two blocks later
+        x = np.linspace(-1.0, 1.0, 7)
+        refs, alive = [], []
+
+        def blocks():
+            for k in range(5):
+                if k >= 2:
+                    alive.append(refs[k - 2]() is not None)
+                values = np.full(7, 0.25 * k)
+                refs.append(weakref.ref(values))
+                yield k, x, values
+                del values
+
+        write_csv(tmp_path / "t.csv", ["k", "x", "v"], blocks())
+        assert alive == [False, False, False]
+        want = reference_write_csv(tmp_path / "want.csv", ["k", "x", "v"],
+                                   [(k, x, np.full(7, 0.25 * k)) for k in range(5)])
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == want
+
+    def test_analytic_simulate_derives_fields_while_writing_them(self, tmp_path):
+        cfg = parse_config(small_doc())
+        manifest, run = run_simulate(cfg, tmp_path)
+        assert "fields" not in vars(run)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert "fields" not in timings and "write:fields.csv" in timings
+        # the bytes of the fields stage's snapshots, written at once
+        fs = derive_series(run.wave, rho_min=cfg.rho_min_factor
+                           * run.wave.snapshots[0].density().max(), rho_ref=cfg.rho_ref)
+        want = reference_write_csv(
+            tmp_path / "want.csv", scenario.FIELD_COLUMNS,
+            [(s.time, cfg.grid.x) + tuple(getattr(s, k) for k in scenario.FIELD_COLUMNS[2:])
+             for s in fs.snapshots])
+        assert manifest["files"]["fields.csv"] == want
+
+    def test_sampled_simulate_writes_the_fields_stage(self, tmp_path, monkeypatch):
+        streamed = []
+        original = scenario.iter_fields
+
+        def counted(*args, **kwargs):
+            streamed.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "iter_fields", counted)
+        _, run = run_simulate(parse_config(small_doc(solver="crank_nicolson")), tmp_path)
+        assert "fields" in vars(run) and streamed == []
+        assert "fields" in json.loads((tmp_path / "timings.json").read_text())
+
+    def test_derivation_error_while_writing_names_the_fields_stage(self, tmp_path,
+                                                                   monkeypatch):
+        original = scenario.iter_fields
+
+        def failing(*args, **kwargs):
+            yield next(original(*args, **kwargs))
+            raise UnwrapError("phase jump")
+
+        monkeypatch.setattr(scenario, "iter_fields", failing)
+        with pytest.raises(UnwrapError) as err:
+            run_simulate(parse_config(small_doc()), tmp_path)
+        assert err.value.stage == "fields"
+        # the first snapshot was written: 256 grid rows and the header
+        assert len((tmp_path / "fields.csv").read_text().splitlines()) == 257
+
+    def test_simulate_memory_does_not_grow_with_the_stored_field_times(self, tmp_path):
+        # halving dt_fields doubles the stored field times and keeps the
+        # solver steps; the fields of the extra snapshots must not be held
+        def traced_peak(dt_fields, out):
+            cfg = parse_config(small_doc(
+                grid={"x_min": -10.0, "x_max": 10.0, "n_points": 512},
+                time={"dt_solver": 0.005, "dt_fields": dt_fields, "t_final": 0.4}))
+            tracemalloc.start()
+            try:
+                run_simulate(cfg, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base, doubled = traced_peak(0.01, tmp_path / "a"), traced_peak(0.005, tmp_path / "b")
+        # 40 more snapshots of 11 float fields and the valid mask on 512 points
+        extra = 40 * 512 * (11 * 8 + 1)
+        assert doubled - base < 0.5 * extra, (base, doubled, extra)
 
     def test_analytic_runs_skip_field_extraction(self, tmp_path, monkeypatch):
         calls = []
