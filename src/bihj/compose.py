@@ -165,8 +165,9 @@ def compose_trajectories(setup):
     labels = A.labels.values
     span = (labels[0], labels[-1])
     nt = A.times.shape[0]
-    if nt < 3:
-        raise PreconditionError("composition needs at least three stored times")
+    if nt < 4:
+        # the residual's centred differences need three composed times
+        raise PreconditionError("composition needs at least four stored times")
 
     def pushforward(k):
         """V_B on the host label grid at stored time k."""

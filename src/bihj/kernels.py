@@ -1,18 +1,20 @@
 """Hot numeric kernels, one vectorised numpy implementation each.
 
 Tridiagonal systems go straight to LAPACK (gtsv, or one gttrf reused by
-gttrs solves); piecewise cubic Hermite evaluation and its monotone inversion
-share one interval locator and one cubic formula.  The not-a-knot spline
-solves its slopes through the same gtsv and evaluates from per-interval
-polynomial coefficients along one path: an interval search (``locate``),
-then a gather of each point's own columns (``own_column``), which calling
-the spline does over every column.  Spline slopes, splines and Hermite
-evaluation take several value columns on shared knots at once;
-``NaturalSplines`` takes several knot sets at once, as one block-diagonal
-system factored once.
+gttrs solves): ``_lapack`` calls the routines in the OpenBLAS that numpy
+itself loads, so numpy is the one library these kernels need.  Piecewise
+cubic Hermite evaluation and its monotone inversion share one interval
+locator and one cubic formula.  The not-a-knot spline solves its slopes
+through the same gtsv and evaluates from per-interval polynomial
+coefficients along one path: an interval search (``locate``), then a gather
+of each point's own columns (``own_column``), which calling the spline does
+over every column.  Spline slopes, splines and Hermite evaluation take
+several value columns on shared knots at once; ``NaturalSplines`` takes
+several knot sets at once, as one block-diagonal system factored once.
 """
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+
+from . import _lapack
 
 # Newton/bisection steps per target in invert_monotone: bisection alone halves
 # the bracket each step, so this bound reaches double precision in s in [0, 1].
@@ -31,9 +33,9 @@ def _check_info(info, routine):
 
 def tridiag_solve(dl, d, du, rhs):
     """Solve the tridiagonal system for rhs of shape (n,) or (n, k); dl and du
-    have length n-1.  LAPACK gtsv: elimination with partial pivoting."""
-    gtsv, = get_lapack_funcs(("gtsv",), (dl, d, du, rhs))
-    x, info = gtsv(dl, d, du, rhs)[3:]
+    have length n-1.  LAPACK gtsv: elimination with partial pivoting, complex
+    if the matrix or rhs is."""
+    x, info = _lapack.gtsv(dl, d, du, rhs)
     _check_info(info, "gtsv")
     return x
 
@@ -41,14 +43,13 @@ def tridiag_solve(dl, d, du, rhs):
 def make_tridiag_solver(dl, d, du):
     """Repeated solver for a fixed tridiagonal matrix: one LU factorisation
     with partial pivoting (LAPACK gttrf), then one gttrs solve per call."""
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
-    dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
-    _check_info(info, "gttrf")
+    lu = _lapack.factor(dl, d, du)
+    _check_info(lu.info, "gttrf")
 
     def solve(rhs):
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
-            return solve(rhs.real) + 1j * solve(rhs.imag)
-        return gttrs(dl, d, du, du2, ipiv, rhs)[0]
+        x, info = lu.solve(rhs)
+        _check_info(info, "gttrs")
+        return x
 
     return solve
 
@@ -174,20 +175,26 @@ class _NaturalSystem:
         self.inv_lo = 1.0 / self.h[:-1]
         self.inv_hi = 1.0 / self.h[1:]
 
-    def matrix(self):
-        """The diagonals dl, d, du of the block-diagonal matrix."""
+    def fill(self, bands):
+        """Write the diagonals dl, d, du of the block-diagonal matrix into the
+        rows of bands, zeroed, of shape (3, k n); dl and du take the first
+        k n - 1 entries of theirs."""
         k, n = self.h.shape[1], self.h.shape[0] + 1
-        d = np.empty((k, n))
-        dl = np.zeros((k, n))  # dl[j, i] is entry (i + 1, i) of block j; 0 at the seam
-        du = np.zeros((k, n))  # du[j, i] is entry (i, i + 1) of block j; 0 at the seam
+        dl, d, du = bands.reshape(3, k, n)  # a view: row j of each is block j
         d[:, 0] = 2.0
-        du[:, 0] = 1.0
+        du[:, 0] = 1.0  # du[j, i] is entry (i, i + 1) of block j; 0 at the seam
         d[:, -1] = 2.0
-        dl[:, -2] = 1.0
+        dl[:, -2] = 1.0  # dl[j, i] is entry (i + 1, i) of block j; 0 at the seam
         dl[:, :-2] = self.inv_lo.T
         du[:, 1:-1] = self.inv_hi.T
         d[:, 1:-1] = 2.0 * (self.inv_lo + self.inv_hi).T
-        return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1]
+
+    def matrix(self):
+        """The diagonals dl, d, du of the block-diagonal matrix."""
+        k, n = self.h.shape[1], self.h.shape[0] + 1
+        bands = np.zeros((3, k * n))
+        self.fill(bands)
+        return bands[0, :-1], bands[1], bands[2, :-1]
 
     def rhs(self, y):
         """Right-hand side of shape (k n, c), Fortran-ordered, for the c sets
@@ -224,11 +231,12 @@ class NaturalSplines:
     Points beyond the ends use the end intervals.
 
     What depends only on the knots and the points is made once: the k slope
-    systems as one block-diagonal system of size k n, factored once
-    (``make_tridiag_solver``), and each point's interval and Hermite basis.
-    A call on c sets of knot values then takes one solve, one gather and one
-    basis combination.  Every column has the bits of ``spline_slopes_natural``
-    and ``hermite_eval`` on its own knots: the seam's zero entries keep the
+    systems as one block-diagonal system of size k n, written where LAPACK
+    factors it (``_lapack.TridiagonalLU``), and each point's interval and
+    Hermite basis.  A call on c sets of knot values then takes one solve, in
+    place in its freshly built right-hand side, one gather and one basis
+    combination.  Every column has the bits of ``spline_slopes_natural`` and
+    ``hermite_eval`` on its own knots: the seam's zero entries keep the
     blocks apart, and gttrf with gttrs makes the operations of gtsv, row
     interchanges included.  The one exception is the sign of a zero: where
     the values hold -0.0, a zero slope may differ from gtsv's in sign.
@@ -239,7 +247,8 @@ class NaturalSplines:
         xq = np.asarray(xq, dtype=float)
         n, k = x.shape
         self._system = _NaturalSystem(x)
-        self._solve = make_tridiag_solver(*self._system.matrix())
+        self._lu = _lapack.TridiagonalLU(n * k, float, self._system.fill)
+        _check_info(self._lu.info, "gttrf")
         i = np.stack([_locate(x[:, j], xq[:, j]) for j in range(k)], axis=1)
         # the knots i and i + 1 of column j: entries i k + j and (i + 1) k + j
         # of the flattened values, rows i + j n and i + 1 + j n of the system
@@ -251,16 +260,23 @@ class NaturalSplines:
         self._h = x.take(at + k) - x_lo
         self._basis = _basis((xq - x_lo) / self._h)
 
+    def _solve(self, y):
+        """Knot slopes of shape (k n, c), Fortran-ordered, for the c sets of
+        knot values y of shape (c, n, k)."""
+        dk = self._system.rhs(y)
+        _check_info(self._lu.solve_in_place(dk), "gttrs")
+        return dk
+
     def slopes(self, y):
         """Knot slopes, shaped like the knot values y of shape (c, n, k)."""
         c, n, k = y.shape
-        return self._solve(self._system.rhs(y)).T.reshape(c, k, n).transpose(0, 2, 1)
+        return self._solve(y).T.reshape(c, k, n).transpose(0, 2, 1)
 
     def __call__(self, y):
         """Values of shape (c, m, k) at the points, for the c sets of knot
         values y of shape (c, n, k), each set shaped like the knots."""
         c, n, k = y.shape
-        dk = self._solve(self._system.rhs(y)).T  # (c, k n)
+        dk = self._solve(y).T  # (c, k n)
         yk = y.reshape(c, n * k)
         (v0, v1), (r0, r1) = self._values_at, self._rows_at
         return _cubic(self._basis, self._h, yk.take(v0, axis=1), yk.take(v1, axis=1),

@@ -51,7 +51,12 @@ def polar_wavefunction_at(congruence, rho0, x, t, params):
     J, chi = NotAKnotSpline(labels, np.stack((congruence.J[k], congruence.chi[k]), 1))(q0).T
     if np.any(J <= 0):
         raise PreconditionError("need a positive expansion factor")
-    out = np.sqrt(np.asarray(rho0(q0), dtype=float) / J) * np.exp(1j * chi / params.hbar)
+    rho = np.asarray(rho0(q0), dtype=float)
+    if np.any(rho < 0):
+        i = int(np.argmin(rho))
+        raise PreconditionError(f"the initial density is {rho[i]:.3g} < 0 at label "
+                                f"{q0[i]:.6g}")
+    out = np.sqrt(rho / J) * np.exp(1j * chi / params.hbar)
     return out if np.ndim(x) else complex(out[0])
 
 

@@ -1,6 +1,6 @@
-"""Property tests of the tridiagonal solve, the natural-spline and PCHIP
-slopes, the block natural splines, the not-a-knot spline, its own-column
-evaluation and the monotone inversion."""
+"""Property tests of the tridiagonal solve and its LAPACK binding, the
+natural-spline and PCHIP slopes, the block natural splines, the not-a-knot
+spline, its own-column evaluation and the monotone inversion."""
 import numpy as np
 import pytest
 
@@ -9,8 +9,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 from scipy.interpolate import CubicSpline  # noqa: E402
+from scipy.linalg import get_lapack_funcs  # noqa: E402
 
 import bihj.kernels as K  # noqa: E402
+from bihj import _lapack  # noqa: E402
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).smallest_subnormal
@@ -203,3 +205,68 @@ def test_invert_monotone_round_trips_within_tol(data, rel_tol, draw):
     inv = K.invert_monotone(x, y, m, targets, tol)
     assert np.all((inv >= x[0]) & (inv <= x[-1]))
     assert np.abs(K.hermite_eval(x, y, m, inv) - targets).max() <= tol
+
+
+@st.composite
+def lapack_systems(draw):
+    """A tridiagonal system of order n in [3, 900], real or complex, with
+    entries whose magnitudes span 1e-3 to 1e3 and random signs (so that
+    gttrf pivots), some zero seams that split it into blocks, some zeros on
+    the diagonal (a zero pivot where one falls in a block of its own), and
+    1 to 4 right-hand side columns, or one of shape (n,), real or of the
+    matrix's type."""
+    n = draw(st.integers(3, 900))
+    k = draw(st.integers(1, 4))
+    one_d = k == 1 and draw(st.booleans())
+    complex_ = draw(st.booleans())
+    seams = draw(st.integers(0, 4))
+    zeros = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        if complex_:
+            out = out + 1j * rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        return out
+
+    dl, d, du = entries(n - 1), entries(n), entries(n - 1)
+    cut = rng.choice(n - 1, size=min(seams, n - 1), replace=False)
+    dl[cut] = 0.0
+    du[cut] = 0.0
+    d[rng.choice(cut, size=min(zeros, cut.size), replace=False)] = 0.0
+    b = entries(n) if one_d else np.asfortranarray(entries(n, k))
+    if draw(st.booleans()):
+        b = b.real  # on a complex matrix, solved as complex
+    return dl, d, du, b
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lapack_systems())
+def test_lapack_binding_is_scipys_wrappers_bit_for_bit(system):
+    # the routines of numpy's OpenBLAS give the bytes of scipy's f2py
+    # wrappers, on copies: the arrays passed in stay unchanged
+    dl, d, du, b = system
+    before = [a.copy() for a in system]
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (dl, d, du, b))
+
+    x, info = _lapack.gtsv(dl, d, du, b)
+    want = gtsv(dl, d, du, b)
+    assert info == want[4] and _same_bytes(x, want[3])
+    assert x.flags.f_contiguous
+
+    lu = _lapack.factor(dl, d, du)
+    want = gttrf(dl, d, du)
+    assert lu.info == want[5]
+    for got, exp in zip((lu.dl, lu.d, lu.du, lu.du2), want[:4]):
+        assert _same_bytes(got, exp)
+    assert np.array_equal(lu.ipiv, want[4])
+
+    x, info = lu.solve(b)
+    want = gttrs(*want[:5], b)
+    assert info == want[1] and _same_bytes(x, want[0])
+    for a, copy in zip(system, before):
+        assert _same_bytes(a, copy)

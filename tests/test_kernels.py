@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 from scipy.signal import argrelextrema
 
 import bihj.kernels as K
+from bihj import _lapack
 
 
 @pytest.fixture
@@ -62,6 +63,152 @@ def test_tridiag_solve_rejects_singular_matrix():
     d = np.array([1.0, 0.0, 1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         K.tridiag_solve(np.zeros(3), d, np.zeros(3), np.ones(4))
+
+
+def _singular_system():
+    # the second row is zero; the row interchanges carry the zero pivot to
+    # the last row
+    return np.array([0.0, 1.0, 0.5]), np.array([2.0, 0.0, 3.0, 1.0]), np.array([1.0, 0.0, 2.0])
+
+
+def test_singular_matrix_reports_lapacks_row(rng):
+    dl, d, du = _singular_system()
+    gtsv, gttrf = get_lapack_funcs(("gtsv", "gttrf"), (dl, d, du))
+    rhs = rng.normal(size=4)
+    row = gtsv(dl, d, du, rhs)[4]
+    assert row == gttrf(dl, d, du)[5] == 4
+    assert _lapack.gtsv(dl, d, du, rhs)[1] == _lapack.factor(dl, d, du).info == row
+    message = f"^singular tridiagonal matrix: zero pivot in row {row}$"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        K.tridiag_solve(dl, d, du, rhs)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        K.make_tridiag_solver(dl, d, du)
+
+
+def test_solves_leave_the_callers_arrays_unchanged(rng):
+    for dtype in (float, complex):
+        dl, d, du, _ = _tridiag(rng, 40, dtype)
+        for rhs in (rng.normal(size=40), np.asfortranarray(rng.normal(size=(40, 3))),
+                    rng.normal(size=(40, 2)), rng.normal(size=40) + 1j * rng.normal(size=40)):
+            given = [dl, d, du, rhs]
+            before = [a.copy() for a in given]
+            K.tridiag_solve(dl, d, du, rhs)
+            solve = K.make_tridiag_solver(dl, d, du)
+            solve(rhs)
+            solve(rhs)
+            for a, copy in zip(given, before):
+                assert a.tobytes() == copy.tobytes()
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The binding's routines replaced by one that records its calls."""
+    calls = []
+    stub = lambda *args: calls.append(args)  # noqa: E731
+    monkeypatch.setattr(_lapack, "_ROUTINES", {dtype: (stub, stub, stub)
+                                               for dtype in _lapack._ROUTINES})
+    return calls
+
+
+@pytest.mark.parametrize("dl, d, du", [
+    (np.ones(3), np.ones(4), np.ones(2)),  # du one short
+    (np.ones(4), np.ones(4), np.ones(3)),  # dl one long
+    (np.ones(3), np.ones((4, 1)), np.ones(3)),  # d not 1-d
+    (np.ones((3, 1)), np.ones(4), np.ones(3)),  # dl not 1-d
+    (np.ones(0), np.ones(0), np.ones(0)),  # order 0
+])
+def test_binding_rejects_bad_diagonals_before_calling_lapack(lapack_calls, dl, d, du):
+    with pytest.raises(ValueError):
+        _lapack.gtsv(dl, d, du, np.ones(4))
+    with pytest.raises(ValueError):
+        _lapack.factor(dl, d, du)
+    assert lapack_calls == []
+
+
+@pytest.mark.parametrize("rhs", [np.ones(5), np.ones((3, 2)), np.ones((4, 2, 1)),
+                                 np.ones(()), np.ones((4, 0))])
+def test_binding_rejects_bad_rhs_before_calling_lapack(lapack_calls, rhs):
+    diagonals = np.ones(3), np.full(4, 3.0), np.ones(3)
+    with pytest.raises(ValueError):
+        _lapack.gtsv(*diagonals, rhs)
+    lu = _lapack.factor(*diagonals)
+    with pytest.raises(ValueError):
+        lu.solve(rhs)
+    with pytest.raises(ValueError):
+        lu.solve_in_place(np.asfortranarray(rhs, dtype=float))
+    assert len(lapack_calls) == 1  # the factorisation
+
+
+@pytest.mark.parametrize("x", [
+    np.ones(4, dtype=complex),  # not the matrix's dtype
+    np.ones((4, 2)),  # C-ordered
+    np.ones(8)[::2],  # strided
+    np.ones(4, dtype=">f8"),  # byte-swapped
+    np.frombuffer(np.ones(4).tobytes()),  # read-only
+    np.frombuffer(bytearray(33), offset=1, count=4),  # unaligned
+])
+def test_binding_rejects_a_bad_in_place_rhs_before_calling_lapack(lapack_calls, x):
+    lu = _lapack.factor(np.ones(3), np.full(4, 3.0), np.ones(3))
+    before = x.tobytes()
+    with pytest.raises(ValueError, match="cannot solve in place"):
+        lu.solve_in_place(x)
+    assert len(lapack_calls) == 1 and x.tobytes() == before
+
+
+def test_binding_solves_a_complex_rhs_on_a_real_matrix_by_parts(rng):
+    dl, d, du, _ = _tridiag(rng, 30, float)
+    lu = _lapack.factor(dl, d, du)
+    rhs = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    x, info = lu.solve(rhs)
+    re, im = lu.solve(rhs.real)[0], lu.solve(rhs.imag)[0]
+    assert info == 0 and np.array_equal(x, re + 1j * im)
+
+
+def test_binding_solves_in_place_as_on_a_copy(rng):
+    dl, d, du, _ = _tridiag(rng, 30, complex)
+    lu = _lapack.factor(dl, d, du)
+    rhs = np.asfortranarray(rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3)))
+    x, info = lu.solve(rhs)
+    assert lu.solve_in_place(rhs) == info == 0
+    assert x.tobytes() == rhs.tobytes()
+
+
+def test_binding_factors_the_matrix_its_fill_writes(rng):
+    # the zeroed bands a fill gets, and what gttrf makes of what it writes
+    dl, d, du, _ = _tridiag(rng, 12, float)
+    seen = []
+
+    def fill(bands):
+        seen.append(bands.copy())
+        bands[0, :-1], bands[1], bands[2, :-1] = dl, d, du
+
+    lu, want = _lapack.TridiagonalLU(12, float, fill), _lapack.factor(dl, d, du)
+    assert seen[0].shape == (3, 12) and not seen[0].any()
+    for name in ("dl", "d", "du", "du2", "ipiv"):
+        assert getattr(lu, name).tobytes() == getattr(want, name).tobytes()
+    with pytest.raises(ValueError):
+        _lapack.TridiagonalLU(12, np.float32, fill)
+    with pytest.raises(ValueError):
+        _lapack.TridiagonalLU(0, float, fill)
+
+
+def test_a_library_without_the_routines_gets_an_import_error():
+    class NoRoutines:
+        _name = "libother.so"
+
+        def __getattr__(self, name):
+            raise AttributeError(f"undefined symbol: {name}")
+
+    with pytest.raises(ImportError, match="dgttrs of libother.so .*undefined symbol"):
+        _lapack._routines(NoRoutines(), "d")
+
+
+def test_other_numpy_builds_get_one_import_error(monkeypatch):
+    config = {"Build Dependencies": {"lapack": {"name": "mkl", "version": "2024.0",
+                                                "openblas configuration": None}}}
+    monkeypatch.setattr(np, "show_config", lambda mode: config)
+    with pytest.raises(ImportError, match="numpy .* has LAPACK mkl 2024.0"):
+        _lapack._load_openblas()
 
 
 def _nonuniform_columns(rng, n=25, k=3):
