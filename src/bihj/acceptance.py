@@ -1,30 +1,32 @@
-"""Named acceptance checks with pinned tolerances.
+"""Named acceptance checks with pinned tolerances, closed forms as ground truth.
 
-Every check runs on the canonical free-Gaussian scenario (hbar = m = 1,
-sigma0^2 = 1/2 so the spreading rate is 1, grid [-10, 10] x 2048, solver step
-1e-3, 201 labels on [-4, 4]) unless stated otherwise, with closed forms as
-ground truth.  ``run_all`` executes the full list; the artifacts are shared
-through a lazily populated context so the suite stays well under a minute.
+The checks prove the pipeline the CLI runs: each shared artefact is a
+``RunBundle`` over a document of ``SCENARIOS``, the bundled free-Gaussian
+scenario (hbar = m = 1, sigma0^2 = 1/2 so the spreading rate is 1, grid
+[-10, 10] x 2048, solver step 1e-3, 201 labels on [-4, 4]) or a variant of
+it, and writes no file.  Built here, for want of a scenario form, are the
+field-driven march over the autonomous run's stored times, the analytic
+series around t = 0.5, the conjugated reversal pair and the compositions'
+own probe labels.  Each artefact is built once, on first use.
 """
+import filecmp
+import tempfile
 import time
 from dataclasses import dataclass, asdict
+from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
 from . import gaussian
-from .autonomous import (
-    BiCongruence,
-    exchange_mismatch,
-    exchange_pair,
-    propagate_autonomous,
-)
+from .autonomous import exchange_mismatch, exchange_pair
 from .compose import (
     CompositionSetup,
     compose_trajectories,
     conservation_check,
     mixture_check,
 )
-from .congruence import FieldStack, LabelSet, integrate_congruence, trajectory_density
+from .congruence import LabelSet, integrate_congruence, trajectory_density
 from .fields import (
     derive_series,
     fokker_planck_residuals,
@@ -32,7 +34,6 @@ from .fields import (
     stationary_points,
     time_reversal_check,
 )
-from .gaussian import GaussianStack
 from .kernels import fd_derivative, strict_extrema
 from .reconstruct import (
     bihj_wavefunction_at,
@@ -47,6 +48,7 @@ from .reference import (
     build_initial_state,
     evolve_crank_nicolson,
 )
+from .scenario import RunBundle, bundled_scenario, parse_config, run_simulate
 
 SIGMA0 = np.sqrt(0.5)
 
@@ -64,14 +66,50 @@ class CheckResult:
         return asdict(self)
 
 
-class AcceptanceContext:
-    """Lazily built shared artifacts for the acceptance suite."""
+def _variant(**sections):
+    """The bundled scenario document with ``sections`` replaced."""
+    return {**bundled_scenario(), **sections}
 
-    def __init__(self):
+
+def _superposition_scenario():
+    """Two gaussians 4 sigma0 apart, Crank-Nicolson to t = 0.5, with 161 labels
+    over the grid points where the t = 0 density is at least 1e-4 of its peak."""
+    doc = _variant(solver="crank_nicolson",
+                   grid={"x_min": -12.0, "x_max": 12.0, "n_points": 2048},
+                   initial_state={"kind": "two_gaussian", "sigma0": SIGMA0,
+                                  "separation": 4 * SIGMA0},
+                   time={"dt_solver": 1e-3, "dt_fields": 1e-2, "t_final": 0.5})
+    cfg = parse_config(doc)
+    rho0 = build_initial_state(cfg.initial_state, cfg.grid, cfg.params).density()
+    x = cfg.grid.x[rho0 >= 1e-4 * rho0.max()]
+    doc["labels"] = {"count": 161, "span": {"kind": "explicit", "lo": x[0], "hi": x[-1]}}
+    return doc
+
+
+SCENARIOS = {  # artefact name -> its scenario document
+    "canonical": bundled_scenario,
+    "autonomous": partial(_variant, mode="autonomous",
+                          time={"dt_solver": 2e-4, "dt_fields": 0.005, "t_final": 0.5}),
+    "superposition": _superposition_scenario,
+    "norm": partial(_variant, solver="crank_nicolson",
+                    time={"dt_solver": 1e-4, "dt_fields": 1.0, "t_final": 1.0}),
+}
+ORACLE_FLOWS = ("plus", "minus", "dbb", "half_plus")
+# composition case -> host flow, complement field and factor, probe label half-width
+COMPOSITIONS = {"i": ("plus", "u", -0.5, 1.6), "ii": ("half_plus", "v_minus", 0.5, 2.0),
+                "converse": ("dbb", "u", 0.5, 2.5)}
+
+
+class AcceptanceContext:
+    """The suite's work directory (by default a new temporary one) and the
+    artefacts its checks share."""
+
+    def __init__(self, workdir=None):
+        self.workdir = Path(workdir or tempfile.mkdtemp(prefix="bihj-acceptance-"))
         self.params = PhysicalParams()
-        self.grid = SpatialGrid(-10.0, 10.0, 2048)
         self.spec = InitialStateSpec.gaussian(SIGMA0)
         self.g = gaussian.GaussianParams(SIGMA0)
+        self.runs = {}
         self._cache = {}
 
     def _get(self, key, builder):
@@ -79,78 +117,36 @@ class AcceptanceContext:
             self._cache[key] = builder()
         return self._cache[key]
 
-    # -- reference-driven congruences on the oracle fields --
+    def run(self, name):
+        """The RunBundle of the artefact ``name`` of SCENARIOS."""
+        if name not in self.runs:
+            self.runs[name] = RunBundle("verify", parse_config(SCENARIOS[name]()),
+                                        self.workdir / name)
+        return self.runs[name]
 
-    def labels(self):
-        return self._get("labels", lambda: LabelSet.uniform(-4.0, 4.0, 201))
-
-    def times(self):
-        return self._get("times", lambda: np.linspace(0.0, 1.0, 1001))
+    @property
+    def library(self):
+        """The closed-form fields of the bundled scenario."""
+        return self.run("canonical").library
 
     def oracle(self, flow):
-        """The closed-form congruence of ``flow`` ("plus", "minus", the mean
-        flow "dbb" or "half_plus"); the first use marches all four together."""
-        def build():
-            g = self.g
-            flows = {
-                "plus": (("v_plus", "L_plus", 1.0), lambda q: gaussian.action_plus(g, q, 0.0)),
-                "minus": (("v_minus", "L_minus", 1.0), lambda q: gaussian.action_minus(g, q, 0.0)),
-                "dbb": (("v", "L", 1.0), lambda q: gaussian.phase_action(g, q, 0.0)),
-                "half_plus": (("v_plus", None, 0.5), None)}
-            stack = GaussianStack(g, [spec for spec, _ in flows.values()], tuple(flows))
-            return dict(zip(flows, integrate_congruence(
-                stack, self.labels(), self.times(),
-                initial_actions=[act for _, act in flows.values()])))
-        return self._get("oracle", build)[flow]
-
-    def bi(self):
-        return self._get("bi", lambda: BiCongruence.from_congruences(
-            self.params, self.oracle("plus"), self.oracle("minus"),
-            lambda q: gaussian.action_plus(self.g, q, 0.0),
-            lambda q: gaussian.action_minus(self.g, q, 0.0)))
-
-    def rho_sampler(self):
-        return lambda x, t: gaussian.rho(self.g, x, t)
-
-    def rho0(self):
-        return lambda q: gaussian.rho(self.g, q, 0.0)
-
-    def field(self, name, factor):
-        """The closed-form field ``name`` scaled by ``factor``, as a one-flow stack."""
-        return GaussianStack(self.g, [(name, None, factor)])
-
-    # -- compositions --
+        """The congruence of ``flow`` (one of ORACLE_FLOWS) on the bundled
+        scenario; the first use marches those not built yet together."""
+        return dict(zip(ORACLE_FLOWS, self.run("canonical").congruences(*ORACLE_FLOWS)))[flow]
 
     def composition(self, case):
         def build():
-            if case == "i":
-                setup = CompositionSetup(self.oracle("plus"), self.field("u", -0.5),
-                                         LabelSet.uniform(-1.6, 1.6, 81))
-            elif case == "converse":
-                setup = CompositionSetup(self.oracle("dbb"), self.field("u", +0.5),
-                                         LabelSet.uniform(-2.5, 2.5, 81))
-            else:
-                setup = CompositionSetup(self.oracle("half_plus"), self.field("v_minus", 0.5),
-                                         LabelSet.uniform(-2.0, 2.0, 81))
+            host, name, factor, width = COMPOSITIONS[case]
+            setup = CompositionSetup(self.oracle(host), self.library.source(name, factor),
+                                     LabelSet.uniform(-width, width, 81))
             return setup, compose_trajectories(setup)
         return self._get(f"composition_{case}", build)
 
-    # -- autonomous runs --
-
-    def autonomous(self):
-        return self._get("autonomous", lambda: propagate_autonomous(
-            lambda q: gaussian.action_plus(self.g, q, 0.0),
-            lambda q: gaussian.action_minus(self.g, q, 0.0),
-            self.labels(), self.params, 2e-4, 2500, store_every=25))
-
+    @cached_property
     def reference_driven_fine(self):
-        def build():
-            stack = GaussianStack(self.g, [("v_plus", None, 1.0), ("v_minus", None, 1.0)],
-                                  ("plus", "minus"))
-            return integrate_congruence(stack, self.labels(), self.autonomous().times)
-        return self._get("reference_driven_fine", build)
-
-    # -- grid reference runs --
+        return integrate_congruence(self.library.congruence_sources(("plus", "minus")),
+                                    self.run("canonical").labels,
+                                    self.run("autonomous").autonomous.times)
 
     def analytic_residual_series(self, n_points, dt, q_sign="derived"):
         key = ("ana_res", n_points, dt, q_sign)
@@ -161,45 +157,15 @@ class AcceptanceContext:
             return derive_series(wave, q_sign=q_sign)
         return self._get(key, build)
 
-    def superposition(self):
-        """Two-gaussian run: reference, fields, field-driven pair, reconstruction."""
-        def build():
-            spec = InitialStateSpec.two_gaussian(SIGMA0, separation=4 * SIGMA0)
-            grid = SpatialGrid(-12.0, 12.0, 2048)
-            snap = build_initial_state(spec, grid, self.params)
-            wave = evolve_crank_nicolson(snap, self.params, 1e-3, 500, store_every=10)
-            fs = derive_series(wave)
-            rho0_grid = fs.snapshots[0].rho
-            keep = rho0_grid >= 1e-4 * rho0_grid.max()
-            lo, hi = grid.x[keep].min(), grid.x[keep].max()
-            labels = LabelSet.uniform(lo, hi, 161)
-            times = np.linspace(0.0, 0.5, 501)
-            flows = ("plus", "minus")
-            plus, minus = integrate_congruence(
-                FieldStack(fs, [("v_" + flow, "L_" + flow, 1.0) for flow in flows], flows),
-                labels, times, initial_actions=[self._spline_of(fs, "S_" + flow) for flow in flows])
-            bi = BiCongruence.from_congruences(self.params, plus, minus,
-                                               self._spline_of(fs, "S_plus"),
-                                               self._spline_of(fs, "S_minus"))
-            return wave, fs, bi
-        return self._get("superposition", build)
-
-    @staticmethod
-    def _spline_of(fs, name):
-        snap = fs.snapshots[0]
-        return snap.spline(getattr(snap, name))
-
+    @cached_property
     def reversal_pair(self):
-        def build():
-            spec = InitialStateSpec.two_gaussian(SIGMA0, separation=4 * SIGMA0,
-                                                 relative_phase=np.pi / 2)
-            grid = SpatialGrid(-12.0, 12.0, 2048)
-            snap = build_initial_state(spec, grid, self.params)
-            fwd = evolve_crank_nicolson(snap, self.params, 1e-3, 500, store_every=50)
-            conj0 = fwd.snapshots[-1].conjugated(time=0.0)
-            back = evolve_crank_nicolson(conj0, self.params, 1e-3, 500, store_every=50)
-            return derive_series(fwd), derive_series(back)
-        return self._get("reversal_pair", build)
+        spec = InitialStateSpec.two_gaussian(SIGMA0, separation=4 * SIGMA0,
+                                             relative_phase=np.pi / 2)
+        snap = build_initial_state(spec, SpatialGrid(-12.0, 12.0, 2048), self.params)
+        fwd = evolve_crank_nicolson(snap, self.params, 1e-3, 500, store_every=50)
+        conj0 = fwd.snapshots[-1].conjugated(time=0.0)
+        back = evolve_crank_nicolson(conj0, self.params, 1e-3, 500, store_every=50)
+        return derive_series(fwd), derive_series(back)
 
 
 # ---------- the named checks ----------
@@ -283,12 +249,13 @@ def check_composition_case_ii_and_converse(ctx):
     host = res_i.as_congruence()
     probe = LabelSet.uniform(-1.5, 1.5, 61)
     res_rt = compose_trajectories(CompositionSetup(
-        host, ctx.field("u", +0.5), probe))
+        host, ctx.library.source("u", +0.5), probe))
     worst = 0.0
     for j, t in enumerate(res_rt.times):
         exact = probe.values * gaussian.path_scale(g, "plus", t)
         worst = max(worst, float(np.abs(res_rt.q_C[j] - exact).max()))
-    width = ctx.labels().values[-1] - ctx.labels().values[0]
+    labels = ctx.run("canonical").labels.values
+    width = labels[-1] - labels[0]
     out.append(_result("composition_corollary_round_trip", worst, 1e-5 * width,
                        detail="plus -> mean flow -> plus reproduces the original paths"))
     return out
@@ -296,7 +263,7 @@ def check_composition_case_ii_and_converse(ctx):
 
 def check_reconstruction(ctx):
     g = ctx.g
-    bi, dbb = ctx.bi(), ctx.oracle("dbb")
+    bi, dbb = ctx.run("canonical").pair, ctx.oracle("dbb")
     psi = bihj_wavefunction_at(bi, 0.0, 1.0)
     target = complex(gaussian.psi(g, 0.0, 1.0))
     out = [_result("wavefunction_from_actions_center", abs(psi - target), 1e-4,
@@ -309,7 +276,8 @@ def check_reconstruction(ctx):
         sig = g.sigma(t)
         xs = np.linspace(-2 * sig, 2 * sig, 21)
         pair = np.atleast_1d(bihj_wavefunction_at(bi, xs, t))
-        polar = np.atleast_1d(polar_wavefunction_at(dbb, ctx.rho0(), xs, t, ctx.params))
+        polar = np.atleast_1d(polar_wavefunction_at(dbb, ctx.library.initial("rho"), xs, t,
+                                                      ctx.params))
         ref = gaussian.psi(g, xs, t)
         worst = max(worst, np.abs(pair - ref).max(), np.abs(polar - ref).max(),
                     np.abs(pair - polar).max())
@@ -321,7 +289,7 @@ def check_reconstruction(ctx):
 
 def check_probability_from_actions(ctx):
     g = ctx.g
-    bi = ctx.bi()
+    bi = ctx.run("canonical").pair
     rho = probability_from_actions(bi, 0.0, 1.0)
     target = float(gaussian.rho(g, 0.0, 1.0))
     out = [_result("probability_from_action_difference",
@@ -337,21 +305,22 @@ def check_probability_from_actions(ctx):
 
 
 def check_non_conservation(ctx):
-    g = ctx.g
+    g, library, bi = ctx.g, ctx.library, ctx.run("canonical").pair
     out = []
-    ratio = trajectory_density(ctx.oracle("plus"), ctx.rho0(), 0.0, 1.0) / gaussian.rho(g, 0.0, 1.0)
+    ratio = (trajectory_density(ctx.oracle("plus"), library.initial("rho"), 0.0, 1.0)
+             / gaussian.rho(g, 0.0, 1.0))
     target = float(np.exp(np.pi / 4.0))
     out.append(_result("trajectory_density_ratio", abs(ratio - target), 1e-3,
                        target=target,
                        detail=f"carried/true density at (0, 1) = {ratio:.6f}"))
-    rep = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.field("u", 1.0), 0.5,
+    rep = mixture_check(bi, library.rho(), library.source("u", 1.0), 0.5,
                         np.array([0.0]), 1.0)
     cosh_target = float(np.cosh(np.pi / 4.0))
     out.append(_result("mixture_density_mismatch",
                        abs(rep.trajectory_ratio[0] - cosh_target), 1e-3,
                        target=cosh_target,
                        detail=f"half/half carried mixture over true density = {rep.trajectory_ratio[0]:.6f}"))
-    rep_w = mixture_check(ctx.bi(), ctx.rho_sampler(), ctx.field("u", 1.0), 0.5,
+    rep_w = mixture_check(bi, library.rho(), library.source("u", 1.0), 0.5,
                           np.linspace(-1.5, 1.5, 11), 1.0)
     out.append(_result("mixture_restored_by_sources", rep_w.max_restored_gap, 1e-3,
                        detail="weighted carried densities plus weighted sources track the density"))
@@ -360,7 +329,7 @@ def check_non_conservation(ctx):
 
 def check_composed_conservation(ctx):
     setup, res = ctx.composition("i")
-    rep = conservation_check(res, ctx.rho_sampler())
+    rep = conservation_check(res, ctx.library.rho())
     return [_result("composed_flow_conservation", rep.max_drift, 1e-3,
                     detail="per-label drift of P_C J_C over t in [0, 1]")]
 
@@ -393,8 +362,8 @@ def check_residual_convergence(ctx):
 
 
 def check_autonomous(ctx):
-    bi = ctx.autonomous()
-    plus_ref, minus_ref = ctx.reference_driven_fine()
+    bi = ctx.run("autonomous").autonomous
+    plus_ref, minus_ref = ctx.reference_driven_fine
     sup = max(float(np.abs(bi.plus.q - plus_ref.q).max()),
               float(np.abs(bi.minus.q - minus_ref.q).max()))
     out = [_result("autonomous_matches_reference", sup, 1e-3,
@@ -402,7 +371,7 @@ def check_autonomous(ctx):
     g = ctx.g
     worst = 0.0
     for kind, c in (("plus", bi.plus), ("minus", bi.minus)):
-        exact = ctx.labels().values[None, :] * gaussian.path_scale(g, kind, bi.times)[:, None]
+        exact = bi.labels.values[None, :] * gaussian.path_scale(g, kind, bi.times)[:, None]
         worst = max(worst, float(np.abs(c.q - exact).max()))
     scale = float(np.abs(bi.minus.q).max())
     out.append(_result("autonomous_matches_closed_form", worst, 1e-3 * scale,
@@ -411,24 +380,22 @@ def check_autonomous(ctx):
 
 
 def check_time_reversal(ctx):
-    fwd, back = ctx.reversal_pair()
+    fwd, back = ctx.reversal_pair
     rep = time_reversal_check(fwd, back)
     out = [_result("eulerian_exchange", rep.max_velocity_mismatch, 1e-4,
                    detail="max |v'_plusminus + v_minusplus| on the conjugate grid pair"),
            _result("eulerian_exchange_actions", rep.max_action_mismatch, 1e-4,
                    detail="max |S'_plusminus + S_minusplus| up to one global phase constant")]
-    g = ctx.g
-    conj_fwd, orig_back = exchange_pair(
-        lambda q: gaussian.action_plus(g, q, 0.0),
-        lambda q: gaussian.action_minus(g, q, 0.0),
-        ctx.labels(), ctx.params, 2e-4, 1250)
+    conj_fwd, orig_back = exchange_pair(ctx.library.initial("plus"), ctx.library.initial("minus"),
+                                        ctx.run("canonical").labels, ctx.params, 2e-4, 1250)
     out.append(_result("lagrangian_exchange", exchange_mismatch(conj_fwd, orig_back), 1e-3,
                        detail="conjugate-data forward run against original backward run"))
     return out
 
 
 def check_superposition(ctx):
-    wave, fs, bi = ctx.superposition()
+    run = ctx.run("superposition")
+    wave, fs, bi = run.wave, run.fields, run.pair
     final = wave.snapshots[-1]
     t = final.time
     k = bi.plus.time_index(t)
@@ -460,10 +427,9 @@ def check_superposition(ctx):
 
 def check_properties(ctx):
     out = []
-    snap = build_initial_state(ctx.spec, ctx.grid, ctx.params)
-    series = evolve_crank_nicolson(snap, ctx.params, 1e-4, 10000, store_every=10000)
-    drift = abs(series.snapshots[-1].norm() - 1.0)
-    out.append(_result("norm_conservation", drift, 1e-8,
+    norm = ctx.run("norm")
+    norm.wave
+    out.append(_result("norm_conservation", norm.diagnostics["norm_drift"], 1e-8,
                        detail="grid-solver norm drift over 10^4 steps"))
     out.append(_result("jacobian_consistency", ctx.oracle("plus").jacobian_fd_mismatch(), 1e-4,
                        detail="variational J vs label finite difference, interior labels"))
@@ -491,29 +457,13 @@ def check_properties(ctx):
     return out
 
 
-def check_determinism(ctx, workdir=None):
-    import filecmp
-    import tempfile
-    from pathlib import Path
-
-    from .scenario import parse_config, run_simulate
-
-    doc = {
-        "hbar": 1.0, "mass": 1.0, "potential": {"kind": "free"},
-        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 256},
-        "initial_state": {"kind": "gaussian", "sigma0": SIGMA0},
-        "time": {"dt_solver": 0.001, "dt_fields": 0.005, "t_final": 0.05},
-        "labels": {"count": 41, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}},
-        "mode": "reference_driven", "solver": "crank_nicolson",
-        "composition_case": "i",
-        "thresholds": {"rho_min_factor": 1e-12, "rho_ref": 1.0},
-    }
-    config = parse_config(doc)
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="bihj-determinism-"))
-    manifests = []
-    for tag in ("a", "b"):
-        manifest, _ = run_simulate(config, base / tag)
-        manifests.append(manifest)
+def check_determinism(ctx):
+    config = parse_config(_variant(
+        solver="crank_nicolson", grid={"x_min": -10.0, "x_max": 10.0, "n_points": 256},
+        time={"dt_solver": 0.001, "dt_fields": 0.005, "t_final": 0.05},
+        labels={"count": 41, "span": {"kind": "explicit", "lo": -2.0, "hi": 2.0}}))
+    base = ctx.workdir / "determinism"
+    manifests = [run_simulate(config, base / tag)[0] for tag in ("a", "b")]
     names = [n for n in manifests[0]["files"] if n != "timings.json"]
     identical = all(
         filecmp.cmp(base / "a" / n, base / "b" / n, shallow=False) for n in names)
@@ -543,17 +493,14 @@ ALL_CHECKS = (
 )
 
 
-def run_all(workdir=None, echo=print):
-    """Run every acceptance check, printing one pass/fail line per check."""
-    ctx = AcceptanceContext()
+def run_checks(ctx, echo=print):
+    """Run every acceptance check on ``ctx``, printing one pass/fail line per
+    check; the results and each check group's wall time."""
     results = []
     timings = {}
     for fn in ALL_CHECKS:
         t0 = time.perf_counter()
-        if fn is check_determinism:
-            group = fn(ctx, workdir=workdir)
-        else:
-            group = fn(ctx)
+        group = fn(ctx)
         timings[fn.__name__] = time.perf_counter() - t0
         for res in group:
             results.append(res)
@@ -562,3 +509,25 @@ def run_all(workdir=None, echo=print):
                 echo(f"[{status}] {res.name}: measured {res.measured:.3e} "
                      f"(tolerance {res.tolerance:.3e})")
     return results, timings
+
+
+def run_all(workdir=None, echo=print):
+    """Run every acceptance check in a new context with work directory ``workdir``."""
+    return run_checks(AcceptanceContext(workdir), echo)
+
+
+def run_verify(ctx, out_dir, echo=print):
+    """The verify command: every check on ``ctx``, acceptance.json and the
+    manifest, with each artefact's diagnostics under its name."""
+    run = RunBundle("verify", parse_config(bundled_scenario()), out_dir)
+    results, timings = run_checks(ctx, echo)
+    run.timings.update(timings)
+    for res in results:
+        run.add_check(res.as_dict())
+    run.diagnostics.update({name: artefact.diagnostics for name, artefact in ctx.runs.items()})
+    run.emit_json("acceptance.json", {
+        "n_checks": len(results),
+        "n_passed": sum(r.passed for r in results),
+        "checks": [r.as_dict() for r in results],
+    })
+    return run.finish(), results

@@ -34,13 +34,7 @@ from .errors import (
     InstabilityError,
     PreconditionError,
 )
-from .kernels import (
-    NaturalSplines,
-    NotAKnotSpline,
-    fd_derivative,
-    hermite_eval,
-    pchip_slopes,
-)
+from .kernels import NaturalSplines, NotAKnotSpline, fd_derivative
 
 
 @dataclass(frozen=True)
@@ -269,11 +263,6 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
 
 # ---------- label intersection map ----------
 
-def _pchip_lookup(x, y, xq):
-    out = hermite_eval(x, y, pchip_slopes(x, y), np.atleast_1d(np.asarray(xq, float)))
-    return out if np.ndim(xq) else float(out[0])
-
-
 @dataclass(frozen=True)
 class CrossMap:
     """q_minus0 as a function of q_plus0 at a fixed time, with its inverse."""
@@ -283,12 +272,6 @@ class CrossMap:
     q_minus0: np.ndarray
     inverse_q_minus0: np.ndarray
     inverse_q_plus0: np.ndarray
-
-    def minus_label_of(self, q_plus0):
-        return _pchip_lookup(self.q_plus0, self.q_minus0, q_plus0)
-
-    def plus_label_of(self, q_minus0):
-        return _pchip_lookup(self.inverse_q_minus0, self.inverse_q_plus0, q_minus0)
 
 
 def cross_map(bi, t):

@@ -1,13 +1,12 @@
 """Command line interface: simulate, compose, reconstruct, verify, oracle, figure."""
 import argparse
-import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .errors import BihjError
 from .scenario import (
     CASES,
+    bundled_scenario,
     load_config,
     parse_config,
     run_compose,
@@ -18,16 +17,11 @@ from .scenario import (
 )
 
 
-def _default_config_doc():
-    with resources.files("bihj").joinpath("data/gaussian.json").open("r") as fh:
-        return json.load(fh)
-
-
 def _load(args):
     if args.config:
         config = load_config(args.config)
     else:
-        config = parse_config(_default_config_doc())
+        config = parse_config(bundled_scenario())
     if args.mode:
         doc = dict(config.echo)
         doc["mode"] = args.mode
@@ -58,9 +52,12 @@ def build_parser():
             ("oracle", "closed-form table for the gaussian scenario"),
             ("figure", "plot-ready CSV series")):
         p = sub.add_parser(name, help=desc)
+        p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+        if name == "verify":  # its scenarios are fixed: the bundled one and variants of it
+            p.set_defaults(config=None, mode=None)
+            continue
         p.add_argument("--config", metavar="PATH", default=None,
                        help="scenario JSON (default: bundled gaussian scenario)")
-        p.add_argument("--out", metavar="DIR", default=None, help="output directory")
         p.add_argument("--mode", choices=("reference", "autonomous"), default=None,
                        help="override the scenario mode")
         if name == "compose":
@@ -92,19 +89,8 @@ def main(argv=None):
         elif args.command == "figure":
             manifest, bundle = run_figure(config, out_dir, args.figure_id)
         elif args.command == "verify":
-            from .acceptance import run_all
-            from .scenario import RunBundle
-            bundle = RunBundle("verify", config, out_dir)
-            results, timings = run_all(workdir=out_dir / "scratch")
-            bundle.timings.update(timings)
-            for res in results:
-                bundle.add_check(res.as_dict())
-            bundle.emit_json("acceptance.json", {
-                "n_checks": len(results),
-                "n_passed": sum(r.passed for r in results),
-                "checks": [r.as_dict() for r in results],
-            })
-            manifest = bundle.finish()
+            from .acceptance import AcceptanceContext, run_verify
+            _, results = run_verify(AcceptanceContext(out_dir / "scratch"), out_dir)
             n_fail = sum(not r.passed for r in results)
             print(f"{len(results) - n_fail}/{len(results)} acceptance checks passed; "
                   f"outputs in {out_dir}")

@@ -362,10 +362,6 @@ class ConservationReport:
     carried: np.ndarray  # P_C J_C, one row per stored composed time
     max_drift: float
 
-    def drift_factors(self):
-        """P_C J_C relative to its initial value, per label."""
-        return self.carried / self.carried[0]
-
 
 def conservation_check(result, rho_sampler):
     """Per-label drift of P_C J_C along the composed flow."""

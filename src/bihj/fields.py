@@ -294,10 +294,6 @@ class ResidualSeries:
     plus: np.ndarray
     minus: np.ndarray
 
-    def max_abs(self):
-        """Largest magnitude over both residual fields."""
-        return float(np.nanmax(np.abs(np.concatenate([self.plus, self.minus]))))
-
     def rms(self):
         """Root mean square over both residual fields."""
         return float(np.sqrt(np.nanmean(np.concatenate([self.plus, self.minus]) ** 2)))
@@ -350,41 +346,6 @@ def fokker_planck_residuals(fseries):
         rows_m.append(np.where(ok, drho + div_m + diff * lap_rho, np.nan))
         times.append(cur.time)
     return ResidualSeries(np.array(times), np.array(rows_p), np.array(rows_m))
-
-
-def polar_residuals(fseries, q_form="sqrt"):
-    """Continuity and single phase-action residuals of the polar pair.
-
-    ``q_form`` selects the quantum-potential discretisation: "sqrt" uses the
-    stored amplitude form, "log" rebuilds it from the log density with the
-    same stencils as the coupled pair (the choice that makes the mean of the
-    pair residuals reproduce the single-action residual to roundoff).
-    """
-    params = fseries.params
-    v_grid = params.potential.on_grid(fseries.grid, params.mass)
-    dt = fseries.dt
-    dx = fseries.grid.dx
-    mass, hbar = params.mass, params.hbar
-    rows_c, rows_h, times = [], [], []
-    snaps = fseries.snapshots
-    for k in _interior_indices(fseries):
-        prev_s, cur, next_s = snaps[k - 1], snaps[k], snaps[k + 1]
-        ok = prev_s.valid & cur.valid & next_s.valid
-        runs = cur.runs()
-        drho = (next_s.rho - prev_s.rho) / (2.0 * dt)
-        div_j = _masked_grad(np.where(cur.valid, cur.rho * cur.v, np.nan), dx, runs)
-        dS = (next_s.S - prev_s.S) / (2.0 * dt)
-        if q_form == "log":
-            log_rho = (cur.S_plus - cur.S_minus) / hbar
-            q_pot = (-(hbar**2 / (4.0 * mass)) * _masked_lap(log_rho, dx, runs)
-                     - (hbar**2 / (8.0 * mass)) * _masked_grad(log_rho, dx, runs) ** 2)
-        else:
-            q_pot = cur.Q
-        hj = dS + 0.5 * mass * cur.v**2 + q_pot + v_grid
-        rows_c.append(np.where(ok, drho + div_j, np.nan))
-        rows_h.append(np.where(ok, hj, np.nan))
-        times.append(cur.time)
-    return ResidualSeries(np.array(times), np.array(rows_c), np.array(rows_h))
 
 
 # ---------- stationary points ----------

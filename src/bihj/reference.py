@@ -170,6 +170,16 @@ class WaveSeries:
             return 0.0
         return self.snapshots[1].time - self.snapshots[0].time
 
+    def health(self):
+        """``norm_drift``, the largest |norm - 1|, and ``boundary_density_ratio``,
+        the largest edge density over peak density, over the snapshots."""
+        drift = ratio = 0.0
+        for s in self.snapshots:
+            dens = s.density()
+            drift = max(drift, abs(s.norm() - 1.0))
+            ratio = max(ratio, float(max(dens[0], dens[-1]) / dens.max()))
+        return {"norm_drift": drift, "boundary_density_ratio": ratio}
+
 
 @dataclass(frozen=True)
 class InitialStateSpec:

@@ -319,6 +319,11 @@ def load_config(path):
     return parse_config(doc)
 
 
+def bundled_scenario():
+    """A fresh copy of the bundled free-gaussian scenario document."""
+    return json.loads((Path(__file__).parent / "data" / "gaussian.json").read_text("utf-8"))
+
+
 # ---------- field access, analytic or sampled ----------
 
 class FieldLibrary:
@@ -518,10 +523,13 @@ class RunBundle:
         cfg = self.config
         with self.timed("reference"):
             if self.analytic:
-                return analytic_series(cfg.initial_state, cfg.grid, cfg.params, self.field_times)
-            snap = build_initial_state(cfg.initial_state, cfg.grid, cfg.params)
-            return evolve_crank_nicolson(snap, cfg.params, cfg.dt_solver, cfg.solver_steps,
-                                         store_every=cfg.store_every)
+                wave = analytic_series(cfg.initial_state, cfg.grid, cfg.params, self.field_times)
+            else:
+                snap = build_initial_state(cfg.initial_state, cfg.grid, cfg.params)
+                wave = evolve_crank_nicolson(snap, cfg.params, cfg.dt_solver, cfg.solver_steps,
+                                             store_every=cfg.store_every)
+            self.diagnostics.update(wave.health())
+        return wave
 
     @cached_property
     def fields(self):

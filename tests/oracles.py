@@ -1,19 +1,44 @@
-"""One-shot reference versions of the streamed and blocked algorithms: each
-holds its table for every block or stored time at once, as the program did
-before it streamed them.  The tests compare the program with these bit for
-bit."""
+"""Reference versions of program parts, for the tests to compare with.
+
+- One-shot versions of the streamed and blocked algorithms: each holds its
+  table for every block or stored time at once, as the program did before it
+  streamed them.
+- The acceptance suite's artefacts built without ``RunBundle``, as the suite
+  built them before it ran them as scenario runs.
+- Test-only measures: the polar residuals, the largest residual, the drift
+  factors of a composed flow and the label lookups of a cross map.
+
+The tests compare the program with the first two bit for bit.
+"""
 import hashlib
 from collections import Counter
 
 import numpy as np
 
+from bihj import gaussian
+from bihj.autonomous import BiCongruence, propagate_autonomous
 from bihj.compose import _column, _on_rows, _rk4_pair
+from bihj.congruence import FieldStack, LabelSet, integrate_congruence
+from bihj.fields import (
+    ResidualSeries,
+    _interior_indices,
+    _masked_grad,
+    _masked_lap,
+    derive_series,
+)
+from bihj.gaussian import GaussianStack
 from bihj.kernels import (
     NotAKnotSpline,
     cumulative_trapezoid,
     fd_derivative,
     hermite_eval,
     pchip_slopes,
+)
+from bihj.reference import (
+    InitialStateSpec,
+    SpatialGrid,
+    build_initial_state,
+    evolve_crank_nicolson,
 )
 from bihj.scenario import CSV_CHUNK_ROWS, _csv_format
 
@@ -128,3 +153,117 @@ def full_array_pair_samples(plus, minus, rho, u):
         P_plus[k], P_minus[k] = rho(x, float(t))
         V_plus[k], V_minus[k] = factors * u(x, float(t))
     return (P_plus, V_plus), (P_minus, V_minus)
+
+
+# ---------- the acceptance suite's artefacts ----------
+
+def oracle_congruences(g):
+    """The plus, minus, mean-flow ("dbb") and half_plus congruences on the
+    closed-form fields, 201 labels on [-4, 4] to t = 1 at dt 1e-3, marched
+    together."""
+    flows = {
+        "plus": (("v_plus", "L_plus", 1.0), lambda q: gaussian.action_plus(g, q, 0.0)),
+        "minus": (("v_minus", "L_minus", 1.0), lambda q: gaussian.action_minus(g, q, 0.0)),
+        "dbb": (("v", "L", 1.0), lambda q: gaussian.phase_action(g, q, 0.0)),
+        "half_plus": (("v_plus", None, 0.5), None)}
+    stack = GaussianStack(g, [spec for spec, _ in flows.values()], tuple(flows))
+    return dict(zip(flows, integrate_congruence(
+        stack, LabelSet.uniform(-4.0, 4.0, 201), np.linspace(0.0, 1.0, 1001),
+        initial_actions=[act for _, act in flows.values()])))
+
+
+def oracle_pair(params, g, plus, minus):
+    return BiCongruence.from_congruences(params, plus, minus,
+                                         lambda q: gaussian.action_plus(g, q, 0.0),
+                                         lambda q: gaussian.action_minus(g, q, 0.0))
+
+
+def autonomous_pair(params, g):
+    """The coupled pair from the closed-form actions, 201 labels on [-4, 4] to
+    t = 0.5 at dt 2e-4, stored every 25 steps."""
+    return propagate_autonomous(
+        lambda q: gaussian.action_plus(g, q, 0.0),
+        lambda q: gaussian.action_minus(g, q, 0.0),
+        LabelSet.uniform(-4.0, 4.0, 201), params, 2e-4, 2500, store_every=25)
+
+
+def superposition_run(params, sigma0):
+    """Two gaussians 4 sigma0 apart on [-12, 12] x 2048, Crank-Nicolson to
+    t = 0.5: the wave, its fields and the field-driven pair on 161 labels over
+    rho >= 1e-4 max rho at t = 0."""
+    spec = InitialStateSpec.two_gaussian(sigma0, separation=4 * sigma0)
+    grid = SpatialGrid(-12.0, 12.0, 2048)
+    snap = build_initial_state(spec, grid, params)
+    wave = evolve_crank_nicolson(snap, params, 1e-3, 500, store_every=10)
+    fs = derive_series(wave)
+    first = fs.snapshots[0]
+    keep = first.rho >= 1e-4 * first.rho.max()
+    labels = LabelSet.uniform(grid.x[keep].min(), grid.x[keep].max(), 161)
+    flows = ("plus", "minus")
+    actions = [first.spline(getattr(first, "S_" + flow)) for flow in flows]
+    plus, minus = integrate_congruence(
+        FieldStack(fs, [("v_" + flow, "L_" + flow, 1.0) for flow in flows], flows),
+        labels, np.linspace(0.0, 0.5, 501), initial_actions=actions)
+    return wave, fs, BiCongruence.from_congruences(params, plus, minus, *actions)
+
+
+# ---------- test-only measures ----------
+
+def polar_residuals(fseries, q_form="sqrt"):
+    """Continuity and single phase-action residuals of the polar pair.
+
+    ``q_form`` selects the quantum-potential discretisation: "sqrt" uses the
+    stored amplitude form, "log" rebuilds it from the log density with the
+    same stencils as the coupled pair (the choice that makes the mean of the
+    pair residuals reproduce the single-action residual to roundoff).
+    """
+    params = fseries.params
+    v_grid = params.potential.on_grid(fseries.grid, params.mass)
+    dt = fseries.dt
+    dx = fseries.grid.dx
+    mass, hbar = params.mass, params.hbar
+    rows_c, rows_h, times = [], [], []
+    snaps = fseries.snapshots
+    for k in _interior_indices(fseries):
+        prev_s, cur, next_s = snaps[k - 1], snaps[k], snaps[k + 1]
+        ok = prev_s.valid & cur.valid & next_s.valid
+        runs = cur.runs()
+        drho = (next_s.rho - prev_s.rho) / (2.0 * dt)
+        div_j = _masked_grad(np.where(cur.valid, cur.rho * cur.v, np.nan), dx, runs)
+        dS = (next_s.S - prev_s.S) / (2.0 * dt)
+        if q_form == "log":
+            log_rho = (cur.S_plus - cur.S_minus) / hbar
+            q_pot = (-(hbar**2 / (4.0 * mass)) * _masked_lap(log_rho, dx, runs)
+                     - (hbar**2 / (8.0 * mass)) * _masked_grad(log_rho, dx, runs) ** 2)
+        else:
+            q_pot = cur.Q
+        hj = dS + 0.5 * mass * cur.v**2 + q_pot + v_grid
+        rows_c.append(np.where(ok, drho + div_j, np.nan))
+        rows_h.append(np.where(ok, hj, np.nan))
+        times.append(cur.time)
+    return ResidualSeries(np.array(times), np.array(rows_c), np.array(rows_h))
+
+
+def max_abs(residuals):
+    """Largest magnitude over both residual fields of a ResidualSeries."""
+    return float(np.nanmax(np.abs(np.concatenate([residuals.plus, residuals.minus]))))
+
+
+def drift_factors(report):
+    """P_C J_C of a ConservationReport relative to its initial value, per label."""
+    return report.carried / report.carried[0]
+
+
+def _pchip_lookup(x, y, xq):
+    out = hermite_eval(x, y, pchip_slopes(x, y), np.atleast_1d(np.asarray(xq, float)))
+    return out if np.ndim(xq) else float(out[0])
+
+
+def minus_label_of(cross_map, q_plus0):
+    """The minus label paired with the plus label q_plus0 by a CrossMap."""
+    return _pchip_lookup(cross_map.q_plus0, cross_map.q_minus0, q_plus0)
+
+
+def plus_label_of(cross_map, q_minus0):
+    """The plus label paired with the minus label q_minus0 by a CrossMap."""
+    return _pchip_lookup(cross_map.inverse_q_minus0, cross_map.inverse_q_plus0, q_minus0)

@@ -200,6 +200,16 @@ def test_mode_override(tmp_path, config_path):
     assert (tmp_path / "run" / "crossmap.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["--config", "scenario.json"], ["--mode", "autonomous"]])
+def test_verify_takes_no_scenario_and_names_the_argument(tmp_path, capsys, argv):
+    # verify runs fixed scenarios, so a scenario or mode is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_failed_stage_is_named_and_leaves_no_data_file(tmp_path, capsys):
     # the bundled scenario with 401 labels is unstable in autonomous mode
     doc = json.loads((Path(bihj.__file__).parent / "data" / "gaussian.json").read_text())

@@ -4,6 +4,7 @@ import pytest
 from conftest import FakeStack
 from oracles import (
     composed_path,
+    drift_factors,
     full_array_pair_samples,
     full_array_source_term,
     one_spline_compose,
@@ -193,7 +194,7 @@ class TestConservation:
                                  LabelSet.uniform(-2.0, 2.0, 21))
         res = compose_trajectories(setup)
         rep = conservation_check(res, lambda x, t: gaussian.rho(g, x, t))
-        factors = rep.drift_factors()
+        factors = drift_factors(rep)
         i0 = np.argmin(np.abs(res.labels_C.values))
         expected = np.exp(-np.arctan(res.times))
         assert np.abs(factors[:, i0] - expected).max() < 1e-4

@@ -240,6 +240,7 @@ class TestOutputs:
             "min_path_spacing": spacing,
             "max_dt_hbar_over_m_h2": cfg.dt_solver * cfg.params.hbar
             / (cfg.params.mass * spacing**2),
+            **bundle.wave.health(),
         }
         again, _ = run_simulate(cfg, tmp_path / "again")
         assert again["diagnostics"] == listed["diagnostics"]
@@ -535,6 +536,26 @@ class TestOutputs:
         again, _ = run_reconstruct(cfg, tmp_path / "b")
         assert again["diagnostics"] == health
         assert json.loads((tmp_path / "a" / "manifest.json").read_text())["diagnostics"] == health
+
+    def test_wave_health_is_the_closed_form(self, tmp_path):
+        # the bundled scenario stores the closed form at every field time: its
+        # norm is 1 to roundoff, and its density peaks at the grid points
+        # +-dx/2 nearest x = 0 and is largest at the edges x = +-10 at t = 1,
+        # where sigma(t) is largest
+        from bihj import gaussian
+        cfg = parse_config(scenario.bundled_scenario())
+        g = gaussian.GaussianParams(cfg.initial_state.sigma0, cfg.hbar, cfg.mass)
+        bundle = scenario.RunBundle("simulate", cfg, tmp_path / "a")
+        bundle.wave
+        health = bundle.diagnostics
+        assert set(health) == {"norm_drift", "boundary_density_ratio"}
+        assert health["norm_drift"] <= 1e-14
+        edge, peak = cfg.grid.x_max, cfg.grid.dx / 2
+        assert health["boundary_density_ratio"] == pytest.approx(
+            np.exp(-(edge**2 - peak**2) / (2.0 * g.sigma(cfg.t_final) ** 2)), rel=1e-9)
+        again = scenario.RunBundle("simulate", cfg, tmp_path / "b")
+        again.wave
+        assert again.diagnostics == health
 
     def test_empty_bundle_emits_manifest_only(self, tmp_path):
         from bihj.scenario import RunBundle
