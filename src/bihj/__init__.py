@@ -36,7 +36,6 @@ from .fields import (  # noqa: F401
     derive_series,
     fokker_planck_residuals,
     hj_residuals,
-    iter_fields,
     stationary_points,
     time_reversal_check,
 )

@@ -219,10 +219,10 @@ def compose_trajectories(setup):
 
     lc = setup.labels_C.values
     h_lab = np.diff(lc)
-    JC = np.empty_like(QB)
-    uniform = np.allclose(h_lab, h_lab[0], rtol=1e-9, atol=1e-15)
-    for j in range(QB.shape[0]):
-        JC[j] = fd_derivative(qC[j], h_lab[0]) if uniform else np.gradient(qC[j], lc)
+    if np.allclose(h_lab, h_lab[0], rtol=1e-9, atol=1e-15):
+        JC = fd_derivative(qC.T, h_lab[0]).T
+    else:
+        JC = np.gradient(qC, lc, axis=1)
 
     # composed velocity v_A + v_B along the paths, and the theorem residual
     # by centred differences on the composed samples
@@ -247,33 +247,39 @@ def compose_trajectories(setup):
 
 @dataclass(frozen=True)
 class SourceTable:
+    """c_A and the carried-over-true density ratio at the kept stored times
+    ``times``, one row each; ``decomposition_gap`` is taken over every
+    stored time."""
+
     labels: np.ndarray
     times: np.ndarray
     c_A: np.ndarray
     rho_ratio: np.ndarray
     decomposition_gap: float
 
-    def c_at(self, q0, t_index):
-        out = NotAKnotSpline(self.labels, self.c_A[t_index])(np.atleast_1d(q0))
+    def c_at(self, q0, row):
+        out = NotAKnotSpline(self.labels, self.c_A[row])(np.atleast_1d(q0))
         return out if np.ndim(q0) else float(out[0])
 
 
 class _SourceRows:
-    """The source table of the congruence A, accumulated over consecutive
-    blocks of its stored times: ``add`` takes the density and complement
-    rows of the next block, and ``table`` gives the SourceTable.  The
-    cumulative trapezoid is carried across blocks, so the table has the bits
-    of one pass over every row."""
+    """The source table of the congruence A at its stored times ``rows``
+    (increasing indices), accumulated over consecutive blocks of its stored
+    times: ``add`` takes the density and complement rows of the next block,
+    and ``table`` gives the SourceTable.  The cumulative trapezoid is
+    carried across blocks, so the table has the bits of one pass over every
+    row."""
 
-    def __init__(self, A, rho0):
+    def __init__(self, A, rho0, rows):
         labels = A.labels.values
         self.h = labels[1] - labels[0]
         if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
             raise PreconditionError("source_term needs uniform labels")
         self.A = A
+        self.rows = np.asarray(rows, dtype=int)
         self.rho0 = np.asarray(rho0(labels), dtype=float)[None, :]
-        self.c = np.empty(A.q.shape)
-        self.rho_ratio = np.empty(A.q.shape)
+        self.c = np.empty((self.rows.shape[0], labels.shape[0]))
+        self.rho_ratio = np.empty_like(self.c)
         self.gap = 0.0
         self.k = 0  # the first row of the next block
         self.last = None  # the integrand and the integral at the previous row
@@ -291,21 +297,22 @@ class _SourceRows:
             cum = cumulative_trapezoid(np.concatenate((W_prev, W)), times[k0 - 1:k1],
                                        cum_prev)[1:]
         self.last = W[-1:], cum[-1]
-        c = self.c[k0:k1]
-        for k in range(k1 - k0):
-            c[k] = -fd_derivative(cum[k], self.h) / J[k]
+        c = -fd_derivative(cum.T, self.h).T / J
         carried = self.rho0 / J
         self.gap = np.maximum(self.gap, np.max(np.abs(carried + c - P)
                                                / P.max(axis=1, keepdims=True)))
-        self.rho_ratio[k0:k1] = carried / P
+        lo, hi = np.searchsorted(self.rows, (k0, k1))
+        kept = self.rows[lo:hi] - k0
+        self.c[lo:hi] = c[kept]
+        self.rho_ratio[lo:hi] = carried[kept] / P[kept]
         self.k = k1
 
     def table(self):
-        return SourceTable(self.A.labels.values, self.A.times, self.c, self.rho_ratio,
-                           float(self.gap))
+        return SourceTable(self.A.labels.values, self.A.times[self.rows], self.c,
+                           self.rho_ratio, float(self.gap))
 
 
-def source_term(A, P_A, v_B, rho0):
+def source_term(A, P_A, v_B, rho0, rows):
     """Accumulated source along a flow that does not conserve the density.
 
     c_A(q_A0, t) = -J_A^{-1} d/dq_A0  integral_0^t  P_A J_A V_B dt'
@@ -316,28 +323,29 @@ def source_term(A, P_A, v_B, rho0):
     from time-integrating the label-space conservation law
     d(P_A J_A)/dt + d(P_A J_A V_B)/dq_A0 = 0; it is pinned down here by the
     decomposition identity P_A = rho0 J_A^{-1} + c_A, which the table
-    verifies (a source-free flow must yield c_A = 0).  The rows are taken
+    verifies over every stored time (a source-free flow must yield c_A = 0).
+    The table keeps the stored times ``rows``.  The rows are taken
     BLOCK_TIMES stored times at a time, so that the integrand and its time
     integral are never held for every stored time.
     """
-    rows = _SourceRows(A, rho0)
+    table = _SourceRows(A, rho0, rows)
     for k in range(0, A.times.shape[0], BLOCK_TIMES):
-        rows.add(P_A[k:k + BLOCK_TIMES], v_B[k:k + BLOCK_TIMES])
-    return rows.table()
+        table.add(P_A[k:k + BLOCK_TIMES], v_B[k:k + BLOCK_TIMES])
+    return table.table()
 
 
-def pair_source_terms(plus, minus, rho, u, rho0):
-    """Source tables of the plus and minus congruences, whose complementary
-    fields are -u/2 and +u/2, so that both source integrals refer to the
-    conserved mean-flow current.  The density ``rho`` and the osmotic
-    velocity ``u`` (callables of (x, t)) are sampled at both congruences'
-    positions, stacked as (2, n_labels), with one call each per stored time.
-    Both tables are accumulated BLOCK_TIMES stored times at a time, so that
-    the samples are held for one block only.
+def pair_source_terms(plus, minus, rho, u, rho0, rows):
+    """Source tables of the plus and minus congruences at their stored times
+    ``rows``, whose complementary fields are -u/2 and +u/2, so that both
+    source integrals refer to the conserved mean-flow current.  The density
+    ``rho`` and the osmotic velocity ``u`` (callables of (x, t)) are sampled
+    at both congruences' positions, stacked as (2, n_labels), with one call
+    each per stored time.  Both tables are accumulated BLOCK_TIMES stored
+    times at a time, so that the samples are held for one block only.
     """
     if not np.array_equal(plus.times, minus.times):
         raise PreconditionError("the plus and minus congruences need the same times")
-    tables = _SourceRows(plus, rho0), _SourceRows(minus, rho0)
+    tables = _SourceRows(plus, rho0, rows), _SourceRows(minus, rho0, rows)
     factors = np.array([[-0.5], [0.5]])
     n = plus.times.shape[0]
     for k0 in range(0, n, BLOCK_TIMES):
@@ -349,9 +357,9 @@ def pair_source_terms(plus, minus, rho, u, rho0):
             t = float(plus.times[k])
             P[:, j] = rho(x, t)
             V[:, j] = factors * u(x, t)
-        for f, rows in enumerate(tables):
-            rows.add(P[f], V[f])
-    return tuple(rows.table() for rows in tables)
+        for f, table in enumerate(tables):
+            table.add(P[f], V[f])
+    return tuple(table.table() for table in tables)
 
 
 # ---------- conservation along composed flows ----------
@@ -393,8 +401,10 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
     the gap.
     """
     rho0 = bi.rho0
-    table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_sampler, u_source.velocity, rho0)
     k = bi.plus.time_index(probe_t)
+    # the tables of the probe time alone
+    table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_sampler, u_source.velocity,
+                                         rho0, [k])
 
     xs = np.atleast_1d(np.asarray(probe_xs, dtype=float))
     qp0 = np.atleast_1d(invert_labels(bi.plus, xs, probe_t))
@@ -405,7 +415,7 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
     rho_true = np.asarray(rho_sampler(xs, probe_t), dtype=float)
 
     mix = r * rho0(qp0) / Jp + (1.0 - r) * rho0(qm0) / Jm
-    restored = mix + r * table_p.c_at(qp0, k) + (1.0 - r) * table_m.c_at(qm0, k)
+    restored = mix + r * table_p.c_at(qp0, 0) + (1.0 - r) * table_m.c_at(qm0, 0)
     ratio = mix / rho_true
     ratio_restored = restored / rho_true
     return MixtureReport(r, xs, float(probe_t), ratio, ratio_restored,

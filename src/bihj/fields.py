@@ -11,11 +11,12 @@ computed with the sign that closes the continuity / phase-action system,
 and ``q_sign="flipped"`` exposes the opposite choice so the residual suite can
 demonstrate that it does not converge (permanent sign regression).
 """
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, PreconditionError, UnwrapError
+from .errors import BihjError, DegenerateStateError, PreconditionError, UnwrapError
 from .kernels import NotAKnotSpline
 
 UNWRAP_JUMP_LIMIT = 3.0  # radians between adjacent valid points
@@ -123,41 +124,88 @@ def _check_action_jump(prev_action, cur, hbar):
             f"reference-point action jumps between snapshots at t={cur.time:.6g}")
 
 
-@dataclass(frozen=True)
-class FieldSeries:
-    params: object
-    snapshots: tuple
-    times: np.ndarray = field(init=False, repr=False, compare=False)
-    dt: float = field(init=False, repr=False, compare=False)
+# derived snapshots a field series keeps: two stacks sampling in lockstep
+# share the two that bracket their time, and the residuals the k-1, k, k+1
+# window
+HELD_SNAPSHOTS = 3
 
-    def __post_init__(self):
-        snaps = tuple(self.snapshots)
-        if not snaps:
-            raise PreconditionError("field series needs at least one snapshot")
-        times = np.array([s.time for s in snaps])
-        times.flags.writeable = False
-        if len(snaps) > 1:
-            steps = np.diff(times)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-                raise PreconditionError("field snapshots must be uniformly spaced in time")
-        grid = snaps[0].grid
-        for prev, cur in zip(snaps, snaps[1:]):
-            if cur.grid != grid:
-                raise PreconditionError("all field snapshots must share one grid")
-            _check_action_jump(prev.ref_action, cur, self.params.hbar)
-        object.__setattr__(self, "snapshots", snaps)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "dt", float(times[1] - times[0]) if len(times) > 1 else 0.0)
+
+class FieldSeries(Sequence):
+    """The field snapshots of a wave series, derived when they are read.
+
+    It holds the ``WaveSeries``, its thresholds and the anchor action of
+    each snapshot derived so far, in time order.  Snapshot k (``series[k]``,
+    or ``series.snapshots[k]``, the series itself) is derived from wave
+    snapshot k with the anchor of snapshot k-1; the snapshots before it
+    whose anchors are not known yet are derived first.  So the phase is
+    anchored at t=0 and continued in time, a jump of the anchor action
+    between two snapshots raises at the later one, and of several failing
+    snapshots the first in time raises.  A derivation error names the
+    ``fields`` stage, whichever stage read the snapshot.  Only the last
+    HELD_SNAPSHOTS derived snapshots are kept; an older one is derived again
+    from the wave, with the same bits.
+    """
+
+    def __init__(self, wave, rho_min=None, rho_ref=1.0, q_sign="derived"):
+        density = wave.snapshots[0].density()
+        self.wave = wave
+        self.params = wave.params
+        self.rho_min = 1e-12 * density.max() if rho_min is None else rho_min
+        self.rho_ref = rho_ref
+        self.q_sign = q_sign
+        self.ref_index = int(np.argmax(density))
+        self.times = wave.times
+        self.times.flags.writeable = False
+        self.dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+        self.anchors = []
+        self._held = {}
+
+    @property
+    def snapshots(self):
+        return self
 
     @property
     def grid(self):
-        return self.snapshots[0].grid
+        return self.wave.grid
+
+    def __len__(self):
+        return len(self.wave.snapshots)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]
+        if k in self._held:
+            return self._held[k]
+        while len(self.anchors) < k:
+            self._derive(len(self.anchors))
+        return self._derive(k)
+
+    def _derive(self, k):
+        prev = self.anchors[k - 1] if k else None
+        try:
+            fs = derive_fields(self.wave.snapshots[k], self.params, rho_min=self.rho_min,
+                               rho_ref=self.rho_ref, ref_index=self.ref_index,
+                               prev_ref_action=prev, q_sign=self.q_sign)
+            if k == len(self.anchors):
+                if prev is not None:
+                    _check_action_jump(prev, fs, self.params.hbar)
+                self.anchors.append(fs.ref_action)
+        except BihjError as err:
+            if err.stage is None:
+                err.stage = "fields"
+            raise
+        self._held[k] = fs
+        if len(self._held) > HELD_SNAPSHOTS:
+            del self._held[next(iter(self._held))]
+        return fs
 
 
 # ---------- field extraction ----------
 
-def _unwrapped_action(values, mask, runs, ref_index, hbar, prev_ref_action):
-    """Unwrap the phase along x across valid runs and fix the global constant."""
+def _unwrapped_action(values, mask, runs, ref_index, hbar, prev_ref_action, time):
+    """Unwrap the phase along x across valid runs and fix the global constant;
+    ``time`` is the snapshot's, for the error."""
     n = values.shape[0]
     S = np.full(n, np.nan)
     angles = np.angle(values)
@@ -168,8 +216,8 @@ def _unwrapped_action(values, mask, runs, ref_index, hbar, prev_ref_action):
         w = (d + np.pi) % (2.0 * np.pi) - np.pi
         if np.any(np.abs(w) >= UNWRAP_JUMP_LIMIT):
             raise UnwrapError(
-                "phase jump between adjacent valid points exceeds the unwrap limit; "
-                "the grid is too coarse for this state"
+                f"phase jump between adjacent valid points exceeds the unwrap limit at "
+                f"t={time:.6g}; the grid is too coarse for this state"
             )
         acc = np.concatenate(([0.0], np.cumsum(w)))
         S[a:b] = hbar * (acc - acc[i0 - a]) + anchor
@@ -227,11 +275,13 @@ def derive_fields(wave, params, rho_min=None, rho_ref=1.0, ref_index=None,
     mask = rho >= rho_min
     mask, runs = _find_runs(mask)
     if not runs:
-        raise DegenerateStateError("every grid point is below the density threshold")
+        raise DegenerateStateError(
+            f"every grid point is below the density threshold at t={wave.time:.6g}")
     if ref_index is None:
         ref_index = int(np.argmax(rho))
 
-    S, ref_index = _unwrapped_action(wave.values, mask, runs, ref_index, hbar, prev_ref_action)
+    S, ref_index = _unwrapped_action(wave.values, mask, runs, ref_index, hbar, prev_ref_action,
+                                     wave.time)
     log_rho = np.full_like(rho, np.nan)
     log_rho[mask] = np.log(rho[mask] / rho_ref)
     S_plus = S + 0.5 * hbar * log_rho
@@ -261,27 +311,10 @@ def derive_fields(wave, params, rho_min=None, rho_ref=1.0, ref_index=None,
     )
 
 
-def iter_fields(series, rho_min=None, rho_ref=1.0, q_sign="derived"):
-    """Derived snapshots of a wave series, one at a time, with the anchor
-    fixed at t=0 and continued in time; a jump of the anchor action between
-    two snapshots raises before the later one is yielded."""
-    first = series.snapshots[0]
-    if rho_min is None:
-        rho_min = 1e-12 * first.density().max()
-    ref_index = int(np.argmax(first.density()))
-    prev = None
-    for snap in series.snapshots:
-        fs = derive_fields(snap, series.params, rho_min=rho_min, rho_ref=rho_ref,
-                           ref_index=ref_index, prev_ref_action=prev, q_sign=q_sign)
-        if prev is not None:
-            _check_action_jump(prev, fs, series.params.hbar)
-        prev = fs.ref_action
-        yield fs
-
-
 def derive_series(series, rho_min=None, rho_ref=1.0, q_sign="derived"):
-    """Field series with the anchor fixed at t=0 and continued in time."""
-    return FieldSeries(series.params, tuple(iter_fields(series, rho_min, rho_ref, q_sign)))
+    """Field series of the wave ``series``, with the anchor fixed at t=0 and
+    continued in time; its snapshots are derived as they are read."""
+    return FieldSeries(series, rho_min, rho_ref, q_sign)
 
 
 # ---------- residual suites ----------

@@ -249,7 +249,12 @@ class NaturalSplines:
         self._system = _NaturalSystem(x)
         self._lu = _lapack.TridiagonalLU(n * k, float, self._system.fill)
         _check_info(self._lu.info, "gttrf")
-        i = np.stack([_locate(x[:, j], xq[:, j]) for j in range(k)], axis=1)
+        # each point's interval in its own column, as _locate finds it
+        i = np.empty(xq.shape, dtype=np.intp)
+        for j in range(k):
+            i[:, j] = x[:, j].searchsorted(xq[:, j], side="right")
+        i -= 1
+        np.minimum(np.maximum(i, 0, out=i), n - 2, out=i)
         # the knots i and i + 1 of column j: entries i k + j and (i + 1) k + j
         # of the flattened values, rows i + j n and i + 1 + j n of the system
         at = i * k + np.arange(k)
@@ -423,18 +428,29 @@ def strict_extrema(y):
 
 # ---------- finite differences on a uniform grid ----------
 
+# the weights of fd_derivative's edge rows 0 and -1 on the rows 0, 1, 2 and
+# -3, -2, -1
+_END_WEIGHTS = np.array([-3.0, 4.0, -1.0, 1.0, -4.0, 3.0])
+
+
 def fd_derivative(y, h):
     """First derivative: fourth order inside, second order at the edges.
 
-    y of shape (n,) or (n, k) is differentiated along its rows.
+    y of shape (n,) or (n, k) is differentiated along its rows.  The edge
+    rows are made from the rows 0, 1, 2, -3, -2, -1 gathered once: rows 1
+    and -2 by one difference, and rows 0 and -1 by one weighted sum.  Each
+    element keeps the operations of its own formula, since a - b is
+    a + (-b), -(c y) is (-c) y and a + b is b + a, bit for bit.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape[0] < 5:
+    n = y.shape[0]
+    if n < 5:
         raise ValueError("fd_derivative needs at least 5 points")
     g = np.empty_like(y)
     g[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    g[1] = (y[2] - y[0]) / (2.0 * h)
-    g[-2] = (y[-1] - y[-3]) / (2.0 * h)
-    g[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    g[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    e = np.concatenate((y[:3], y[-3:]))
+    g[1:n - 1:n - 3] = (e[2::3] - e[:4:3]) / (2.0 * h)  # rows 1 and -2
+    w = e * _END_WEIGHTS.reshape((6,) + (1,) * (y.ndim - 1))
+    # row 0: (w0 + w1) + w2, and row -1: (w4 + w5) + w3
+    g[::n - 1] = (w[:5:4] + w[1::4] + w[2:4]) / (2.0 * h)
     return g

@@ -34,7 +34,7 @@ from .compose import (
 )
 from .congruence import FieldStack, LabelSet, integrate_congruence
 from .errors import BihjError, ConfigurationError
-from .fields import derive_series, iter_fields
+from .fields import derive_series
 from .gaussian import GaussianStack
 from .reconstruct import reconstruction_probe
 from .reference import (
@@ -129,8 +129,8 @@ def between(lo, hi):
     return (f"in [{lo}, {hi}]", lambda v: lo <= v <= hi)
 
 
-# Upper size bounds.  The field series keeps about 105 bytes per grid point
-# per stored time, and each of the three reference-driven congruences keeps
+# Upper size bounds.  The stored wave keeps 16 bytes per grid point per
+# stored time, and each of the three reference-driven congruences keeps
 # 32 bytes per label per solver step; each bound keeps its size within a
 # run that fits in memory when the other sizes are those of the bundled
 # scenario.  The splines of the labels need at least 5 of them, like the
@@ -143,10 +143,12 @@ MAX_SOLVER_STEPS = 10**5
 # field time, rounded up from the growth of peak RSS when the bundled
 # scenario's solver steps, grid points or stored times double, over every
 # command and both solvers.  Analytic compose case ii holds the most per label
-# step (272: four congruences, the composed tracks and the source tables),
-# Crank-Nicolson compose the most per grid point (195: the wave and field
-# series and the splines of the sampled sources).  CSV files are streamed,
-# so these stages are what a run holds.
+# step (272: four congruences, the composed tracks and the source tables).
+# Per grid point the bound was set when Crank-Nicolson runs held every
+# derived field snapshot (195); they hold the stored wave and derive the
+# fields when they are read, and every command now grows by 15-18 bytes per
+# grid point per stored time.  CSV files are streamed, so these stages are
+# what a run holds.
 BYTES_PER_LABEL_STEP = 280
 BYTES_PER_GRID_POINT = 200
 # The bound on their sum admits each size at its own bound with the other
@@ -456,18 +458,6 @@ def write_json(path, payload):
 
 # ---------- the staged run pipeline ----------
 
-@contextmanager
-def _stage_of_errors(name):
-    """A package error raised in the block that names no stage yet records
-    ``name``."""
-    try:
-        yield
-    except BihjError as err:
-        if err.stage is None:
-            err.stage = name
-        raise
-
-
 class RunBundle:
     """One run: cached, timed pipeline stages, emitted files, checks, numerical
     health diagnostics (deterministic, unlike the wall times) and the manifest.
@@ -498,8 +488,11 @@ class RunBundle:
         records the innermost stage it came from."""
         start = time.perf_counter()
         try:
-            with _stage_of_errors(name):
-                yield
+            yield
+        except BihjError as err:
+            if err.stage is None:
+                err.stage = name
+            raise
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
 
@@ -533,27 +526,12 @@ class RunBundle:
 
     @cached_property
     def fields(self):
+        """The field series of the wave, whose snapshots are derived as a
+        stage reads them, within that stage's time; a derivation error names
+        the ``fields`` stage."""
         wave = self.wave
-        with self.timed("fields"):
-            return derive_series(wave, **self._field_thresholds(wave))
-
-    def _field_thresholds(self, wave):
-        return {"rho_min": self.config.rho_min_factor * wave.snapshots[0].density().max(),
-                "rho_ref": self.config.rho_ref}
-
-    def field_snapshots(self):
-        """The derived field snapshots, for a reader that takes each once:
-        those of the ``fields`` stage if a stage built it, else derived one
-        at a time as they are read, so that none holds them all.  Then their
-        time is the reader's, and an error still names the ``fields`` stage."""
-        if "fields" in vars(self):
-            return self.fields.snapshots
-        wave = self.wave
-
-        def derived():
-            with _stage_of_errors("fields"):
-                yield from iter_fields(wave, **self._field_thresholds(wave))
-        return derived()
+        return derive_series(wave, rho_min=self.config.rho_min_factor
+                             * wave.snapshots[0].density().max(), rho_ref=self.config.rho_ref)
 
     @cached_property
     def library(self):
@@ -698,7 +676,7 @@ def run_simulate(config, out_dir):
                  ((s.time, xs, s.values.real, s.values.imag) for s in run.wave.snapshots))
     run.emit_csv("fields.csv", FIELD_COLUMNS,
                  ((s.time, xs) + tuple(getattr(s, k) for k in FIELD_COLUMNS[2:])
-                  for s in run.field_snapshots()))
+                  for s in run.fields.snapshots))
     label_index = np.arange(len(run.labels))
     run.emit_csv("trajectories.csv",
                  ("congruence_id", "label_index", "q0", "time", "q", "qdot", "J", "chi"),
@@ -727,10 +705,11 @@ def run_compose(config, out_dir, case=None):
     with run.timed("sources"):
         tables = dict(zip(("plus", "minus"), pair_source_terms(
             plus, minus, library.rho(), library.source("u", 1.0).velocity,
-            library.initial("rho"))))
+            library.initial("rho"), _sampled_indices(plus.times.shape[0]))))
     run.emit_csv("sources.csv", ("congruence_id", "q0", "time", "c", "rho_ratio"),
-                 ((cid, tab.labels, tab.times[k], tab.c_A[k], tab.rho_ratio[k])
-                  for cid, tab in tables.items() for k in _sampled_indices(tab.times.shape[0])))
+                 ((cid, tab.labels, t, c, ratio)
+                  for cid, tab in tables.items()
+                  for t, c, ratio in zip(tab.times, tab.c_A, tab.rho_ratio)))
 
     with run.timed("checks"):
         drift = conservation_check(result, library.rho()).max_drift

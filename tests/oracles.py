@@ -21,9 +21,11 @@ from bihj.compose import _column, _on_rows, _rk4_pair
 from bihj.congruence import FieldStack, LabelSet, integrate_congruence
 from bihj.fields import (
     ResidualSeries,
+    _check_action_jump,
     _interior_indices,
     _masked_grad,
     _masked_lap,
+    derive_fields,
     derive_series,
 )
 from bihj.gaussian import GaussianStack
@@ -81,6 +83,37 @@ def reference_write_csv(path, header, blocks):
     return digest.hexdigest()
 
 
+def eager_field_snapshots(wave, rho_min=None, rho_ref=1.0, q_sign="derived"):
+    """Every derived snapshot of a wave series at once, in time order, with the
+    anchor fixed at t=0 and continued in time; a jump of the anchor action
+    between two snapshots raises at the later one."""
+    first = wave.snapshots[0]
+    if rho_min is None:
+        rho_min = 1e-12 * first.density().max()
+    ref_index = int(np.argmax(first.density()))
+    out, prev = [], None
+    for snap in wave.snapshots:
+        fs = derive_fields(snap, wave.params, rho_min=rho_min, rho_ref=rho_ref,
+                           ref_index=ref_index, prev_ref_action=prev, q_sign=q_sign)
+        if prev is not None:
+            _check_action_jump(prev, fs, wave.params.hbar)
+        prev = fs.ref_action
+        out.append(fs)
+    return out
+
+
+def reference_fd_derivative(y, h):
+    """fd_derivative with each edge row made by its own formula."""
+    y = np.asarray(y, dtype=float)
+    g = np.empty_like(y)
+    g[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+    g[1] = (y[2] - y[0]) / (2.0 * h)
+    g[-2] = (y[-1] - y[-3]) / (2.0 * h)
+    g[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
+    g[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    return g
+
+
 def one_spline_compose(setup):
     """Q_B, J_B, J_A at Q_B, v_A at Q_B and the output time indices of
     compose_trajectories, from one V_B spline with a column per stored time
@@ -129,7 +162,7 @@ def composed_path(setup, out_idx, QB):
 
 def full_array_source_term(A, P_A, v_B, rho0):
     """c_A, rho_ratio and the decomposition gap of source_term, from the
-    cumulative trapezoid over the full arrays."""
+    cumulative trapezoid over the full arrays, at every stored time."""
     labels = A.labels.values
     h = labels[1] - labels[0]
     W = v_B + 0.0

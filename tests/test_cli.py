@@ -267,3 +267,22 @@ def test_march_past_the_sampled_span_exits_2_naming_the_span(tmp_path, config_pa
     assert capsys.readouterr().err == (
         "error: [congruences] t=0.101 is outside the sampled span [0, 0.1] "
         "of the field series\n")
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["reconstruct"], ["compose"]])
+def test_march_reaching_a_failing_snapshot_exits_2_naming_the_fields(tmp_path, config_path,
+                                                                     capsys, argv):
+    # with a density floor of 0.9 of the initial peak, the region of the
+    # spreading gaussian above it shrinks below the five points of a valid
+    # run at t = 0.4; the march derives that snapshot when it reaches it
+    doc = json.loads(config_path.read_text())
+    doc.update(solver="crank_nicolson",
+               time={"dt_solver": 0.002, "dt_fields": 0.01, "t_final": 0.6},
+               labels={"count": 5, "span": {"kind": "explicit", "lo": -0.02, "hi": 0.02}},
+               thresholds={"rho_min_factor": 0.9, "rho_ref": 1.0})
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [fields] every grid point is below the density threshold at t=0.4\n")
+    assert sorted(p.name for p in out.iterdir()) == []

@@ -23,6 +23,7 @@ from bihj.compose import (
 from bihj.congruence import LabelSet, integrate_congruence
 from bihj.errors import PreconditionError, SpanExhaustionError
 from bihj.gaussian import GaussianStack
+from bihj.kernels import fd_derivative
 
 SIGMA0 = np.sqrt(0.5)
 
@@ -139,14 +140,16 @@ class TestSourceTerm:
     def test_source_free_flow(self, g, dbb_congruence):
         P = along(dbb_congruence, lambda x, t: gaussian.rho(g, x, t))
         tab = source_term(dbb_congruence, P, np.zeros_like(P),
-                          rho0=lambda q: gaussian.rho(g, q, 0.0))
+                          rho0=lambda q: gaussian.rho(g, q, 0.0),
+                          rows=np.arange(P.shape[0]))
         assert np.abs(tab.c_A).max() == 0.0
         assert tab.decomposition_gap <= 1e-4
 
     def test_plus_flow_center_value(self, g, plus_congruence):
         P = along(plus_congruence, lambda x, t: gaussian.rho(g, x, t))
         tab = source_term(plus_congruence, P, along(plus_congruence, scaled_u(g, -0.5).velocity),
-                          rho0=lambda q: gaussian.rho(g, q, 0.0))
+                          rho0=lambda q: gaussian.rho(g, q, 0.0), rows=[0, P.shape[0] - 1])
+        assert np.array_equal(tab.times, plus_congruence.times[[0, -1]])
         i0 = plus_congruence.label_index(0.0)
         # from the decomposition: rho(0,1) (1 - e^{pi/4})
         target = float(gaussian.rho(g, 0.0, 1.0)) * (1.0 - np.exp(np.pi / 4.0))
@@ -160,17 +163,18 @@ class TestSourceTerm:
         # give each table the bits of its own samplers, -u/2 and +u/2
         rho = GaussianStack(g, [("rho", None, 1.0)]).velocity
         rho0 = lambda q: gaussian.rho(g, q, 0.0)
-        pair = pair_source_terms(bi_pair.plus, bi_pair.minus, rho, u_source.velocity, rho0)
+        rows = [0, 3, 250, bi_pair.plus.times.shape[0] - 1]
+        pair = pair_source_terms(bi_pair.plus, bi_pair.minus, rho, u_source.velocity, rho0, rows)
         for tab, host, factor in zip(pair, (bi_pair.plus, bi_pair.minus), (-0.5, 0.5)):
             want = source_term(host, along(host, rho), along(host, scaled_u(g, factor).velocity),
-                               rho0)
+                               rho0, rows)
             for name in ("labels", "times", "c_A", "rho_ratio"):
                 assert getattr(tab, name).tobytes() == getattr(want, name).tobytes(), name
             assert tab.decomposition_gap == want.decomposition_gap
         short = bi_pair.plus.times[:-1]
         other, = integrate_congruence(u_source, bi_pair.labels, short)
         with pytest.raises(PreconditionError, match="same times"):
-            pair_source_terms(bi_pair.plus, other, rho, u_source.velocity, rho0)
+            pair_source_terms(bi_pair.plus, other, rho, u_source.velocity, rho0, rows)
 
 
 class TestConservation:
@@ -250,26 +254,32 @@ class TestBlocks:
         qC = composed_path(setup, out_idx, QB)
         vB = np.array([setup.field_B.velocity(qC[j], float(host.times[k]))
                        for j, k in enumerate(out_idx)])
+        h = setup.labels_C.values[1] - setup.labels_C.values[0]
+        JC = np.array([fd_derivative(row, h) for row in qC])
         for name, want in (("Q_B", QB), ("J_B", JB), ("J_A_at_QB", JA_at), ("q_C", qC),
-                           ("velocity", vA + vB)):
+                           ("J_C", JC), ("velocity", vA + vB)):
             assert getattr(res, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("n", COUNTS)
     @pytest.mark.parametrize("block", [None, 7, 1])
     def test_source_tables_are_the_full_array_tables(self, g, flows, u_source, monkeypatch,
                                                      n, block):
+        # the tables keep the rows asked for, every row or every third, and
+        # the decomposition gap is taken over every row
         if block is not None:
             monkeypatch.setattr(compose, "BLOCK_TIMES", block)
         plus, minus = flows[n]
         rho = GaussianStack(g, [("rho", None, 1.0)]).velocity
         rho0 = lambda q: gaussian.rho(g, q, 0.0)
-        pair = pair_source_terms(plus, minus, rho, u_source.velocity, rho0)
         samples = full_array_pair_samples(plus, minus, rho, u_source.velocity)
-        for tab, host, (P, V) in zip(pair, (plus, minus), samples):
-            alone = source_term(host, P, V, rho0)
-            c, ratio, gap = full_array_source_term(host, P, V, rho0)
-            for got in (tab, alone):
-                assert got.c_A.tobytes() == c.tobytes()
-                assert got.rho_ratio.tobytes() == ratio.tobytes()
-                assert got.decomposition_gap == gap
-                assert got.times is host.times
+        for rows in (np.arange(n), np.arange(0, n, 3)):
+            pair = pair_source_terms(plus, minus, rho, u_source.velocity, rho0, rows)
+            for tab, host, (P, V) in zip(pair, (plus, minus), samples):
+                alone = source_term(host, P, V, rho0, rows)
+                c, ratio, gap = full_array_source_term(host, P, V, rho0)
+                for got in (tab, alone):
+                    assert got.c_A.shape == got.rho_ratio.shape == (rows.shape[0], P.shape[1])
+                    assert got.c_A.tobytes() == c[rows].tobytes()
+                    assert got.rho_ratio.tobytes() == ratio[rows].tobytes()
+                    assert got.decomposition_gap == gap
+                    assert np.array_equal(got.times, host.times[rows])

@@ -1,16 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from oracles import max_abs, polar_residuals
+from oracles import eager_field_snapshots, max_abs, polar_residuals
 
 from bihj import gaussian
 from bihj.errors import DegenerateStateError, PreconditionError, UnwrapError
 from bihj.fields import (
+    HELD_SNAPSHOTS,
     derive_fields,
     derive_series,
     fokker_planck_residuals,
     hj_residuals,
-    iter_fields,
     stationary_points,
     time_reversal_check,
 )
@@ -129,24 +131,52 @@ FIELD_ARRAYS = ("rho", "S", "S_plus", "S_minus", "v", "v_plus", "v_minus", "u", 
                 "Q_plus", "Q_minus", "valid")
 
 
-class TestIterFields:
-    def test_snapshots_are_those_of_the_series(self, params):
+def assert_same_snapshot(got, want):
+    for name in FIELD_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.time, got.ref_index, got.rho_ref) == (want.time, want.ref_index, want.rho_ref)
+
+
+class TestLazySeries:
+    """Snapshots derived as they are read have the bits of every snapshot
+    derived at once (``oracles.eager_field_snapshots``), in any order of
+    reading, and fail at the same snapshot."""
+
+    @pytest.fixture(scope="class")
+    def wave(self, params):
         # the tails below the floor are masked, so the fields hold NaNs there
         grid = SpatialGrid(-10.0, 10.0, 512)
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
-                               np.arange(6) * 0.1)
+        return analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+                               np.arange(12) * 0.1)
+
+    def test_snapshots_are_those_of_an_eager_derivation(self, wave):
         rho_min = 1e-8 * wave.snapshots[0].density().max()
-        series = derive_series(wave, rho_min=rho_min, rho_ref=2.0)
-        streamed = iter_fields(wave, rho_min=rho_min, rho_ref=2.0)
-        assert iter(streamed) is streamed
-        count = 0
-        for want, got in zip(series.snapshots, streamed, strict=True):
-            assert np.isnan(got.S).any() and not got.valid.all()
-            for name in FIELD_ARRAYS:
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert (got.time, got.ref_index, got.rho_ref) == (want.time, want.ref_index, 2.0)
-            count += 1
-        assert count == len(wave.snapshots)
+        want = eager_field_snapshots(wave, rho_min=rho_min, rho_ref=2.0)
+        assert all(np.isnan(s.S).any() and not s.valid.all() for s in want[1:])
+        n = len(want)
+        # forward, backward after forward, in a random order, and each one again
+        # after the others evicted it
+        orders = {"forward": range(n), "backward": range(n - 1, -1, -1),
+                  "random": np.random.default_rng(3).permutation(n),
+                  "evicted": [0, 5, 1, n - 1, 0, 5, 1, n - 1]}
+        for name, order in orders.items():
+            series = derive_series(wave, rho_min=rho_min, rho_ref=2.0)
+            if name == "backward":
+                list(series.snapshots)
+            for k in order:
+                assert_same_snapshot(series.snapshots[k], want[k])
+            assert len(series.snapshots) == n
+        fresh = derive_series(wave, rho_min=rho_min, rho_ref=2.0)
+        for got, w in zip(fresh.snapshots[-3:], want[-3:], strict=True):
+            assert_same_snapshot(got, w)
+        assert_same_snapshot(fresh.snapshots[-n], want[0])
+
+    def test_only_the_last_derived_snapshots_are_held(self, wave):
+        series = derive_series(wave)
+        refs = [weakref.ref(series.snapshots[k]) for k in range(len(series))]
+        alive = [k for k, ref in enumerate(refs) if ref() is not None]
+        assert alive == list(range(len(series) - HELD_SNAPSHOTS, len(series)))
+        assert series.snapshots[0] is series.snapshots[0]  # held until evicted
 
     def test_action_jump_raises_at_the_same_snapshot(self, grid, params):
         # the sign flip at t = 0.02 moves the anchor phase by exactly pi
@@ -154,14 +184,36 @@ class TestIterFields:
                                np.zeros(1)).snapshots[0].values
         wave = WaveSeries(params, tuple(WaveSnapshot(grid, 0.01 * k, sign * base)
                                         for k, sign in enumerate((1.0, 1.0, -1.0, 1.0))))
-        times = []
-        with pytest.raises(PreconditionError, match="jumps between snapshots at t=0.02") as err:
-            for fs in iter_fields(wave):
-                times.append(fs.time)
-        assert times == [0.0, 0.01]
-        with pytest.raises(PreconditionError) as whole:
-            derive_series(wave)
-        assert str(whole.value) == str(err.value)
+        with pytest.raises(PreconditionError, match="jumps between snapshots at t=0.02") as eager:
+            eager_field_snapshots(wave)
+        series = derive_series(wave)
+        # reading a later snapshot first derives the earlier ones, so the
+        # first failure in time is the one raised
+        for k in (3, 2):
+            with pytest.raises(PreconditionError) as err:
+                series.snapshots[k]
+            assert str(err.value) == str(eager.value)
+            assert err.value.stage == "fields"
+        assert [s.time for s in series.snapshots[:2]] == [0.0, 0.01]
+
+    def test_unwrap_error_raises_at_the_same_snapshot(self, params):
+        # a growing chirp: the phase step between grid points passes the
+        # unwrap limit at the third snapshot
+        grid = SpatialGrid(-10.0, 10.0, 64)
+        x = grid.x
+        snaps = []
+        for k, slope in enumerate((0.0, 5.0, 9.9, 9.9)):
+            vals = np.exp(-x**2 / 4.0) * np.exp(1j * slope * x)
+            snaps.append(WaveSnapshot(grid, 0.1 * k,
+                                      vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dx)))
+        wave = WaveSeries(params, tuple(snaps))
+        with pytest.raises(UnwrapError) as eager:
+            eager_field_snapshots(wave)
+        series = derive_series(wave)
+        with pytest.raises(UnwrapError, match="unwrap limit at t=0.2;") as err:
+            series.snapshots[-1]
+        assert str(err.value) == str(eager.value)
+        assert err.value.stage == "fields"
 
 
 class TestResiduals:

@@ -5,6 +5,8 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import get_lapack_funcs, solve_banded
 from scipy.signal import argrelextrema
 
+from oracles import reference_fd_derivative
+
 import bihj.kernels as K
 from bihj import _lapack
 
@@ -423,3 +425,23 @@ def test_fd_derivative_exact_on_quadratic():
     y = 2.0 * x**2 - x + 0.5
     g = K.fd_derivative(y, x[1] - x[0])
     assert np.abs(g - (4.0 * x - 1.0)).max() < 1e-12
+
+
+def test_fd_derivative_edges_are_the_row_formulas(rng):
+    # every element of the paired edge rows has the bits of its own formula,
+    # with signed zeros, infinities and NaNs among the values, on 1d and 2d
+    # arrays in either memory order and down to the 5 points of the stencil
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-308, -1e308, 1.0, -3.0])
+    with np.errstate(all="ignore"):
+        for trial in range(600):
+            n = 5 + trial % 4
+            shape = (n,) if trial % 3 == 0 else (n, 1 + trial % 3)
+            y = rng.choice(special, size=shape) if trial % 2 else rng.normal(size=shape)
+            if trial % 5 == 0:
+                y = np.asfortranarray(y)
+            h = (0.04, 1e-3, -0.5)[trial % 3]
+            got, want = K.fd_derivative(y, h), reference_fd_derivative(y, h)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes() or (
+                np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got), np.signbit(want)))

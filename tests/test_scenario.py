@@ -3,15 +3,16 @@ import hashlib
 import json
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import reference_write_csv
+from oracles import eager_field_snapshots, reference_write_csv
 
+import bihj.fields as fields
 import bihj.scenario as scenario
 from bihj.errors import ConfigurationError, UnwrapError
-from bihj.fields import derive_series
 from bihj.scenario import (
     CSV_CHUNK_ROWS,
     load_config,
@@ -171,6 +172,19 @@ def assert_stages_cover_total(out_dir):
     total = timings.pop("total")
     named = sum(timings.values())
     assert named >= 0.95 * total, f"{total - named:.6f} s of {total:.6f} s unnamed: {timings}"
+
+
+def count_derivations(monkeypatch):
+    """Counts of derived field snapshots by time, from here on."""
+    derived = Counter()
+    original = fields.derive_fields
+
+    def counted(wave, *args, **kwargs):
+        derived[wave.time] += 1
+        return original(wave, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "derive_fields", counted)
+    return derived
 
 
 def per_value_csv(header, columns):
@@ -413,67 +427,95 @@ class TestOutputs:
                                    [(k, x, np.full(7, 0.25 * k)) for k in range(5)])
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == want
 
-    def test_analytic_simulate_derives_fields_while_writing_them(self, tmp_path):
-        cfg = parse_config(small_doc())
-        manifest, run = run_simulate(cfg, tmp_path)
-        assert "fields" not in vars(run)
+    def fields_csv_digest(self, path, run):
+        """The bytes of fields.csv from every snapshot derived at once."""
+        cfg = run.config
+        snaps = eager_field_snapshots(run.wave, rho_min=cfg.rho_min_factor
+                                      * run.wave.snapshots[0].density().max(),
+                                      rho_ref=cfg.rho_ref)
+        return reference_write_csv(
+            path, scenario.FIELD_COLUMNS,
+            [(s.time, cfg.grid.x) + tuple(getattr(s, k) for k in scenario.FIELD_COLUMNS[2:])
+             for s in snaps])
+
+    def test_analytic_simulate_derives_fields_while_writing_them(self, tmp_path, monkeypatch):
+        derived = count_derivations(monkeypatch)
+        manifest, run = run_simulate(parse_config(small_doc()), tmp_path)
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert "fields" not in timings and "write:fields.csv" in timings
-        # the bytes of the fields stage's snapshots, written at once
-        fs = derive_series(run.wave, rho_min=cfg.rho_min_factor
-                           * run.wave.snapshots[0].density().max(), rho_ref=cfg.rho_ref)
-        want = reference_write_csv(
-            tmp_path / "want.csv", scenario.FIELD_COLUMNS,
-            [(s.time, cfg.grid.x) + tuple(getattr(s, k) for k in scenario.FIELD_COLUMNS[2:])
-             for s in fs.snapshots])
-        assert manifest["files"]["fields.csv"] == want
+        # each stored snapshot once, as fields.csv takes it
+        assert list(derived) == list(run.wave.times)
+        assert manifest["files"]["fields.csv"] == self.fields_csv_digest(tmp_path / "want.csv",
+                                                                          run)
 
-    def test_sampled_simulate_writes_the_fields_stage(self, tmp_path, monkeypatch):
-        streamed = []
-        original = scenario.iter_fields
-
-        def counted(*args, **kwargs):
-            streamed.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scenario, "iter_fields", counted)
-        _, run = run_simulate(parse_config(small_doc(solver="crank_nicolson")), tmp_path)
-        assert "fields" in vars(run) and streamed == []
-        assert "fields" in json.loads((tmp_path / "timings.json").read_text())
+    def test_sampled_simulate_writes_the_fields_stage(self, tmp_path):
+        # the series the congruences sampled, derived again as it is written
+        manifest, run = run_simulate(parse_config(small_doc(solver="crank_nicolson")), tmp_path)
+        assert "fields" not in json.loads((tmp_path / "timings.json").read_text())
+        assert manifest["files"]["fields.csv"] == self.fields_csv_digest(tmp_path / "want.csv",
+                                                                          run)
 
     def test_derivation_error_while_writing_names_the_fields_stage(self, tmp_path,
                                                                    monkeypatch):
-        original = scenario.iter_fields
+        original = fields.derive_fields
 
-        def failing(*args, **kwargs):
-            yield next(original(*args, **kwargs))
-            raise UnwrapError("phase jump")
+        def failing(wave, *args, **kwargs):
+            if wave.time > 0.0:
+                raise UnwrapError("phase jump")
+            return original(wave, *args, **kwargs)
 
-        monkeypatch.setattr(scenario, "iter_fields", failing)
+        monkeypatch.setattr(fields, "derive_fields", failing)
         with pytest.raises(UnwrapError) as err:
             run_simulate(parse_config(small_doc()), tmp_path)
         assert err.value.stage == "fields"
         # the first snapshot was written: 256 grid rows and the header
         assert len((tmp_path / "fields.csv").read_text().splitlines()) == 257
 
+    @staticmethod
+    def traced_peak(command, dt_fields, out, solver="analytic"):
+        cfg = parse_config(small_doc(
+            solver=solver, grid={"x_min": -10.0, "x_max": 10.0, "n_points": 512},
+            time={"dt_solver": 0.005, "dt_fields": dt_fields, "t_final": 0.4}))
+        tracemalloc.start()
+        try:
+            command(cfg, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 40 more snapshots of 11 float fields and the valid mask on 512 points
+    EXTRA_FIELDS = 40 * 512 * (11 * 8 + 1)
+
     def test_simulate_memory_does_not_grow_with_the_stored_field_times(self, tmp_path):
         # halving dt_fields doubles the stored field times and keeps the
         # solver steps; the fields of the extra snapshots must not be held
-        def traced_peak(dt_fields, out):
-            cfg = parse_config(small_doc(
-                grid={"x_min": -10.0, "x_max": 10.0, "n_points": 512},
-                time={"dt_solver": 0.005, "dt_fields": dt_fields, "t_final": 0.4}))
-            tracemalloc.start()
-            try:
-                run_simulate(cfg, out)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        base = self.traced_peak(run_simulate, 0.01, tmp_path / "a")
+        doubled = self.traced_peak(run_simulate, 0.005, tmp_path / "b")
+        assert doubled - base < 0.5 * self.EXTRA_FIELDS, (base, doubled, self.EXTRA_FIELDS)
 
-        base, doubled = traced_peak(0.01, tmp_path / "a"), traced_peak(0.005, tmp_path / "b")
-        # 40 more snapshots of 11 float fields and the valid mask on 512 points
-        extra = 40 * 512 * (11 * 8 + 1)
-        assert doubled - base < 0.5 * extra, (base, doubled, extra)
+    @pytest.mark.parametrize("command", [run_reconstruct, run_compose])
+    def test_sampled_memory_does_not_grow_with_the_stored_field_times(self, tmp_path, command):
+        # Crank-Nicolson runs hold the stored wave (16 bytes per point per
+        # time), and of the fields only the snapshots that are being read
+        base = self.traced_peak(command, 0.01, tmp_path / "a", "crank_nicolson")
+        doubled = self.traced_peak(command, 0.005, tmp_path / "b", "crank_nicolson")
+        assert doubled - base < 0.5 * self.EXTRA_FIELDS, (base, doubled, self.EXTRA_FIELDS)
+
+    def test_sampled_commands_derive_each_snapshot_a_few_times(self, tmp_path, monkeypatch):
+        # the time side of deriving snapshots when they are read: reconstruct
+        # walks the stored times once, and derives the first again for the
+        # initial profiles of its pair; compose walks them at most five times
+        derived = count_derivations(monkeypatch)
+        cfg = parse_config(small_doc(solver="crank_nicolson"))
+        n = cfg.field_steps + 1
+        for name, command, walks in (("reconstruct", run_reconstruct, 1),
+                                     ("compose", run_compose, 5)):
+            derived.clear()
+            _, run = command(cfg, tmp_path / name)
+            assert set(derived) == set(run.wave.times) and len(derived) == n, name
+            assert max(derived.values()) <= walks + (name == "reconstruct"), (name, derived)
+            assert sum(derived.values()) <= walks * n + 1, (name, derived)
+            assert_stages_cover_total(tmp_path / name)
 
     def test_analytic_runs_skip_field_extraction(self, tmp_path, monkeypatch):
         calls = []
