@@ -17,8 +17,6 @@ from .compose import (  # noqa: F401
     compose_trajectories,
     conservation_check,
     mixture_check,
-    pushforward_vector,
-    source_term,
 )
 from .congruence import (  # noqa: F401
     Congruence,

@@ -4,10 +4,13 @@ The checks prove the pipeline the CLI runs: each shared artefact is a
 ``RunBundle`` over a document of ``SCENARIOS``, the bundled free-Gaussian
 scenario (hbar = m = 1, sigma0^2 = 1/2 so the spreading rate is 1, grid
 [-10, 10] x 2048, solver step 1e-3, 201 labels on [-4, 4]) or a variant of
-it, and writes no file.  Built here, for want of a scenario form, are the
-field-driven march over the autonomous run's stored times, the analytic
-series around t = 0.5, the conjugated reversal pair and the compositions'
-own probe labels.  Each artefact is built once, on first use.
+it, and writes no file.  The closed forms and the physical parameters are
+those of the canonical run's scenario.  Built here, for want of a scenario
+form, are the field-driven march over the autonomous run's stored times, the
+analytic series around t = 0.5, the conjugated reversal pair and the three
+compositions on their own probe labels; only the probe half-widths are
+stated here, and the hosts, complement fields and factors are
+``scenario.COMPOSITIONS``.  Each artefact is built once, on first use.
 """
 import filecmp
 import tempfile
@@ -42,15 +45,19 @@ from .reconstruct import (
 )
 from .reference import (
     InitialStateSpec,
-    PhysicalParams,
     SpatialGrid,
     analytic_series,
     build_initial_state,
     evolve_crank_nicolson,
 )
-from .scenario import RunBundle, bundled_scenario, parse_config, run_simulate
-
-SIGMA0 = np.sqrt(0.5)
+from .scenario import (
+    COMPOSITIONS,
+    FieldLibrary,
+    RunBundle,
+    bundled_scenario,
+    parse_config,
+    run_simulate,
+)
 
 
 @dataclass
@@ -74,10 +81,11 @@ def _variant(**sections):
 def _superposition_scenario():
     """Two gaussians 4 sigma0 apart, Crank-Nicolson to t = 0.5, with 161 labels
     over the grid points where the t = 0 density is at least 1e-4 of its peak."""
+    sigma0 = bundled_scenario()["initial_state"]["sigma0"]
     doc = _variant(solver="crank_nicolson",
                    grid={"x_min": -12.0, "x_max": 12.0, "n_points": 2048},
-                   initial_state={"kind": "two_gaussian", "sigma0": SIGMA0,
-                                  "separation": 4 * SIGMA0},
+                   initial_state={"kind": "two_gaussian", "sigma0": sigma0,
+                                  "separation": 4 * sigma0},
                    time={"dt_solver": 1e-3, "dt_fields": 1e-2, "t_final": 0.5})
     cfg = parse_config(doc)
     rho0 = build_initial_state(cfg.initial_state, cfg.grid, cfg.params).density()
@@ -94,72 +102,65 @@ SCENARIOS = {  # artefact name -> its scenario document
     "norm": partial(_variant, solver="crank_nicolson",
                     time={"dt_solver": 1e-4, "dt_fields": 1.0, "t_final": 1.0}),
 }
-ORACLE_FLOWS = ("plus", "minus", "dbb", "half_plus")
-# composition case -> host flow, complement field and factor, probe label half-width
-COMPOSITIONS = {"i": ("plus", "u", -0.5, 1.6), "ii": ("half_plus", "v_minus", 0.5, 2.0),
-                "converse": ("dbb", "u", 0.5, 2.5)}
+ORACLE_FLOWS = tuple(FieldLibrary.FLOWS)
+# composition case -> half-width w of its 81 probe labels on [-w, w]
+PROBE_HALF_WIDTHS = {"i": 1.6, "ii": 2.0, "converse": 2.5}
 
 
 class AcceptanceContext:
-    """The suite's work directory (by default a new temporary one) and the
-    artefacts its checks share."""
+    """The suite's work directory (by default a new temporary one), the
+    ``RunBundle`` of each document of SCENARIOS, and the artefacts the
+    checks share, each built on first use.  The closed forms and physical
+    parameters are those of the canonical run's scenario."""
 
     def __init__(self, workdir=None):
         self.workdir = Path(workdir or tempfile.mkdtemp(prefix="bihj-acceptance-"))
-        self.params = PhysicalParams()
-        self.spec = InitialStateSpec.gaussian(SIGMA0)
-        self.g = gaussian.GaussianParams(SIGMA0)
-        self.runs = {}
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def run(self, name):
-        """The RunBundle of the artefact ``name`` of SCENARIOS."""
-        if name not in self.runs:
-            self.runs[name] = RunBundle("verify", parse_config(SCENARIOS[name]()),
-                                        self.workdir / name)
-        return self.runs[name]
-
-    @property
-    def library(self):
-        """The closed-form fields of the bundled scenario."""
-        return self.run("canonical").library
+        self.runs = {name: RunBundle("verify", parse_config(doc()), self.workdir / name)
+                     for name, doc in SCENARIOS.items()}
+        canonical = self.runs["canonical"]
+        self.config = canonical.config
+        self.params = self.config.params
+        self.library = canonical.library  # the closed-form fields
+        self.g = self.library.g
 
     def oracle(self, flow):
         """The congruence of ``flow`` (one of ORACLE_FLOWS) on the bundled
         scenario; the first use marches those not built yet together."""
-        return dict(zip(ORACLE_FLOWS, self.run("canonical").congruences(*ORACLE_FLOWS)))[flow]
+        return dict(zip(ORACLE_FLOWS, self.runs["canonical"].congruences(*ORACLE_FLOWS)))[flow]
 
-    def composition(self, case):
-        def build():
-            host, name, factor, width = COMPOSITIONS[case]
-            setup = CompositionSetup(self.oracle(host), self.library.source(name, factor),
+    @cached_property
+    def compositions(self):
+        """Setup and result of each composition case on its probe labels."""
+        out = {}
+        for case, (host, field, factor) in COMPOSITIONS.items():
+            width = PROBE_HALF_WIDTHS[case]
+            setup = CompositionSetup(self.oracle(host), self.library.source(field, factor),
                                      LabelSet.uniform(-width, width, 81))
-            return setup, compose_trajectories(setup)
-        return self._get(f"composition_{case}", build)
+            out[case] = setup, compose_trajectories(setup)
+        return out
 
     @cached_property
     def reference_driven_fine(self):
         return integrate_congruence(self.library.congruence_sources(("plus", "minus")),
-                                    self.run("canonical").labels,
-                                    self.run("autonomous").autonomous.times)
+                                    self.runs["canonical"].labels,
+                                    self.runs["autonomous"].autonomous.times)
 
-    def analytic_residual_series(self, n_points, dt, q_sign="derived"):
-        key = ("ana_res", n_points, dt, q_sign)
-
-        def build():
-            grid = SpatialGrid(-10.0, 10.0, n_points)
-            wave = analytic_series(self.spec, grid, self.params, 0.5 + np.arange(-1, 2) * dt)
-            return derive_series(wave, q_sign=q_sign)
-        return self._get(key, build)
+    @cached_property
+    def residual_series(self):
+        """(grid points, dt, q_sign) -> the analytic field series at three times
+        dt apart around t = 0.5, on [-10, 10]."""
+        out = {}
+        for n_points, dt in ((2048, 1e-3), (4096, 5e-4)):
+            wave = analytic_series(self.config.initial_state, SpatialGrid(-10.0, 10.0, n_points),
+                                   self.params, 0.5 + np.arange(-1, 2) * dt)
+            for q_sign in ("derived", "flipped"):
+                out[n_points, dt, q_sign] = derive_series(wave, q_sign=q_sign)
+        return out
 
     @cached_property
     def reversal_pair(self):
-        spec = InitialStateSpec.two_gaussian(SIGMA0, separation=4 * SIGMA0,
+        sigma0 = self.g.sigma0
+        spec = InitialStateSpec.two_gaussian(sigma0, separation=4 * sigma0,
                                              relative_phase=np.pi / 2)
         snap = build_initial_state(spec, SpatialGrid(-12.0, 12.0, 2048), self.params)
         fwd = evolve_crank_nicolson(snap, self.params, 1e-3, 500, store_every=50)
@@ -200,7 +201,7 @@ def check_mean_flow_trajectory(ctx):
 
 
 def check_composition_case_i(ctx):
-    setup, res = ctx.composition("i")
+    setup, res = ctx.compositions["i"]
     i = int(np.argmin(np.abs(res.labels_C.values - 1.0)))
     qb_exact = float(np.exp(np.pi / 4.0))
     qc_exact = float(np.sqrt(2.0))
@@ -219,7 +220,7 @@ def check_composition_case_i(ctx):
 def check_composition_case_ii_and_converse(ctx):
     g = ctx.g
     out = []
-    setup, res = ctx.composition("ii")
+    setup, res = ctx.compositions["ii"]
     i = int(np.argmin(np.abs(res.labels_C.values - 1.0)))
     qa = ctx.oracle("half_plus")
     ia = qa.label_index(1.0)
@@ -232,7 +233,7 @@ def check_composition_case_ii_and_converse(ctx):
     out.append(_result("composition_ii_composed_path",
                        abs(res.q_C[-1, i] - np.sqrt(2.0)), 1e-5, target=float(np.sqrt(2.0))))
 
-    setup_c, res_c = ctx.composition("converse")
+    setup_c, res_c = ctx.compositions["converse"]
     ic = int(np.argmin(np.abs(res_c.labels_C.values - 1.0)))
     qbc_exact = float(np.exp(-np.pi / 4.0))
     qcc_exact = float(np.sqrt(2.0) * np.exp(-np.pi / 4.0))
@@ -245,16 +246,17 @@ def check_composition_case_ii_and_converse(ctx):
 
     # corollary round trip: compose the mean flow from the plus flow, then the
     # plus flow back from the composed family
-    setup_i, res_i = ctx.composition("i")
+    setup_i, res_i = ctx.compositions["i"]
     host = res_i.as_congruence()
     probe = LabelSet.uniform(-1.5, 1.5, 61)
-    res_rt = compose_trajectories(CompositionSetup(
-        host, ctx.library.source("u", +0.5), probe))
+    _, field, factor = COMPOSITIONS["converse"]
+    res_rt = compose_trajectories(CompositionSetup(host, ctx.library.source(field, factor),
+                                                   probe))
     worst = 0.0
     for j, t in enumerate(res_rt.times):
         exact = probe.values * gaussian.path_scale(g, "plus", t)
         worst = max(worst, float(np.abs(res_rt.q_C[j] - exact).max()))
-    labels = ctx.run("canonical").labels.values
+    labels = ctx.runs["canonical"].labels.values
     width = labels[-1] - labels[0]
     out.append(_result("composition_corollary_round_trip", worst, 1e-5 * width,
                        detail="plus -> mean flow -> plus reproduces the original paths"))
@@ -263,7 +265,7 @@ def check_composition_case_ii_and_converse(ctx):
 
 def check_reconstruction(ctx):
     g = ctx.g
-    bi, dbb = ctx.run("canonical").pair, ctx.oracle("dbb")
+    bi, dbb = ctx.runs["canonical"].pair, ctx.oracle("dbb")
     psi = bihj_wavefunction_at(bi, 0.0, 1.0)
     target = complex(gaussian.psi(g, 0.0, 1.0))
     out = [_result("wavefunction_from_actions_center", abs(psi - target), 1e-4,
@@ -289,7 +291,7 @@ def check_reconstruction(ctx):
 
 def check_probability_from_actions(ctx):
     g = ctx.g
-    bi = ctx.run("canonical").pair
+    bi = ctx.runs["canonical"].pair
     rho = probability_from_actions(bi, 0.0, 1.0)
     target = float(gaussian.rho(g, 0.0, 1.0))
     out = [_result("probability_from_action_difference",
@@ -305,7 +307,7 @@ def check_probability_from_actions(ctx):
 
 
 def check_non_conservation(ctx):
-    g, library, bi = ctx.g, ctx.library, ctx.run("canonical").pair
+    g, library, bi = ctx.g, ctx.library, ctx.runs["canonical"].pair
     out = []
     ratio = (trajectory_density(ctx.oracle("plus"), library.initial("rho"), 0.0, 1.0)
              / gaussian.rho(g, 0.0, 1.0))
@@ -328,7 +330,7 @@ def check_non_conservation(ctx):
 
 
 def check_composed_conservation(ctx):
-    setup, res = ctx.composition("i")
+    setup, res = ctx.compositions["i"]
     rep = conservation_check(res, ctx.library.rho())
     return [_result("composed_flow_conservation", rep.max_drift, 1e-3,
                     detail="per-label drift of P_C J_C over t in [0, 1]")]
@@ -336,22 +338,22 @@ def check_composed_conservation(ctx):
 
 def check_residual_convergence(ctx):
     out = []
-    coarse_hj = hj_residuals(ctx.analytic_residual_series(2048, 1e-3))
-    fine_hj = hj_residuals(ctx.analytic_residual_series(4096, 5e-4))
+    coarse_hj = hj_residuals(ctx.residual_series[2048, 1e-3, "derived"])
+    fine_hj = hj_residuals(ctx.residual_series[4096, 5e-4, "derived"])
     ratio_hj = coarse_hj.rms() / fine_hj.rms()
     ok_hj = (3.5 <= ratio_hj <= 4.5) and coarse_hj.rms() <= 1e-4
     out.append(CheckResult("residual_convergence_hj", bool(ok_hj), float(ratio_hj), 4.5,
                            detail=f"rms {coarse_hj.rms():.3e} -> {fine_hj.rms():.3e}, "
                                   "ratio must lie in [3.5, 4.5] and coarse rms below 1e-4"))
-    coarse_fp = fokker_planck_residuals(ctx.analytic_residual_series(2048, 1e-3))
-    fine_fp = fokker_planck_residuals(ctx.analytic_residual_series(4096, 5e-4))
+    coarse_fp = fokker_planck_residuals(ctx.residual_series[2048, 1e-3, "derived"])
+    fine_fp = fokker_planck_residuals(ctx.residual_series[4096, 5e-4, "derived"])
     ratio_fp = coarse_fp.rms() / fine_fp.rms()
     ok_fp = 3.5 <= ratio_fp <= 4.5
     out.append(CheckResult("residual_convergence_fokker_planck", bool(ok_fp),
                            float(ratio_fp), 4.5,
                            detail=f"rms {coarse_fp.rms():.3e} -> {fine_fp.rms():.3e}"))
-    flip_c = hj_residuals(ctx.analytic_residual_series(2048, 1e-3, q_sign="flipped"))
-    flip_f = hj_residuals(ctx.analytic_residual_series(4096, 5e-4, q_sign="flipped"))
+    flip_c = hj_residuals(ctx.residual_series[2048, 1e-3, "flipped"])
+    flip_f = hj_residuals(ctx.residual_series[4096, 5e-4, "flipped"])
     ratio_flip = flip_c.rms() / flip_f.rms()
     ok = (flip_c.rms() > 100.0 * coarse_hj.rms()) and ratio_flip < 1.5
     out.append(CheckResult(
@@ -362,7 +364,7 @@ def check_residual_convergence(ctx):
 
 
 def check_autonomous(ctx):
-    bi = ctx.run("autonomous").autonomous
+    bi = ctx.runs["autonomous"].autonomous
     plus_ref, minus_ref = ctx.reference_driven_fine
     sup = max(float(np.abs(bi.plus.q - plus_ref.q).max()),
               float(np.abs(bi.minus.q - minus_ref.q).max()))
@@ -387,14 +389,14 @@ def check_time_reversal(ctx):
            _result("eulerian_exchange_actions", rep.max_action_mismatch, 1e-4,
                    detail="max |S'_plusminus + S_minusplus| up to one global phase constant")]
     conj_fwd, orig_back = exchange_pair(ctx.library.initial("plus"), ctx.library.initial("minus"),
-                                        ctx.run("canonical").labels, ctx.params, 2e-4, 1250)
+                                        ctx.runs["canonical"].labels, ctx.params, 2e-4, 1250)
     out.append(_result("lagrangian_exchange", exchange_mismatch(conj_fwd, orig_back), 1e-3,
                        detail="conjugate-data forward run against original backward run"))
     return out
 
 
 def check_superposition(ctx):
-    run = ctx.run("superposition")
+    run = ctx.runs["superposition"]
     wave, fs, bi = run.wave, run.fields, run.pair
     final = wave.snapshots[-1]
     t = final.time
@@ -427,7 +429,7 @@ def check_superposition(ctx):
 
 def check_properties(ctx):
     out = []
-    norm = ctx.run("norm")
+    norm = ctx.runs["norm"]
     norm.wave
     out.append(_result("norm_conservation", norm.diagnostics["norm_drift"], 1e-8,
                        detail="grid-solver norm drift over 10^4 steps"))
@@ -451,7 +453,7 @@ def check_properties(ctx):
                        detail="label gradient of the action vs m qdot dq/dq0, "
                               "both coupled congruences"))
 
-    setup, res = ctx.composition("i")
+    setup, res = ctx.compositions["i"]
     out.append(_result("jacobian_factorisation", res.jacobian_factorisation_gap(), 1e-4,
                        detail="J_C against (J_A at Q_B) J_B"))
     return out

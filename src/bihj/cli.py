@@ -1,5 +1,6 @@
 """Command line interface: simulate, compose, reconstruct, verify, oracle, figure."""
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -15,6 +16,33 @@ from .scenario import (
     run_reconstruct,
     run_simulate,
 )
+
+
+# glibc's mallopt parameters, and values measured on the bundled scenario:
+# arrays under 512 KiB, which a command makes and frees many times, are reused
+# from the heap, and the heap keeps up to 4 MiB free at its top rather than
+# give back and fault in the same pages again and again
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 512 * 1024, 4 * 1024 * 1024
+
+
+def _fix_malloc_thresholds():
+    """Hold glibc's mmap and trim thresholds at fixed values.
+
+    glibc raises its mmap threshold to the size of each mmapped block it
+    frees (up to 32 MiB) and its trim threshold to twice that; then later
+    arrays up to that size come from the heap, which keeps and fragments
+    what they free, and peak resident memory follows the order of earlier
+    allocations more than what a command holds.  Fixed thresholds turn that
+    off; without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _load(args):
@@ -58,8 +86,11 @@ def build_parser():
             continue
         p.add_argument("--config", metavar="PATH", default=None,
                        help="scenario JSON (default: bundled gaussian scenario)")
-        p.add_argument("--mode", choices=("reference", "autonomous"), default=None,
-                       help="override the scenario mode")
+        if name == "simulate":  # the one command that reads the mode
+            p.add_argument("--mode", choices=("reference", "autonomous"), default=None,
+                           help="override the scenario mode")
+        else:
+            p.set_defaults(mode=None)
         if name == "compose":
             p.add_argument("--case", choices=CASES, default=None,
                            help="composition case (default: from the scenario)")
@@ -70,6 +101,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.mode == "reference":

@@ -45,18 +45,6 @@ class CompositionSetup:
                 "labels_C must start inside the host congruence label span")
 
 
-def pushforward_vector(setup, q_A0, t):
-    """v_B transformed into the host congruence's label space."""
-    A = setup.congruence_A
-    k = A.time_index(t)
-    labels = A.labels.values
-    q0 = np.atleast_1d(np.asarray(q_A0, dtype=float))
-    pos = hermite_eval(labels, A.q[k], pchip_slopes(labels, A.q[k]), q0)
-    JA = NotAKnotSpline(labels, A.J[k])(q0)
-    out = np.asarray(setup.field_B.velocity(pos, float(t)), dtype=float) / JA
-    return out if np.ndim(q_A0) else float(out[0])
-
-
 @dataclass(frozen=True)
 class CompositionResult:
     labels_C: LabelSet
@@ -263,18 +251,27 @@ class SourceTable:
 
 
 class _SourceRows:
-    """The source table of the congruence A at its stored times ``rows``
-    (increasing indices), accumulated over consecutive blocks of its stored
-    times: ``add`` takes the density and complement rows of the next block,
-    and ``table`` gives the SourceTable.  The cumulative trapezoid is
-    carried across blocks, so the table has the bits of one pass over every
-    row."""
+    """The source table of the congruence A, a flow that does not conserve
+    the density, at its stored times ``rows`` (increasing indices):
+
+        c_A(q_A0, t) = -J_A^{-1} d/dq_A0  integral_0^t  P_A J_A V_B dt'
+
+    with P_A the true density along the congruence and V_B the label-space
+    form of the complementary field.  The leading minus follows from
+    time-integrating the label-space conservation law
+    d(P_A J_A)/dt + d(P_A J_A V_B)/dq_A0 = 0; the decomposition identity
+    P_A = rho0 J_A^{-1} + c_A pins it down, and ``decomposition_gap``
+    measures it over every stored time (a source-free flow yields c_A = 0).
+    ``add`` takes the density and complement rows of the next block of
+    stored times, and ``table`` gives the SourceTable.  The cumulative
+    trapezoid is carried across blocks, so the table has the bits of one
+    pass over every row."""
 
     def __init__(self, A, rho0, rows):
         labels = A.labels.values
         self.h = labels[1] - labels[0]
         if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
-            raise PreconditionError("source_term needs uniform labels")
+            raise PreconditionError("a source table needs uniform labels")
         self.A = A
         self.rows = np.asarray(rows, dtype=int)
         self.rho0 = np.asarray(rho0(labels), dtype=float)[None, :]
@@ -310,28 +307,6 @@ class _SourceRows:
     def table(self):
         return SourceTable(self.A.labels.values, self.A.times[self.rows], self.c,
                            self.rho_ratio, float(self.gap))
-
-
-def source_term(A, P_A, v_B, rho0, rows):
-    """Accumulated source along a flow that does not conserve the density.
-
-    c_A(q_A0, t) = -J_A^{-1} d/dq_A0  integral_0^t  P_A J_A V_B dt'
-    with P_A the true density read along the congruence and V_B the
-    label-space form of the complementary field; ``P_A`` and ``v_B`` hold
-    the density and the complementary field at the congruence's positions,
-    one row per stored time.  The leading minus follows
-    from time-integrating the label-space conservation law
-    d(P_A J_A)/dt + d(P_A J_A V_B)/dq_A0 = 0; it is pinned down here by the
-    decomposition identity P_A = rho0 J_A^{-1} + c_A, which the table
-    verifies over every stored time (a source-free flow must yield c_A = 0).
-    The table keeps the stored times ``rows``.  The rows are taken
-    BLOCK_TIMES stored times at a time, so that the integrand and its time
-    integral are never held for every stored time.
-    """
-    table = _SourceRows(A, rho0, rows)
-    for k in range(0, A.times.shape[0], BLOCK_TIMES):
-        table.add(P_A[k:k + BLOCK_TIMES], v_B[k:k + BLOCK_TIMES])
-    return table.table()
 
 
 def pair_source_terms(plus, minus, rho, u, rho0, rows):
@@ -384,12 +359,8 @@ def conservation_check(result, rho_sampler):
 
 @dataclass(frozen=True)
 class MixtureReport:
-    weight: float
-    probe_x: np.ndarray
-    probe_t: float
     trajectory_ratio: np.ndarray  # weighted rho0/J mixture over the true density
-    restored_ratio: np.ndarray    # after adding the weighted source terms
-    max_restored_gap: float
+    max_restored_gap: float       # after adding the weighted source terms
 
 
 def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
@@ -416,7 +387,4 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
 
     mix = r * rho0(qp0) / Jp + (1.0 - r) * rho0(qm0) / Jm
     restored = mix + r * table_p.c_at(qp0, 0) + (1.0 - r) * table_m.c_at(qm0, 0)
-    ratio = mix / rho_true
-    ratio_restored = restored / rho_true
-    return MixtureReport(r, xs, float(probe_t), ratio, ratio_restored,
-                         float(np.max(np.abs(ratio_restored - 1.0))))
+    return MixtureReport(mix / rho_true, float(np.max(np.abs(restored / rho_true - 1.0))))

@@ -424,7 +424,6 @@ def stationary_points(snapshot):
 class TimeReversalReport:
     max_action_mismatch: float
     max_velocity_mismatch: float
-    action_offset: float
 
 
 def time_reversal_check(fseries, conj_fseries):
@@ -469,4 +468,4 @@ def time_reversal_check(fseries, conj_fseries):
             np.nanmax(np.abs(prim.v_plus[ok] + orig.v_minus[ok])),
             np.nanmax(np.abs(prim.v_minus[ok] + orig.v_plus[ok])),
         )
-    return TimeReversalReport(float(s_err), float(v_err), float(offset))
+    return TimeReversalReport(float(s_err), float(v_err))

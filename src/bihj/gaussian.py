@@ -1,11 +1,14 @@
 """Closed forms for the free Gaussian packet at rest.
 
-Every quantity here has an exact expression: the Eulerian fields, the three
-trajectory families (mean-flow, plus, minus), the fractional-flow family, and
-the label-generator curves used by the composition checks.  These closed forms
-are the ground truth against which the numerical machinery is verified;
-``GaussianStack`` evaluates the fields and action rates of k flows at once,
-byte for byte these closed forms, for the march and for composition.
+The closed forms the commands read are here: the density, the phase action,
+the action pair and its two velocities, the four trajectory families
+(mean-flow, plus, minus, half_plus) and the label-generator curves of the
+composition cases.  ``GaussianStack`` evaluates the fields and action rates
+of k flows at once, for the march and for composition.  The scalar closed
+forms that only the tests compare with (the mean-flow and osmotic
+velocities, the three quantum potentials and the actions accumulated along
+the paths) are in ``tests/oracles.py``; the tests check the stack against
+them byte for byte.
 """
 from dataclasses import dataclass
 
@@ -66,40 +69,12 @@ def action_minus(g, x, t, rho_ref=1.0):
     return phase_action(g, x, t) - 0.5 * g.hbar * np.log(rho(g, x, t) / rho_ref)
 
 
-def velocity(g, x, t):
-    """Mean-flow (probability transport) velocity."""
-    return g.hbar * g.kappa * t * np.asarray(x) / (2.0 * g.mass * g.sigma_sq(t))
-
-
-def osmotic_velocity(g, x, t):
-    return -g.hbar * np.asarray(x) / (g.mass * g.sigma_sq(t))
-
-
 def velocity_plus(g, x, t):
     return (g.hbar * np.asarray(x) / (2.0 * g.mass * g.sigma_sq(t))) * (g.kappa * t - 1.0)
 
 
 def velocity_minus(g, x, t):
     return (g.hbar * np.asarray(x) / (2.0 * g.mass * g.sigma_sq(t))) * (g.kappa * t + 1.0)
-
-
-def q_potential(g, x, t):
-    """Polar-model quantum potential."""
-    s2 = g.sigma_sq(t)
-    h2m = g.hbar**2 / g.mass
-    return h2m / (4.0 * s2) - h2m * np.asarray(x) ** 2 / (8.0 * s2**2)
-
-
-def q_potential_plus(g, x, t):
-    s2 = g.sigma_sq(t)
-    h2m = g.hbar**2 / g.mass
-    return h2m / (4.0 * s2) * (g.kappa * t + 1.0) - h2m * np.asarray(x) ** 2 / (4.0 * s2**2)
-
-
-def q_potential_minus(g, x, t):
-    s2 = g.sigma_sq(t)
-    h2m = g.hbar**2 / g.mass
-    return -h2m / (4.0 * s2) * (g.kappa * t - 1.0) - h2m * np.asarray(x) ** 2 / (4.0 * s2**2)
 
 
 def oracle_fields(g, x, t, rho_ref=1.0):
@@ -157,21 +132,6 @@ def oracle_label_generator(g, case, q0, t):
     return np.asarray(q0) * generator_scale(g, case, t)
 
 
-# ---------- along-path actions and rates ----------
-
-def chi_plus(g, q0, t, rho_ref=1.0):
-    """Accumulated action of the plus family, equal to S_plus along the path."""
-    return action_plus(g, oracle_path(g, "plus", q0, t), t, rho_ref)
-
-
-def chi_minus(g, q0, t, rho_ref=1.0):
-    return action_minus(g, oracle_path(g, "minus", q0, t), t, rho_ref)
-
-
-def chi_polar(g, q0, t, rho_ref=1.0):
-    return phase_action(g, oracle_path(g, "dbb", q0, t), t)
-
-
 # ---------- stacks of closed-form flows ----------
 
 class GaussianStack:
@@ -189,7 +149,7 @@ class GaussianStack:
     The velocity fields are linear in x, v = ((P x) / D) E, and the
     potentials are Q = C - (hbar^2 / m) x^2 / Dq.  ``sample(x, t)`` on x of
     shape (k, n) builds the scalars P, D, E, C and Dq of every row by the
-    expressions of the closed forms above, evaluates all rows in one set of
+    expressions of the scalar closed forms, evaluates all rows in one set of
     array operations in the closed forms' order, and gives v, dv/dx and L,
     each of shape (k, n): every row is byte for byte the closed form, its
     slope is (v(1) - v(0)) + 0.0, and ``factor`` scales v and the slope.

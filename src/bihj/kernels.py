@@ -272,11 +272,6 @@ class NaturalSplines:
         _check_info(self._lu.solve_in_place(dk), "gttrs")
         return dk
 
-    def slopes(self, y):
-        """Knot slopes, shaped like the knot values y of shape (c, n, k)."""
-        c, n, k = y.shape
-        return self._solve(y).T.reshape(c, k, n).transpose(0, 2, 1)
-
     def __call__(self, y):
         """Values of shape (c, m, k) at the points, for the c sets of knot
         values y of shape (c, n, k), each set shaped like the knots."""

@@ -35,18 +35,6 @@ class Potential:
         if self.values is not None:
             object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    @staticmethod
-    def free():
-        return Potential("free")
-
-    @staticmethod
-    def harmonic(omega):
-        return Potential("harmonic", omega=omega)
-
-    @staticmethod
-    def sampled(values):
-        return Potential("sampled", values=values)
-
     def at(self, x, mass=1.0):
         """Values at positions x of any shape; a sampled potential has values
         only on its grid."""
@@ -68,7 +56,7 @@ class Potential:
 class PhysicalParams:
     hbar: float = 1.0
     mass: float = 1.0
-    potential: Potential = field(default_factory=Potential.free)
+    potential: Potential = field(default_factory=Potential)
 
     def __post_init__(self):
         problems = []
@@ -164,12 +152,6 @@ class WaveSeries:
     def times(self):
         return np.array([s.time for s in self.snapshots])
 
-    @property
-    def dt(self):
-        if len(self.snapshots) < 2:
-            return 0.0
-        return self.snapshots[1].time - self.snapshots[0].time
-
     def health(self):
         """``norm_drift``, the largest |norm - 1|, and ``boundary_density_ratio``,
         the largest edge density over peak density, over the snapshots."""
@@ -203,10 +185,6 @@ class InitialStateSpec:
             problems.append(f"relative_weight must be within [0, 1], got {self.relative_weight}")
         if problems:
             raise ConfigurationError("; ".join(problems))
-
-    @staticmethod
-    def gaussian(sigma0, center=0.0, momentum=0.0):
-        return InitialStateSpec("gaussian", sigma0, center=center, momentum=momentum)
 
     @staticmethod
     def two_gaussian(sigma0, separation, relative_phase=0.0, relative_weight=0.5):

@@ -50,8 +50,11 @@ from .reference import (
 MODES = ("reference_driven", "autonomous")
 REFERENCE_FLOWS = ("plus", "minus", "dbb")
 SOLVERS = ("analytic", "crank_nicolson")
-CASES = ("i", "ii", "converse")
-COMPOSITION_HOSTS = {"i": "plus", "ii": "half_plus", "converse": "dbb"}
+# composition case -> (host congruence, complement field, factor): the curves
+# of the host's field plus factor times the complement field
+COMPOSITIONS = {"i": ("plus", "u", -0.5), "ii": ("half_plus", "v_minus", 0.5),
+                "converse": ("dbb", "u", 0.5)}
+CASES = tuple(COMPOSITIONS)
 # (potential kind, state kind, momentum, center) of the scenarios the closed
 # forms of bihj.gaussian describe: a free gaussian at rest at x = 0
 CLOSED_FORM = ("free", "gaussian", 0.0, 0.0)
@@ -349,8 +352,6 @@ class FieldLibrary:
             self.g = gaussian.GaussianParams(config.initial_state.sigma0,
                                              config.hbar, config.mass)
             self._stack = partial(GaussianStack, self.g)
-        elif fseries is None:
-            raise ConfigurationError("a sampled field library needs a field series")
         else:
             self._stack = partial(FieldStack, fseries)
 
@@ -589,17 +590,14 @@ class RunBundle:
         """Setup (host congruence, complement field, generator labels) and
         result of one composition case; the host is a congruence stage."""
         if case not in self._compositions:
-            host, = self.congruences(COMPOSITION_HOSTS[case])
+            host_flow, field, factor = COMPOSITIONS[case]
+            host, = self.congruences(host_flow)
             library, labels = self.library, self.labels
             with self.timed("composition"):
                 lo, hi = labels.values[0], labels.values[-1]
                 probe = LabelSet.uniform(0.4 * lo, 0.4 * hi,
                                          max(2 * (self.config.label_count // 4) + 1, 21))
-                if case == "ii":
-                    comp = library.source("v_minus", 0.5)
-                else:
-                    comp = library.source("u", -0.5 if case == "i" else +0.5)
-                setup = CompositionSetup(host, comp, probe)
+                setup = CompositionSetup(host, library.source(field, factor), probe)
                 self._compositions[case] = setup, compose_trajectories(setup)
         return self._compositions[case]
 
@@ -693,7 +691,7 @@ def run_compose(config, out_dir, case=None):
     case = case or config.composition_case
     run = RunBundle("compose", config, out_dir)
     # the host and the two congruences of the source tables, in one march
-    _, plus, minus = run.congruences(COMPOSITION_HOSTS[case], "plus", "minus")
+    _, plus, minus = run.congruences(COMPOSITIONS[case][0], "plus", "minus")
     _, result = run.composition(case)
     run.emit_csv("composition.csv",
                  ("case_id", "q_C0", "time", "Q_B", "q_C", "J_B", "J_C", "residual"),

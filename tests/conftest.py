@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import osmotic_velocity, q_potential, q_potential_minus, q_potential_plus, velocity
 
 from bihj import gaussian
 from bihj.autonomous import BiCongruence
@@ -32,16 +33,16 @@ def times():
 
 # the closed forms of the fields of GaussianStack rows, and of their action
 # rates as (velocity, potential)
-FIELD_FORMS = {"v": gaussian.velocity, "v_plus": gaussian.velocity_plus,
-               "v_minus": gaussian.velocity_minus, "u": gaussian.osmotic_velocity}
-RATE_FORMS = {"L": (gaussian.velocity, gaussian.q_potential),
-              "L_plus": (gaussian.velocity_plus, gaussian.q_potential_plus),
-              "L_minus": (gaussian.velocity_minus, gaussian.q_potential_minus)}
+FIELD_FORMS = {"v": velocity, "v_plus": gaussian.velocity_plus,
+               "v_minus": gaussian.velocity_minus, "u": osmotic_velocity}
+RATE_FORMS = {"L": (velocity, q_potential),
+              "L_plus": (gaussian.velocity_plus, q_potential_plus),
+              "L_minus": (gaussian.velocity_minus, q_potential_minus)}
 
 
 def closed_form_row(g, spec, x, t):
     """v, dv/dx and L of one flow (field, rate, factor) from the scalar
-    closed forms of bihj.gaussian: the slope is (f(1) - f(0)) + 0.0,
+    closed forms of bihj.gaussian and oracles: the slope is (f(1) - f(0)) + 0.0,
     ``factor`` scales v and the slope, and L is m v^2 / 2 - Q of the rate's
     flow, or 0.0 without a rate."""
     field, rate, factor = spec

@@ -7,6 +7,9 @@
   built them before it ran them as scenario runs.
 - Test-only measures: the polar residuals, the largest residual, the drift
   factors of a composed flow and the label lookups of a cross map.
+- The closed forms of the free Gaussian that no command reads: the
+  mean-flow and osmotic velocities, the three quantum potentials and the
+  actions accumulated along the paths.
 
 The tests compare the program with the first two bit for bit.
 """
@@ -15,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from bihj import gaussian
+from bihj import compose, gaussian
 from bihj.autonomous import BiCongruence, propagate_autonomous
 from bihj.compose import _column, _on_rows, _rk4_pair
 from bihj.congruence import FieldStack, LabelSet, integrate_congruence
@@ -160,6 +163,17 @@ def composed_path(setup, out_idx, QB):
                      for j, k in enumerate(out_idx)])
 
 
+def source_term(A, P_A, v_B, rho0, rows):
+    """The source table of the congruence A at its stored times ``rows``,
+    from the density ``P_A`` and the complementary field ``v_B`` at its
+    positions, one row per stored time, added to the table BLOCK_TIMES
+    stored times at a time: the table of one flow alone."""
+    table = compose._SourceRows(A, rho0, rows)
+    for k in range(0, A.times.shape[0], compose.BLOCK_TIMES):
+        table.add(P_A[k:k + compose.BLOCK_TIMES], v_B[k:k + compose.BLOCK_TIMES])
+    return table.table()
+
+
 def full_array_source_term(A, P_A, v_B, rho0):
     """c_A, rho_ratio and the decomposition gap of source_term, from the
     cumulative trapezoid over the full arrays, at every stored time."""
@@ -300,3 +314,46 @@ def minus_label_of(cross_map, q_plus0):
 def plus_label_of(cross_map, q_minus0):
     """The plus label paired with the minus label q_minus0 by a CrossMap."""
     return _pchip_lookup(cross_map.inverse_q_minus0, cross_map.inverse_q_plus0, q_minus0)
+
+
+# ---------- closed forms of the free Gaussian that no command reads ----------
+
+def velocity(g, x, t):
+    """Mean-flow (probability transport) velocity."""
+    return g.hbar * g.kappa * t * np.asarray(x) / (2.0 * g.mass * g.sigma_sq(t))
+
+
+def osmotic_velocity(g, x, t):
+    return -g.hbar * np.asarray(x) / (g.mass * g.sigma_sq(t))
+
+
+def q_potential(g, x, t):
+    """Polar-model quantum potential."""
+    s2 = g.sigma_sq(t)
+    h2m = g.hbar**2 / g.mass
+    return h2m / (4.0 * s2) - h2m * np.asarray(x) ** 2 / (8.0 * s2**2)
+
+
+def q_potential_plus(g, x, t):
+    s2 = g.sigma_sq(t)
+    h2m = g.hbar**2 / g.mass
+    return h2m / (4.0 * s2) * (g.kappa * t + 1.0) - h2m * np.asarray(x) ** 2 / (4.0 * s2**2)
+
+
+def q_potential_minus(g, x, t):
+    s2 = g.sigma_sq(t)
+    h2m = g.hbar**2 / g.mass
+    return -h2m / (4.0 * s2) * (g.kappa * t - 1.0) - h2m * np.asarray(x) ** 2 / (4.0 * s2**2)
+
+
+def chi_plus(g, q0, t, rho_ref=1.0):
+    """Accumulated action of the plus family, equal to S_plus along the path."""
+    return gaussian.action_plus(g, gaussian.oracle_path(g, "plus", q0, t), t, rho_ref)
+
+
+def chi_minus(g, q0, t, rho_ref=1.0):
+    return gaussian.action_minus(g, gaussian.oracle_path(g, "minus", q0, t), t, rho_ref)
+
+
+def chi_polar(g, q0, t, rho_ref=1.0):
+    return gaussian.phase_action(g, gaussian.oracle_path(g, "dbb", q0, t), t)

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import autonomous_pair, oracle_congruences, oracle_pair, superposition_run
 
-from bihj.acceptance import SIGMA0, AcceptanceContext, run_verify
+from bihj.acceptance import AcceptanceContext, run_verify
 from bihj.scenario import bundled_scenario, parse_config
 
 
@@ -123,20 +123,19 @@ FIELD_ARRAYS = ("rho", "S", "S_plus", "S_minus", "v", "v_plus", "v_minus", "u", 
                 "Q_plus", "Q_minus", "valid")
 
 
-def test_scenario_artefacts_equal_their_builds_without_the_pipeline(context, verify):
+def test_scenario_artefacts_equal_their_builds_without_the_pipeline(context, verify, params, g):
     """The artefacts the checks read, built as scenario runs, equal bit for bit
     those the suite built with its own code before it ran the pipeline."""
-    params, g = context.params, context.g
     oracle = oracle_congruences(g)
     for flow, c in oracle.items():
         _assert_congruences_equal(context.oracle(flow), c)
-    _assert_pairs_equal(context.run("canonical").pair,
+    _assert_pairs_equal(context.runs["canonical"].pair,
                         oracle_pair(params, g, oracle["plus"], oracle["minus"]))
-    _assert_pairs_equal(context.run("autonomous").autonomous, autonomous_pair(params, g))
+    _assert_pairs_equal(context.runs["autonomous"].autonomous, autonomous_pair(params, g))
 
-    run = context.run("superposition")
+    run = context.runs["superposition"]
     wave, fs, bi = run.wave, run.fields, run.pair
-    ref_wave, ref_fs, ref_bi = superposition_run(params, SIGMA0)
+    ref_wave, ref_fs, ref_bi = superposition_run(params, g.sigma0)
     assert np.array_equal(wave.times, ref_wave.times)
     for s, r in zip(wave.snapshots, ref_wave.snapshots, strict=True):
         assert np.array_equal(s.values, r.values)

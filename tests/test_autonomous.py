@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import minus_label_of, plus_label_of
+from oracles import chi_minus, chi_plus, minus_label_of, plus_label_of
 
 from bihj import gaussian
 from bihj.autonomous import (
@@ -43,8 +43,8 @@ class TestPropagation:
     def test_actions_and_expansions_match_closed_forms(self, g, auto_pair):
         labels = auto_pair.labels.values
         T = auto_pair.times[-1]
-        assert np.abs(auto_pair.plus.chi[-1] - gaussian.chi_plus(g, labels, T)).max() < 1e-4
-        assert np.abs(auto_pair.minus.chi[-1] - gaussian.chi_minus(g, labels, T)).max() < 1e-4
+        assert np.abs(auto_pair.plus.chi[-1] - chi_plus(g, labels, T)).max() < 1e-4
+        assert np.abs(auto_pair.minus.chi[-1] - chi_minus(g, labels, T)).max() < 1e-4
         assert np.abs(auto_pair.plus.J[-1]
                       - gaussian.path_scale(g, "plus", T)).max() < 1e-5
         assert np.abs(auto_pair.minus.J[-1]
@@ -66,7 +66,7 @@ class TestPropagation:
         from bihj.reference import PhysicalParams, Potential
 
         omega = 1.3
-        params = PhysicalParams(potential=Potential.harmonic(omega))
+        params = PhysicalParams(potential=Potential("harmonic", omega=omega))
         log_rho0 = lambda q: 0.5 * np.log(omega / np.pi) - omega * q**2
         bi = propagate_autonomous(lambda q: 0.5 * log_rho0(q),
                                   lambda q: -0.5 * log_rho0(q),
@@ -236,7 +236,7 @@ def _reference_evaluate(hbar, mass, h, potential_fn, qp, vp, qm, vm):
 
 
 class TestCoupledStepper:
-    @pytest.mark.parametrize("potential", [Potential.free(), Potential.harmonic(1.3)])
+    @pytest.mark.parametrize("potential", [Potential(), Potential("harmonic", omega=1.3)])
     def test_evaluate_equals_reference(self, g, potential):
         params = PhysicalParams(potential=potential)
         labels = LabelSet.uniform(-3.0, 3.0, 61).values

@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import json
 import os
 import subprocess
@@ -37,6 +38,40 @@ def test_oracle_prints_table(capsys):
     assert main(["oracle"]) == 0
     out = capsys.readouterr().out
     assert "free gaussian at rest" in out
+
+
+# run in a fresh process: free chunks that an earlier test left in the heap
+# would serve the small array whatever the threshold
+MAPPED_AFTER_A_LARGE_FREE = """
+import contextlib, ctypes, io
+import numpy as np
+from bihj.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), MallInfo2
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["oracle"]) == 0
+big = np.ones(3 << 20)  # 24 MiB: left alone, glibc would raise its threshold to this
+del big
+mapped = libc.mallinfo2().hblkhd
+array = np.ones(1 << 20)  # 8 MiB: more than the heap may keep free at its top
+print(libc.mallinfo2().hblkhd - mapped >= array.nbytes)
+"""
+
+
+def test_commands_map_arrays_after_a_large_one_is_freed():
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+    src = str(Path(bihj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", MAPPED_AFTER_A_LARGE_FREE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"
 
 
 def test_simulate_writes_outputs(tmp_path, config_path, capsys):
@@ -207,6 +242,18 @@ def test_verify_takes_no_scenario_and_names_the_argument(tmp_path, capsys, argv)
         main(["verify", *argv, "--out", str(tmp_path / "run")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["compose"], ["reconstruct"], ["figure", "--id", "fig2"],
+                                  ["oracle"]])
+def test_only_simulate_takes_a_mode(tmp_path, capsys, argv):
+    # the other commands run the reference-driven congruences in either
+    # mode, so a mode is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--mode", "autonomous", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode autonomous" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -8,6 +8,7 @@ from oracles import (
     full_array_pair_samples,
     full_array_source_term,
     one_spline_compose,
+    source_term,
 )
 
 from bihj import compose, gaussian
@@ -17,8 +18,6 @@ from bihj.compose import (
     conservation_check,
     mixture_check,
     pair_source_terms,
-    pushforward_vector,
-    source_term,
 )
 from bihj.congruence import LabelSet, integrate_congruence
 from bihj.errors import PreconditionError, SpanExhaustionError
@@ -48,27 +47,6 @@ def case_i(g, plus_congruence):
     setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
                              LabelSet.uniform(-1.6, 1.6, 81))
     return setup, compose_trajectories(setup)
-
-
-class TestPushforward:
-    def test_zero_field_maps_to_zero(self, plus_congruence, zero_source):
-        setup = CompositionSetup(plus_congruence, zero_source, LabelSet.uniform(-1.0, 1.0, 5))
-        assert pushforward_vector(setup, 0.5, 0.5) == 0.0
-
-    def test_identity_at_t0(self, plus_congruence, g):
-        setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
-                                 LabelSet.uniform(-1.0, 1.0, 5))
-        got = pushforward_vector(setup, 0.8, 0.0)
-        assert got == pytest.approx(float(-0.5 * gaussian.osmotic_velocity(g, 0.8, 0.0)),
-                                    abs=1e-10)
-
-    def test_gaussian_closed_form(self, plus_congruence, g):
-        # pushing -u/2 through the plus congruence gives q0 / (1 + t^2)
-        setup = CompositionSetup(plus_congruence, scaled_u(g, -0.5),
-                                 LabelSet.uniform(-1.0, 1.0, 5))
-        for q0, t in ((1.0, 0.5), (-0.7, 1.0), (0.3, 0.25)):
-            got = pushforward_vector(setup, q0, t)
-            assert got == pytest.approx(q0 / (1.0 + t**2), abs=1e-7)
 
 
 class TestComposition:

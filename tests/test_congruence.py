@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from conftest import FakeStack, closed_form_row
+from oracles import chi_polar
 
 from bihj import gaussian
 from bihj.congruence import (
@@ -131,9 +132,9 @@ class SnapshotBlend:
 def harmonic_series():
     """A moving Gaussian in a harmonic well on Crank-Nicolson snapshots:
     200 steps of 1e-3, every tenth stored."""
-    params = PhysicalParams(potential=Potential.harmonic(0.5))
+    params = PhysicalParams(potential=Potential("harmonic", omega=0.5))
     grid = SpatialGrid(-10.0, 10.0, 512)
-    snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0, momentum=0.5), grid, params)
+    snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0, momentum=0.5), grid, params)
     return derive_series(evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=10))
 
 
@@ -166,7 +167,7 @@ class TestIntegration:
     def test_mean_flow_action_matches_closed_form(self, g, labels, times, dbb_congruence):
         # the polar action rate m v^2/2 - Q integrated along the mean flow;
         # the largest error over all labels and times is 7.5e-13 (|chi| <= 7.6)
-        exact = gaussian.chi_polar(g, labels.values[None, :], times[:, None])
+        exact = chi_polar(g, labels.values[None, :], times[:, None])
         assert np.abs(dbb_congruence.chi - exact).max() < 1e-11
 
     def test_zero_velocity_field_is_static(self, labels, times):
@@ -215,7 +216,7 @@ class TestIntegration:
         # the minus flow spreads faster than the region where the
         # Crank-Nicolson density stays above its floor (|x| < 5.7 by t = 0.4)
         grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=10))
         labels = LabelSet.uniform(-4.0, 4.0, 9)
         with pytest.raises(TrajectoryExitError) as err:
@@ -228,7 +229,7 @@ class TestIntegration:
         # on the series of the test above the minus flow leaves first, though
         # it is the second flow of the stack, at the time it leaves alone
         grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         fs = derive_series(evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=10))
         labels = LabelSet.uniform(-4.0, 4.0, 9)
         times = np.linspace(0.0, 0.4, 401)
@@ -245,7 +246,7 @@ class TestIntegration:
         # a series stored to t = 0.2 and marched to t = 0.3: the first RK4
         # stage past the last snapshot is at t = 0.205, and no label is at fault
         grid = SpatialGrid(-10.0, 10.0, 512)
-        fs = derive_series(analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        fs = derive_series(analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                            np.arange(21) * 0.01))
         stack = FieldStack(fs, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0)],
                            ("plus", "minus"))
@@ -444,7 +445,7 @@ class TestFieldSource:
 
     def test_sampled_fields_drive_accurate_trajectories(self, params, g):
         grid = SpatialGrid(-10.0, 10.0, 2048)
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.arange(0.0, 1.0 + 1e-9, 0.01))
         fs = derive_series(wave)
         labels = LabelSet.uniform(-3.0, 3.0, 61)
@@ -494,7 +495,7 @@ class TestFieldSource:
 
     def test_stack_keeps_at_most_two_snapshots_of_splines(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.arange(0.0, 0.2 + 1e-9, 0.01))
         fs = derive_series(wave)
         flows = ("plus", "minus", "dbb")
@@ -542,7 +543,7 @@ class TestFieldSource:
         # at the last snapshot time the earlier snapshot has weight 0: a point
         # inside the last valid run but outside the one before is sampled
         grid = SpatialGrid(-10.0, 10.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(0.7, momentum=3.0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", 0.7, momentum=3.0), grid, params)
         wave = evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=100)
         fs = derive_series(wave, rho_min=1e-4 * snap.density().max())
         x = np.array([3.4834])
@@ -557,7 +558,7 @@ class TestFieldSource:
 
     def test_queries_outside_span_raise(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.arange(3) * 1e-2)
         fs = derive_series(wave)
         src = FieldStack(fs, [("v", None, 1.0)])

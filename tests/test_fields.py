@@ -3,7 +3,15 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import eager_field_snapshots, max_abs, polar_residuals
+from oracles import (
+    eager_field_snapshots,
+    max_abs,
+    osmotic_velocity,
+    polar_residuals,
+    q_potential,
+    q_potential_minus,
+    q_potential_plus,
+)
 
 from bihj import gaussian
 from bihj.errors import DegenerateStateError, PreconditionError, UnwrapError
@@ -38,7 +46,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def gauss_fields(grid, params):
-    wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+    wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                            np.arange(3) * 1e-3)
     return derive_series(wave)
 
@@ -81,7 +89,7 @@ class TestDeriveFields:
         x = grid.x[i]
         assert snap.v_plus[i] == pytest.approx(float(gaussian.velocity_plus(g, x, 0.0)), abs=1e-8)
         assert snap.v_minus[i] == pytest.approx(float(gaussian.velocity_minus(g, x, 0.0)), abs=1e-8)
-        assert snap.u[i] == pytest.approx(float(gaussian.osmotic_velocity(g, x, 0.0)), abs=1e-8)
+        assert snap.u[i] == pytest.approx(float(osmotic_velocity(g, x, 0.0)), abs=1e-8)
 
     def test_potentials_at_probe_points(self, grid, gauss_fields, g):
         snap = gauss_fields.snapshots[0]
@@ -91,10 +99,10 @@ class TestDeriveFields:
             # the coupled potentials act on quadratic actions (stencils exact);
             # the amplitude-form potential carries a plain O(dx^2) error
             assert snap.Q_plus[i] == pytest.approx(
-                float(gaussian.q_potential_plus(g, x, 0.0)), abs=1e-6)
+                float(q_potential_plus(g, x, 0.0)), abs=1e-6)
             assert snap.Q_minus[i] == pytest.approx(
-                float(gaussian.q_potential_minus(g, x, 0.0)), abs=1e-6)
-            assert snap.Q[i] == pytest.approx(float(gaussian.q_potential(g, x, 0.0)), abs=1e-4)
+                float(q_potential_minus(g, x, 0.0)), abs=1e-6)
+            assert snap.Q[i] == pytest.approx(float(q_potential(g, x, 0.0)), abs=1e-4)
 
     def test_degenerate_state_rejected(self, grid, params):
         snap = WaveSnapshot(grid, 0.0, np.full(grid.n_points, 1e-3 + 0j))
@@ -146,7 +154,7 @@ class TestLazySeries:
     def wave(self, params):
         # the tails below the floor are masked, so the fields hold NaNs there
         grid = SpatialGrid(-10.0, 10.0, 512)
-        return analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        return analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.arange(12) * 0.1)
 
     def test_snapshots_are_those_of_an_eager_derivation(self, wave):
@@ -180,7 +188,7 @@ class TestLazySeries:
 
     def test_action_jump_raises_at_the_same_snapshot(self, grid, params):
         # the sign flip at t = 0.02 moves the anchor phase by exactly pi
-        base = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        base = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.zeros(1)).snapshots[0].values
         wave = WaveSeries(params, tuple(WaveSnapshot(grid, 0.01 * k, sign * base)
                                         for k, sign in enumerate((1.0, 1.0, -1.0, 1.0))))
@@ -218,7 +226,7 @@ class TestLazySeries:
 
 class TestResiduals:
     def test_hj_residual_small_and_second_order(self, params):
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
 
         def rms(n, dt):
             grid = SpatialGrid(-10.0, 10.0, n)
@@ -230,7 +238,7 @@ class TestResiduals:
         assert 3.5 < coarse / fine < 4.5
 
     def test_flipped_sign_does_not_converge(self, params):
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
 
         def rms(n, dt):
             grid = SpatialGrid(-10.0, 10.0, n)
@@ -254,7 +262,7 @@ class TestResiduals:
         assert max_abs(hj_residuals(fs)) < 1e-9
 
     def test_fokker_planck_residual_second_order(self, params):
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
 
         def rms(n, dt):
             grid = SpatialGrid(-10.0, 10.0, n)
@@ -266,7 +274,7 @@ class TestResiduals:
 
     def test_fokker_planck_static_state(self):
         # harmonic ground state: static density, zero mean flow
-        params = PhysicalParams(potential=Potential.harmonic(1.0))
+        params = PhysicalParams(potential=Potential("harmonic", omega=1.0))
         grid = SpatialGrid(-10.0, 10.0, 2048)
         x = grid.x
         base = np.pi**-0.25 * np.exp(-0.5 * x**2)
@@ -293,7 +301,7 @@ class TestResiduals:
         """Mean of the pair residuals IS the single-action residual (roundoff,
         with the log-form potential); the scaled difference tracks continuity
         over the density to discretisation accuracy."""
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
 
         def gaps(n, dt):
             grid = SpatialGrid(-10.0, 10.0, n)
@@ -324,7 +332,7 @@ class TestResiduals:
         assert 3.0 < coarse[2] / fine[2] < 5.0
 
     def test_requires_three_snapshots(self, params, grid):
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params, [0.0, 1e-3])
+        wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params, [0.0, 1e-3])
         fs = derive_series(wave)
         with pytest.raises(PreconditionError):
             hj_residuals(fs)
@@ -384,9 +392,9 @@ class TestTimeReversal:
         assert rep.max_action_mismatch <= 1e-4
 
     def test_mismatched_series_rejected(self, params, grid):
-        wave = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        wave = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                np.arange(3) * 1e-3)
-        other = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params,
+        other = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params,
                                 np.arange(4) * 1e-3)
         with pytest.raises(PreconditionError):
             time_reversal_check(derive_series(wave), derive_series(other))

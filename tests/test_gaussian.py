@@ -2,6 +2,14 @@
 import numpy as np
 import pytest
 from conftest import closed_form_row
+from oracles import (
+    chi_plus,
+    osmotic_velocity,
+    q_potential,
+    q_potential_minus,
+    q_potential_plus,
+    velocity,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +39,11 @@ def test_field_values_at_probe_points(g):
     assert gaussian.phase_action(g, 0.0, 1.0) == pytest.approx(-np.arctan(1.0) / 2.0, abs=1e-14)
     assert gaussian.velocity_plus(g, 1.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
     assert gaussian.velocity_minus(g, 1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert gaussian.osmotic_velocity(g, 1.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
-    assert gaussian.q_potential_plus(g, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
-    assert gaussian.q_potential_minus(g, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
-    assert gaussian.q_potential(g, 1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    for f in (gaussian.q_potential, gaussian.q_potential_plus, gaussian.q_potential_minus):
+    assert osmotic_velocity(g, 1.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert q_potential_plus(g, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
+    assert q_potential_minus(g, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-14)
+    assert q_potential(g, 1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    for f in (q_potential, q_potential_plus, q_potential_minus):
         assert f(g, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -60,11 +68,11 @@ def test_coupled_potentials_by_brute_force(g, t):
         lambda x: richardson_dx(lambda y: gaussian.action_minus(g, y, t), x), xs, h=3e-4)
     d2Sp = richardson_dx(
         lambda x: richardson_dx(lambda y: gaussian.action_plus(g, y, t), x), xs, h=3e-4)
-    u = gaussian.osmotic_velocity(g, xs, t)
+    u = osmotic_velocity(g, xs, t)
     qp = 0.5 * g.hbar / g.mass * d2Sm - 0.25 * g.mass * u**2
     qm = -0.5 * g.hbar / g.mass * d2Sp - 0.25 * g.mass * u**2
-    assert np.abs(qp - gaussian.q_potential_plus(g, xs, t)).max() < 1e-6
-    assert np.abs(qm - gaussian.q_potential_minus(g, xs, t)).max() < 1e-6
+    assert np.abs(qp - q_potential_plus(g, xs, t)).max() < 1e-6
+    assert np.abs(qm - q_potential_minus(g, xs, t)).max() < 1e-6
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -76,12 +84,12 @@ def test_phase_action_evolution_closes_with_derived_sign(g, sign):
     h = 1e-5
     act = gaussian.action_plus if sign == "plus" else gaussian.action_minus
     vel = gaussian.velocity_plus if sign == "plus" else gaussian.velocity_minus
-    qpot = gaussian.q_potential_plus if sign == "plus" else gaussian.q_potential_minus
+    qpot = q_potential_plus if sign == "plus" else q_potential_minus
     dSdt = (act(g, xs, t + h) - act(g, xs, t - h)) / (2.0 * h)
     res = dSdt + 0.5 * g.mass * vel(g, xs, t) ** 2 + qpot(g, xs, t)
     assert np.abs(res).max() < 1e-8
     flipped = qpot(g, xs, t) - 2.0 * (qpot(g, xs, t) + 0.25 * g.mass
-                                      * gaussian.osmotic_velocity(g, xs, t) ** 2)
+                                      * osmotic_velocity(g, xs, t) ** 2)
     res_bad = dSdt + 0.5 * g.mass * vel(g, xs, t) ** 2 + flipped
     assert np.abs(res_bad).max() > 0.1
 
@@ -89,7 +97,7 @@ def test_phase_action_evolution_closes_with_derived_sign(g, sign):
 @pytest.mark.parametrize("kind", gaussian.PATH_KINDS)
 def test_paths_follow_their_velocity_fields(g, kind):
     """Substitution identity: dq/dt equals the matching field along the path."""
-    field = {"dbb": gaussian.velocity, "plus": gaussian.velocity_plus,
+    field = {"dbb": velocity, "plus": gaussian.velocity_plus,
              "minus": gaussian.velocity_minus,
              "half_plus": lambda gg, x, t: 0.5 * gaussian.velocity_plus(gg, x, t)}[kind]
     for q0 in (-1.5, 0.5, 1.0):
@@ -142,7 +150,7 @@ def test_actions_equal_field_values_along_paths(g):
     for q0 in (-1.0, 0.0, 0.8):
         for t in (0.2, 1.0):
             x_p = gaussian.oracle_path(g, "plus", q0, t)
-            assert gaussian.chi_plus(g, q0, t) == pytest.approx(
+            assert chi_plus(g, q0, t) == pytest.approx(
                 float(gaussian.action_plus(g, x_p, t)), abs=1e-12)
 
 

@@ -42,47 +42,47 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             PhysicalParams(hbar=-1.0)
         with pytest.raises(ConfigurationError):
-            Potential.harmonic(-2.0)
+            Potential("harmonic", omega=-2.0)
 
     def test_potential_at_points_and_on_grid(self, grid):
         x = np.array([[-1.5, 0.0], [0.5, 2.0]])
-        assert np.array_equal(Potential.free().at(x), np.zeros((2, 2)))
-        assert np.array_equal(Potential.harmonic(2.0).at(x, 3.0), 6.0 * x**2)
-        for pot in (Potential.free(), Potential.harmonic(1.3)):
+        assert np.array_equal(Potential().at(x), np.zeros((2, 2)))
+        assert np.array_equal(Potential("harmonic", omega=2.0).at(x, 3.0), 6.0 * x**2)
+        for pot in (Potential(), Potential("harmonic", omega=1.3)):
             assert np.array_equal(pot.on_grid(grid, 2.0), pot.at(grid.x, 2.0))
-        sampled = Potential.sampled(np.ones(grid.n_points))
+        sampled = Potential("sampled", values=np.ones(grid.n_points))
         assert np.array_equal(sampled.on_grid(grid), np.ones(grid.n_points))
         with pytest.raises(PreconditionError, match="only on its grid"):
             sampled.at(x)
 
     def test_state_spec_validation(self):
         with pytest.raises(ConfigurationError):
-            InitialStateSpec.gaussian(-0.5)
+            InitialStateSpec("gaussian", -0.5)
         with pytest.raises(ConfigurationError):
             InitialStateSpec.two_gaussian(0.5, 2.0, relative_weight=1.5)
 
     def test_snapshot_values_read_only(self, grid, params):
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         with pytest.raises(ValueError):
             snap.values[0] = 1.0
 
 
 class TestInitialState:
     def test_peak_density_matches_closed_form(self, grid, params, g):
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         i = np.argmin(np.abs(grid.x))
         # the grid has no exact x=0 point; compare at the nearest one
         assert snap.density()[i] == pytest.approx(
             float(gaussian.rho(g, grid.x[i], 0.0)), rel=1e-9)
 
     def test_normalisation(self, grid, params):
-        for spec in (InitialStateSpec.gaussian(SIGMA0, center=0.5),
+        for spec in (InitialStateSpec("gaussian", SIGMA0, center=0.5),
                      InitialStateSpec.two_gaussian(SIGMA0, 4 * SIGMA0, 0.3, 0.4)):
             snap = build_initial_state(spec, grid, params)
             assert abs(snap.norm() - 1.0) < 1e-12
 
     def test_gaussian_at_rest_is_real_positive(self, grid, params):
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         assert np.all(snap.values.imag == 0.0)
         assert np.all(snap.values.real > 0.0)
 
@@ -91,31 +91,31 @@ class TestInitialState:
         two = build_initial_state(
             InitialStateSpec.two_gaussian(SIGMA0, sep, relative_weight=1.0), grid, params)
         one = build_initial_state(
-            InitialStateSpec.gaussian(SIGMA0, center=-sep / 2.0), grid, params)
+            InitialStateSpec("gaussian", SIGMA0, center=-sep / 2.0), grid, params)
         assert np.abs(two.values - one.values).max() < 1e-12
 
     def test_narrow_box_rejected_with_width_hint(self, params):
         grid = SpatialGrid(-2.0, 2.0, 64)
         with pytest.raises(ConfigurationError, match="domain must extend"):
-            build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+            build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
 
 
 class TestCrankNicolson:
     def test_rejects_bad_steps(self, grid, params):
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         with pytest.raises(PreconditionError):
             evolve_crank_nicolson(snap, params, 1e-3, 0)
         with pytest.raises(PreconditionError):
             evolve_crank_nicolson(snap, params, -1e-3, 10)
 
     def test_unitarity(self, grid, params):
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         series = evolve_crank_nicolson(snap, params, 1e-3, 400, store_every=100)
         for s in series.snapshots:
             assert abs(s.norm() - 1.0) < 1e-10
 
     def test_accuracy_against_closed_form(self, grid, params):
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
         snap = build_initial_state(spec, grid, params)
         series = evolve_crank_nicolson(snap, params, 1e-3, 1000, store_every=1000)
         exact = analytic_series(spec, grid, params, [0.0, 1.0])
@@ -123,7 +123,7 @@ class TestCrankNicolson:
         assert gap <= 1e-4
 
     def test_second_order_convergence(self, params):
-        spec = InitialStateSpec.gaussian(SIGMA0)
+        spec = InitialStateSpec("gaussian", SIGMA0)
 
         def err(n, dt, steps):
             grid = SpatialGrid(-10.0, 10.0, n)
@@ -136,7 +136,7 @@ class TestCrankNicolson:
         assert 3.2 < ratio < 4.8
 
     def test_harmonic_ground_state_is_stationary(self):
-        params = PhysicalParams(potential=Potential.harmonic(1.0))
+        params = PhysicalParams(potential=Potential("harmonic", omega=1.0))
         grid = SpatialGrid(-10.0, 10.0, 2048)
         x = grid.x
         vals = (np.pi**-0.25 * np.exp(-0.5 * x**2)).astype(complex)
@@ -150,8 +150,8 @@ class TestCrankNicolson:
 
     def test_sampled_potential_matches_closed_form(self, grid, params):
         sampled = PhysicalParams(
-            potential=Potential.sampled(np.zeros(grid.n_points)))
-        spec = InitialStateSpec.gaussian(SIGMA0)
+            potential=Potential("sampled", values=np.zeros(grid.n_points)))
+        spec = InitialStateSpec("gaussian", SIGMA0)
         snap = build_initial_state(spec, grid, sampled)
         series = evolve_crank_nicolson(snap, sampled, 1e-3, 200, store_every=200)
         free = evolve_crank_nicolson(snap, params, 1e-3, 200, store_every=200)
@@ -160,7 +160,7 @@ class TestCrankNicolson:
     def test_boundary_breach_detected(self, params):
         # a narrow box passes the t=0 gate but the spreading packet hits the walls
         grid = SpatialGrid(-6.0, 6.0, 512)
-        snap = build_initial_state(InitialStateSpec.gaussian(SIGMA0), grid, params)
+        snap = build_initial_state(InitialStateSpec("gaussian", SIGMA0), grid, params)
         with pytest.raises(BoundaryBreachError) as err:
             evolve_crank_nicolson(snap, params, 1e-3, 4000)
         assert err.value.time > 0.0
@@ -168,7 +168,7 @@ class TestCrankNicolson:
 
 class TestAnalyticSeries:
     def test_values_at_probe_point(self, grid, params):
-        series = analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params, [0.0, 1.0])
+        series = analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params, [0.0, 1.0])
         i = np.argmin(np.abs(grid.x))
         # evaluated from the closed forms at the nearest grid point to x=0
         val = series.snapshots[-1].values[i]
@@ -182,8 +182,8 @@ class TestAnalyticSeries:
         with pytest.raises(UnsupportedAnalyticError):
             analytic_series(InitialStateSpec.two_gaussian(SIGMA0, 2.0), grid, params, [0.0])
         with pytest.raises(UnsupportedAnalyticError):
-            analytic_series(InitialStateSpec.gaussian(SIGMA0, momentum=1.0), grid, params, [0.0])
+            analytic_series(InitialStateSpec("gaussian", SIGMA0, momentum=1.0), grid, params, [0.0])
 
     def test_series_time_validation(self, grid, params):
         with pytest.raises(PreconditionError):
-            analytic_series(InitialStateSpec.gaussian(SIGMA0), grid, params, [0.0, 0.1, 0.15])
+            analytic_series(InitialStateSpec("gaussian", SIGMA0), grid, params, [0.0, 0.1, 0.15])
