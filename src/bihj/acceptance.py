@@ -315,15 +315,13 @@ def check_non_conservation(ctx):
     out.append(_result("trajectory_density_ratio", abs(ratio - target), 1e-3,
                        target=target,
                        detail=f"carried/true density at (0, 1) = {ratio:.6f}"))
-    rep = mixture_check(bi, library.rho(), library.source("u", 1.0), 0.5,
-                        np.array([0.0]), 1.0)
+    rep = mixture_check(bi, library.rho_u(), 0.5, np.array([0.0]), 1.0)
     cosh_target = float(np.cosh(np.pi / 4.0))
     out.append(_result("mixture_density_mismatch",
                        abs(rep.trajectory_ratio[0] - cosh_target), 1e-3,
                        target=cosh_target,
                        detail=f"half/half carried mixture over true density = {rep.trajectory_ratio[0]:.6f}"))
-    rep_w = mixture_check(bi, library.rho(), library.source("u", 1.0), 0.5,
-                          np.linspace(-1.5, 1.5, 11), 1.0)
+    rep_w = mixture_check(bi, library.rho_u(), 0.5, np.linspace(-1.5, 1.5, 11), 1.0)
     out.append(_result("mixture_restored_by_sources", rep_w.max_restored_gap, 1e-3,
                        detail="weighted carried densities plus weighted sources track the density"))
     return out

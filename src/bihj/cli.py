@@ -27,22 +27,29 @@ MMAP_THRESHOLD, TRIM_THRESHOLD = 512 * 1024, 4 * 1024 * 1024
 
 
 def _fix_malloc_thresholds():
-    """Hold glibc's mmap and trim thresholds at fixed values.
+    """Hold glibc's mmap and trim thresholds at fixed values, and give back
+    the free heap pages that earlier work in the process left.
 
     glibc raises its mmap threshold to the size of each mmapped block it
     frees (up to 32 MiB) and its trim threshold to twice that; then later
     arrays up to that size come from the heap, which keeps and fragments
     what they free, and peak resident memory follows the order of earlier
     allocations more than what a command holds.  Fixed thresholds turn that
-    off; without glibc's mallopt this does nothing.
+    off.  The free pages inside the heap stay resident, so a command run
+    after another in one process would start on what the earlier one left;
+    ``malloc_trim(0)`` returns them.  Without glibc's mallopt and
+    malloc_trim this does nothing.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    malloc_trim(0)
 
 
 def _load(args):

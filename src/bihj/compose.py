@@ -309,14 +309,15 @@ class _SourceRows:
                            self.rho_ratio, float(self.gap))
 
 
-def pair_source_terms(plus, minus, rho, u, rho0, rows):
+def pair_source_terms(plus, minus, rho_u, rho0, rows):
     """Source tables of the plus and minus congruences at their stored times
     ``rows``, whose complementary fields are -u/2 and +u/2, so that both
-    source integrals refer to the conserved mean-flow current.  The density
-    ``rho`` and the osmotic velocity ``u`` (callables of (x, t)) are sampled
-    at both congruences' positions, stacked as (2, n_labels), with one call
-    each per stored time.  Both tables are accumulated BLOCK_TIMES stored
-    times at a time, so that the samples are held for one block only.
+    source integrals refer to the conserved mean-flow current.  ``rho_u``
+    (a callable of (x, t)) gives the density and the osmotic velocity u at
+    the points x, stacked along a new first axis; it is called once per
+    stored time, at both congruences' positions stacked as (2, n_labels).
+    Both tables are accumulated BLOCK_TIMES stored times at a time, so that
+    the samples are held for one block only.
     """
     if not np.array_equal(plus.times, minus.times):
         raise PreconditionError("the plus and minus congruences need the same times")
@@ -328,10 +329,9 @@ def pair_source_terms(plus, minus, rho, u, rho0, rows):
         # the density and the complement of each flow (first axis) per row
         P, V = np.empty((2, 2, len(ks), plus.q.shape[1]))
         for j, k in enumerate(ks):
-            x = np.stack((plus.q[k], minus.q[k]))
-            t = float(plus.times[k])
-            P[:, j] = rho(x, t)
-            V[:, j] = factors * u(x, t)
+            rho, u = rho_u(np.stack((plus.q[k], minus.q[k])), float(plus.times[k]))
+            P[:, j] = rho
+            V[:, j] = factors * u
         for f, table in enumerate(tables):
             table.add(P[f], V[f])
     return tuple(table.table() for table in tables)
@@ -363,19 +363,18 @@ class MixtureReport:
     max_restored_gap: float       # after adding the weighted source terms
 
 
-def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
+def mixture_check(bi, rho_u, r, probe_xs, probe_t):
     """Weighted two-flow trajectory density against the true density.
 
     The weighted mixture r rho0/J_plus + (1-r) rho0/J_minus does not track
     the density; restoring the weighted source terms c of
-    ``pair_source_terms``, with the osmotic field ``u_source``, must close
-    the gap.
+    ``pair_source_terms``, with the density and osmotic velocity sampler
+    ``rho_u``, must close the gap.
     """
     rho0 = bi.rho0
     k = bi.plus.time_index(probe_t)
     # the tables of the probe time alone
-    table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_sampler, u_source.velocity,
-                                         rho0, [k])
+    table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_u, rho0, [k])
 
     xs = np.atleast_1d(np.asarray(probe_xs, dtype=float))
     qp0 = np.atleast_1d(invert_labels(bi.plus, xs, probe_t))
@@ -383,7 +382,7 @@ def mixture_check(bi, rho_sampler, u_source, r, probe_xs, probe_t):
     labels = bi.labels.values
     Jp = NotAKnotSpline(labels, bi.plus.J[k])(qp0)
     Jm = NotAKnotSpline(labels, bi.minus.J[k])(qm0)
-    rho_true = np.asarray(rho_sampler(xs, probe_t), dtype=float)
+    rho_true = np.asarray(rho_u(xs, probe_t)[0], dtype=float)
 
     mix = r * rho0(qp0) / Jp + (1.0 - r) * rho0(qm0) / Jm
     restored = mix + r * table_p.c_at(qp0, 0) + (1.0 - r) * table_m.c_at(qm0, 0)

@@ -102,6 +102,7 @@ class FieldStack:
         self._v_cols = np.array([self.columns.index(f) for f, _, _ in self.specs])
         # a flow without a rate gathers its field column, and sample sets its L to 0.0
         self._rate_cols = np.array([self.columns.index(r or f) for f, r, _ in self.specs])
+        self._factors = np.array([[factor] for _, _, factor in self.specs])
         self._cols = np.empty((2, 0), dtype=int)  # each point's two columns, for the last size
 
     def _values(self, snap, name):
@@ -149,10 +150,19 @@ class FieldStack:
             out = out + wk * evaluate(sp, x)
         return out
 
+    def fields(self, x, t):
+        """Each flow's ``factor`` times its field at the points x of any
+        shape, stacked along a new first axis: one interval search serves
+        every flow."""
+        x = np.asarray(x, dtype=float)
+        cols = self._v_cols[:, None]
+        out = self._blend(x.ravel(), t, lambda sp, x: sp.own_column(sp.locate(x), cols))
+        return (self._factors * out).reshape((-1,) + x.shape)
+
     def velocity(self, x, t):
         """``factor`` times the field of a one-flow stack at the points x."""
-        (_, _, factor), = self.specs  # its field is column 0
-        return factor * self._blend(x, t, lambda sp, x: sp(x)[..., 0])
+        value, = self.fields(x, t)
+        return value
 
     def sample(self, x, t):
         k, n = x.shape
@@ -239,33 +249,44 @@ class Congruence:
         return worst
 
 
+CHECK_BLOCK_TIMES = 64
+
+
 def _check_paths(times, q, J, labels, flow=None):
     """Raise at the first of the stored times, rows of q and J, where a label's
     expansion factor is not positive or two neighbouring paths crossed; the
     message names ``flow`` if it is given.  Return the smallest gap between
-    neighbouring paths and the smallest expansion factor."""
-    focal = J <= 0.0
-    if focal.any():
-        k, i = np.argwhere(focal)[0]
-        of = f"the {flow} path of label" if flow else "label"
-        raise FocalPointError(
-            f"non-positive expansion factor of {of} {labels[i]:.6g} at t={times[k]:.6g}")
-    gaps = np.diff(q, axis=1)
-    crossed = gaps <= 0.0
-    if crossed.any():
-        k, i = np.argwhere(crossed)[0]
-        raise CongruenceCrossingError(
-            f"{flow + ' ' if flow else ''}paths of labels {labels[i]:.6g} and "
-            f"{labels[i + 1]:.6g} crossed at t={times[k]:.6g}")
-    return float(gaps.min()), float(J.min())
+    neighbouring paths and the smallest expansion factor.  Both checks run
+    over CHECK_BLOCK_TIMES stored times at a time, so that no temporary is
+    as large as q."""
+    blocks = range(0, q.shape[0], CHECK_BLOCK_TIMES)
+    for start in blocks:
+        focal = J[start:start + CHECK_BLOCK_TIMES] <= 0.0
+        if focal.any():
+            k, i = np.argwhere(focal)[0]
+            of = f"the {flow} path of label" if flow else "label"
+            raise FocalPointError(
+                f"non-positive expansion factor of {of} {labels[i]:.6g} at t={times[start + k]:.6g}")
+    spacings = []
+    for start in blocks:
+        gaps = np.diff(q[start:start + CHECK_BLOCK_TIMES], axis=1)
+        crossed = gaps <= 0.0
+        if crossed.any():
+            k, i = np.argwhere(crossed)[0]
+            raise CongruenceCrossingError(
+                f"{flow + ' ' if flow else ''}paths of labels {labels[i]:.6g} and "
+                f"{labels[i + 1]:.6g} crossed at t={times[start + k]:.6g}")
+        spacings.append(gaps.min())
+    return float(np.min(spacings)), float(J.min())
 
 
 def integrate_congruence(source, labels, times, initial_actions=None):
     """March the k flows of a stack as one labelled ensemble with classic RK4.
 
     The augmented state per flow and label is (q, J, chi) with
-    dq/dt = v(q, t), dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t), one
-    state of shape (k, n_labels).  ``source`` is any stack
+    dq/dt = v(q, t), dJ/dt = dv/dx (q, t) J and dchi/dt = L(q, t), held as
+    one array of shape (3, k, n_labels), so that each stage input, the step
+    and the finiteness check are one array operation each.  ``source`` is any stack
     (``GaussianStack``, ``FieldStack``):
 
     - ``flows`` holds one name per flow (or None), for errors;
@@ -295,9 +316,10 @@ def integrate_congruence(source, labels, times, initial_actions=None):
     q0 = label_set.values
     flows = source.flows
     nf, nl, n = len(flows), q0.shape[0], times.shape[0]
-    # one contiguous (n_times, n_labels) block per flow and quantity
+    # one contiguous (n_times, n_labels) block per quantity and flow; q, J
+    # and chi first, so that the state of a stored time is one slice
     history = np.empty((4, nf, n, nl))
-    qs, qdots, Js, chis = history
+    qs, Js, chis, qdots = history
     for j, actions in enumerate(initial_actions):
         if actions is None:
             chis[j, 0] = 0.0
@@ -306,41 +328,46 @@ def integrate_congruence(source, labels, times, initial_actions=None):
         else:
             chis[j, 0] = np.asarray(actions, dtype=float)
     qs[:, 0], Js[:, 0] = q0, 1.0
-    q, J, chi = qs[:, 0].copy(), Js[:, 0].copy(), chis[:, 0].copy()
+    # the state (q, J, chi) of every flow and label, one (3, nf, nl) array
+    y = history[:3, :, 0].copy()
 
-    def rhs(qv, Jv, t):
-        v, g, L = source.sample(qv, t)
+    def rhs(yv, t):
+        v, g, L = source.sample(yv[0], t)
+        dy = np.empty_like(yv)
         # adding 0.0 turns -0.0 into +0.0
-        return v + 0.0, (g + 0.0) * Jv, L + 0.0
+        np.add(v, 0.0, out=dy[0])
+        np.add(g, 0.0, out=dy[1])
+        dy[1] *= yv[1]
+        np.add(L, 0.0, out=dy[2])
+        return dy
 
     for k in range(n - 1):
         t = times[k]
         h = times[k + 1] - t
         try:
-            k1 = rhs(q, J, t)
+            k1 = rhs(y, t)
             qdots[:, k] = k1[0]
-            k2 = rhs(q + 0.5 * h * k1[0], J + 0.5 * h * k1[1], t + 0.5 * h)
-            k3 = rhs(q + 0.5 * h * k2[0], J + 0.5 * h * k2[1], t + 0.5 * h)
-            k4 = rhs(q + h * k3[0], J + h * k3[1], t + h)
+            k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rhs(y + h * k3, t + h)
         except SampledSpanError:
             raise
         except DomainError as err:
-            at = err.index if err.index is not None else int(np.argmin(np.abs(q - err.x)))
+            at = err.index if err.index is not None else int(np.argmin(np.abs(y[0] - err.x)))
             j, i = divmod(at, nl)
             raise TrajectoryExitError(q0[i], err.t, flows[j]) from err
-        q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        chi = chi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        qs[:, k + 1], Js[:, k + 1], chis[:, k + 1] = q, J, chi
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        history[:3, :, k + 1] = y
         tn = times[k + 1]
-        if not (np.isfinite(q).all() and np.isfinite(J).all() and np.isfinite(chi).all()):
-            finite = np.isfinite(q).all(1) & np.isfinite(J).all(1) & np.isfinite(chi).all(1)
-            flow = flows[int(np.argmin(finite))]
+        q, J = y[0], y[1]
+        if not np.isfinite(y).all():
+            flow = flows[int(np.argmin(np.isfinite(y).all(axis=(0, 2))))]
             raise InstabilityError(
                 f"non-finite {flow + ' ' if flow else ''}trajectory state at t={tn:.6g}")
         if (J <= 0.0).any() or (np.diff(q, axis=1) <= 0.0).any():
             for j in range(nf):
                 _check_paths((tn,), q[j:j + 1], J[j:j + 1], q0, flows[j])
+    q = y[0]
     try:
         qdots[:, -1] = source.sample(q, times[-1])[0] + 0.0
     except DomainError:

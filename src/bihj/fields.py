@@ -89,6 +89,7 @@ class FieldSnapshot:
     Q_plus: np.ndarray
     Q_minus: np.ndarray
     valid: np.ndarray
+    runs: tuple  # (start, stop) grid indices of each valid run, in order
     ref_index: int
     rho_ref: float
 
@@ -102,13 +103,9 @@ class FieldSnapshot:
     def ref_action(self):
         return float(self.S[self.ref_index])
 
-    def runs(self):
-        _, runs = _find_runs(self.valid.copy())
-        return runs
-
     def largest_run(self):
         """(start, stop) grid indices of the longest valid run."""
-        return max(self.runs(), key=lambda r: r[1] - r[0])
+        return max(self.runs, key=lambda r: r[1] - r[0])
 
     def spline(self, values):
         """Cubic spline of grid ``values`` over the longest valid run."""
@@ -307,7 +304,7 @@ def derive_fields(wave, params, rho_min=None, rho_ref=1.0, ref_index=None,
     return FieldSnapshot(
         grid=wave.grid, time=wave.time, rho=rho, S=S, S_plus=S_plus, S_minus=S_minus,
         v=v, v_plus=v_plus, v_minus=v_minus, u=u, Q=Q, Q_plus=Q_plus, Q_minus=Q_minus,
-        valid=mask, ref_index=ref_index, rho_ref=rho_ref,
+        valid=mask, runs=tuple(runs), ref_index=ref_index, rho_ref=rho_ref,
     )
 
 
@@ -370,7 +367,7 @@ def fokker_planck_residuals(fseries):
     for k in _interior_indices(fseries):
         prev_s, cur, next_s = snaps[k - 1], snaps[k], snaps[k + 1]
         ok = prev_s.valid & cur.valid & next_s.valid
-        runs = cur.runs()
+        runs = cur.runs
         drho = (next_s.rho - prev_s.rho) / (2.0 * dt)
         lap_rho = _masked_lap(cur.rho.astype(float), dx, runs)
         div_p = _masked_grad(np.where(cur.valid, cur.rho * cur.v_plus, np.nan), dx, runs)
@@ -405,7 +402,7 @@ def stationary_points(snapshot):
     if not np.isfinite(scale) or np.nanmax(np.abs(w)) <= 1e-6 * max(scale, 1e-300):
         return StationaryPoints(np.array([]), True)
     pts = []
-    for a, b in snapshot.runs():
+    for a, b in snapshot.runs:
         seg = w[a:b]
         for i in range(b - a - 1):
             w0, w1 = seg[i], seg[i + 1]

@@ -362,6 +362,16 @@ class FieldLibrary:
     def rho(self):
         return self._stack([("rho", None, 1.0)]).velocity
 
+    def rho_u(self):
+        """The density and the osmotic velocity u at the points x, stacked
+        along a new first axis, as one callable of (x, t): the closed forms,
+        or one two-column spline per snapshot with one interval search for
+        both.  Each has the bits of its own one-flow stack."""
+        if self.analytic:
+            rho, u = (self.source(name, 1.0).velocity for name in ("rho", "u"))
+            return lambda x, t: np.stack((rho(x, t), u(x, t)))
+        return FieldStack(self.fseries, [("rho", None, 1.0), ("u", None, 1.0)]).fields
+
     def congruence_sources(self, cids):
         """The velocity fields and action rates of the congruences ``cids``,
         as one stack to march together."""
@@ -702,8 +712,8 @@ def run_compose(config, out_dir, case=None):
     library = run.library
     with run.timed("sources"):
         tables = dict(zip(("plus", "minus"), pair_source_terms(
-            plus, minus, library.rho(), library.source("u", 1.0).velocity,
-            library.initial("rho"), _sampled_indices(plus.times.shape[0]))))
+            plus, minus, library.rho_u(), library.initial("rho"),
+            _sampled_indices(plus.times.shape[0]))))
     run.emit_csv("sources.csv", ("congruence_id", "q0", "time", "c", "rho_ratio"),
                  ((cid, tab.labels, t, c, ratio)
                   for cid, tab in tables.items()

@@ -274,7 +274,7 @@ def polar_residuals(fseries, q_form="sqrt"):
     for k in _interior_indices(fseries):
         prev_s, cur, next_s = snaps[k - 1], snaps[k], snaps[k + 1]
         ok = prev_s.valid & cur.valid & next_s.valid
-        runs = cur.runs()
+        runs = cur.runs
         drho = (next_s.rho - prev_s.rho) / (2.0 * dt)
         div_j = _masked_grad(np.where(cur.valid, cur.rho * cur.v, np.nan), dx, runs)
         dS = (next_s.S - prev_s.S) / (2.0 * dt)

@@ -74,6 +74,38 @@ def test_commands_map_arrays_after_a_large_one_is_freed():
     assert out.strip() == "True"
 
 
+# run in a fresh process, whose heap holds only what the script leaves there
+TRIMMED_BEFORE_A_COMMAND = """
+import contextlib, io
+import numpy as np
+from bihj.cli import main
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096
+
+# 48 heap arrays of 96 KiB, every other one freed: the freed chunks lie
+# between kept ones, so that no trim of the heap's top returns them
+arrays = [np.ones(12 << 10) for _ in range(48)]
+kept = arrays[1::2]
+del arrays
+before = resident()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["oracle"]) == 0
+print(before - resident() >= 1 << 20)
+"""
+
+
+def test_commands_give_back_the_free_heap_pages_left_before_them():
+    if not hasattr(ctypes.CDLL(None), "malloc_trim") or not Path("/proc/self/statm").exists():
+        pytest.skip("needs glibc's malloc_trim and /proc")
+    src = str(Path(bihj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", TRIMMED_BEFORE_A_COMMAND], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"
+
+
 def test_simulate_writes_outputs(tmp_path, config_path, capsys):
     code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "run")])
     assert code == 0

@@ -36,6 +36,13 @@ def scaled_u(g, factor):
     return GaussianStack(g, [("u", None, factor)])
 
 
+def rho_u_sampler(g):
+    """The closed-form density and osmotic velocity, stacked along a new
+    first axis, as ``pair_source_terms`` samples them."""
+    rho, u = (GaussianStack(g, [(name, None, 1.0)]).velocity for name in ("rho", "u"))
+    return lambda x, t: np.stack((rho(x, t), u(x, t)))
+
+
 @pytest.fixture(scope="module")
 def zero_source():
     zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
@@ -142,7 +149,7 @@ class TestSourceTerm:
         rho = GaussianStack(g, [("rho", None, 1.0)]).velocity
         rho0 = lambda q: gaussian.rho(g, q, 0.0)
         rows = [0, 3, 250, bi_pair.plus.times.shape[0] - 1]
-        pair = pair_source_terms(bi_pair.plus, bi_pair.minus, rho, u_source.velocity, rho0, rows)
+        pair = pair_source_terms(bi_pair.plus, bi_pair.minus, rho_u_sampler(g), rho0, rows)
         for tab, host, factor in zip(pair, (bi_pair.plus, bi_pair.minus), (-0.5, 0.5)):
             want = source_term(host, along(host, rho), along(host, scaled_u(g, factor).velocity),
                                rho0, rows)
@@ -152,7 +159,7 @@ class TestSourceTerm:
         short = bi_pair.plus.times[:-1]
         other, = integrate_congruence(u_source, bi_pair.labels, short)
         with pytest.raises(PreconditionError, match="same times"):
-            pair_source_terms(bi_pair.plus, other, rho, u_source.velocity, rho0, rows)
+            pair_source_terms(bi_pair.plus, other, rho_u_sampler(g), rho0, rows)
 
 
 class TestConservation:
@@ -184,21 +191,18 @@ class TestConservation:
 
 
 class TestMixture:
-    def test_half_weight_matches_cosh(self, bi_pair, u_source, g):
-        rep = mixture_check(bi_pair, lambda x, t: gaussian.rho(g, x, t), u_source,
-                            0.5, np.array([0.0]), 1.0)
+    def test_half_weight_matches_cosh(self, bi_pair, g):
+        rep = mixture_check(bi_pair, rho_u_sampler(g), 0.5, np.array([0.0]), 1.0)
         assert rep.trajectory_ratio[0] == pytest.approx(np.cosh(np.pi / 4.0), abs=1e-3)
         assert rep.max_restored_gap <= 1e-3
 
-    def test_weight_one_reduces_to_plus_branch(self, bi_pair, u_source, g):
-        rep = mixture_check(bi_pair, lambda x, t: gaussian.rho(g, x, t), u_source,
-                            1.0, np.array([0.0]), 1.0)
+    def test_weight_one_reduces_to_plus_branch(self, bi_pair, g):
+        rep = mixture_check(bi_pair, rho_u_sampler(g), 1.0, np.array([0.0]), 1.0)
         assert rep.trajectory_ratio[0] == pytest.approx(np.exp(np.pi / 4.0), abs=1e-3)
         assert rep.max_restored_gap <= 1e-3
 
-    def test_probe_window(self, bi_pair, u_source, g):
-        rep = mixture_check(bi_pair, lambda x, t: gaussian.rho(g, x, t), u_source,
-                            0.5, np.linspace(-1.5, 1.5, 11), 1.0)
+    def test_probe_window(self, bi_pair, g):
+        rep = mixture_check(bi_pair, rho_u_sampler(g), 0.5, np.linspace(-1.5, 1.5, 11), 1.0)
         assert rep.max_restored_gap <= 1e-3
         assert np.abs(rep.trajectory_ratio - 1.0).max() > 0.1
 
@@ -251,7 +255,7 @@ class TestBlocks:
         rho0 = lambda q: gaussian.rho(g, q, 0.0)
         samples = full_array_pair_samples(plus, minus, rho, u_source.velocity)
         for rows in (np.arange(n), np.arange(0, n, 3)):
-            pair = pair_source_terms(plus, minus, rho, u_source.velocity, rho0, rows)
+            pair = pair_source_terms(plus, minus, rho_u_sampler(g), rho0, rows)
             for tab, host, (P, V) in zip(pair, (plus, minus), samples):
                 alone = source_term(host, P, V, rho0, rows)
                 c, ratio, gap = full_array_source_term(host, P, V, rho0)

@@ -394,6 +394,31 @@ class TestIntegration:
                            match=r"^non-positive expansion factor of label -0\.5 at t=0\.1$"):
             Congruence(lab, t3, q, ones * 0.0, bad_j, ones * 0.0)
 
+    def test_container_checks_span_blocks_of_stored_times(self):
+        # more stored times than one block of the checks, the paths closest
+        # in the last block: the first failure and the health numbers are
+        # those of every stored time at once
+        from bihj.congruence import CHECK_BLOCK_TIMES, Congruence
+        nt = 2 * CHECK_BLOCK_TIMES + 20
+        lab = LabelSet.uniform(-1.0, 1.0, 5)
+        times = 0.01 * np.arange(nt)
+        q = lab.values * (2.0 - np.arange(nt) / nt + 0.1 * np.sin(np.arange(nt)))[:, None]
+        J = 1.0 + 0.25 * np.cos(np.arange(nt))[:, None] * np.ones(5)
+        zeros = np.zeros((nt, 5))
+        c = Congruence(lab, times, q, zeros, J, zeros)
+        assert c.min_path_spacing == np.diff(q, axis=1).min()
+        assert c.min_expansion_factor == J.min()
+        late = nt - 3
+        crossed = q.copy()
+        crossed[late, 2] = crossed[late, 3] + 0.1
+        bad_j = J.copy()
+        bad_j[late - 1, 1] = 0.0
+        with pytest.raises(CongruenceCrossingError, match=rf"crossed at t={times[late]:.6g}$"):
+            Congruence(lab, times, crossed, zeros, J, zeros)
+        # every expansion factor is checked before any gap
+        with pytest.raises(FocalPointError, match=rf"at t={times[late - 1]:.6g}$"):
+            Congruence(lab, times, crossed, zeros, bad_j, zeros)
+
 
 class TestInversion:
     def test_identity_at_t0(self, plus_congruence):

@@ -118,7 +118,7 @@ class TestDeriveFields:
             InitialStateSpec.two_gaussian(SIGMA0, 8 * SIGMA0, relative_phase=0.4),
             grid, params)
         f = derive_fields(snap, params, rho_min=0.05 * snap.density().max())
-        runs = f.runs()
+        runs = f.runs
         assert len(runs) == 2
         assert f.largest_run() == max(runs, key=lambda r: r[1] - r[0])
         ok = f.valid
