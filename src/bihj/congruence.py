@@ -5,6 +5,7 @@ expansion factor J = dq/dq0 (integrated through its variational equation) and
 the accumulated action.  Positions must stay strictly monotone in the label
 and J strictly positive; violations abort with diagnostics.
 """
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,18 +72,26 @@ class FieldStack:
 
     Each snapshot is splined once over its largest valid run, with one
     column per distinct field and rate; the columns share the run, so the
-    knots.  Between snapshots the splines are blended linearly in time.
-    Only the splines of the two snapshots that bracket the latest query are
-    kept: a march moves one way in time, so an older snapshot is not asked
-    for again.  Queries outside the valid run raise a ``DomainError``, and
-    times outside the sampled span a ``SampledSpanError``.
+    knots.  The snapshots share the grid, so between the snapshots k and
+    k + 1 around t each point lies on one interval of the knots their runs
+    share: one interval search finds it, a gather from each spline's own
+    coefficients gives the point's two cubics there, and one cubic of the
+    coefficients blended in time, (1 - w) c_k + w c_k+1, is evaluated.  At
+    a snapshot time the other snapshot has weight 0 and is left out, so the
+    result has the bits of that snapshot's spline.  Only the splines of the
+    two snapshots that bracket the latest query are kept, and no blended
+    table: a march moves one way in time, so an older snapshot is not asked
+    for again.  Queries outside the knots both runs share raise a
+    ``DomainError``, and times outside the sampled span a
+    ``SampledSpanError``.
 
-    ``sample(x, t)`` on x of shape (k, n) makes one interval search per
-    bracketing snapshot over all k n points, then gathers for each point
-    only its own flow's field and rate columns, and gives v, dv/dx and L,
-    each of shape (k, n).  On a one-flow stack, ``velocity(x, t)`` gives
-    ``factor`` times the field at points of any shape, with the bits of the
-    v of ``sample``.
+    ``sample(x, t)`` on x of shape (k, n) makes one interval search over
+    all k n points, then gathers for each point only its own flow's field
+    and rate columns, and gives v, dv/dx and L, each of shape (k, n).
+    ``fields(x, t)`` gives every flow's ``factor`` times its field at
+    points of any shape, stacked along a new first axis, from one interval
+    search.  On a one-flow stack, ``velocity(x, t)`` gives that one field,
+    with the bits of the v of ``sample``.
     """
 
     FIELD_NAMES = ("v", "v_plus", "v_minus", "u", "rho")
@@ -98,8 +107,12 @@ class FieldStack:
         for name in self.columns:
             if name not in self.FIELD_NAMES and name not in self.RATE_TERMS:
                 raise PreconditionError(f"unknown field {name!r}")
-        self._splines = {}
+        self._times = fseries.times.tolist()  # Python floats: cheaper scalar arithmetic
+        self._n_cols = len(self.columns)
+        self._splines = {}  # snapshot index -> its spline, for the two around the latest t
+        self._ks, self._plan = (), None  # the snapshots sampled last, and what they share
         self._v_cols = np.array([self.columns.index(f) for f, _, _ in self.specs])
+        self._field_cols = self._v_cols[:, None]  # every point's field column, per flow
         # a flow without a rate gathers its field column, and sample sets its L to 0.0
         self._rate_cols = np.array([self.columns.index(r or f) for f, r, _ in self.specs])
         self._factors = np.array([[factor] for _, _, factor in self.specs])
@@ -113,51 +126,80 @@ class FieldStack:
         return 0.5 * params.mass * v**2 - Q - params.potential.on_grid(snap.grid, params.mass)
 
     def _bracket(self, t):
-        times = self.fseries.times
+        times = self._times
         dt = self.fseries.dt
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             raise SampledSpanError(t, times[0], times[-1])
         if dt == 0.0:
             return 0, 0, 0.0
-        k = int(np.floor((t - times[0]) / dt))
-        k = min(max(k, 0), len(times) - 2)
+        k = min(max(math.floor((t - times[0]) / dt), 0), len(times) - 2)
         w = (t - times[k]) / dt
         return k, k + 1, min(max(w, 0.0), 1.0)
 
-    def _blend(self, x, t, evaluate):
-        """Time blend 0.0 + (1 - w) evaluate(sp_k, x) + w evaluate(sp_k+1, x)
-        over the splines of the two snapshots bracketing t, without a term
-        of weight 0; the splines of other snapshots are dropped.  The first
-        point of x outside a valid run raises a DomainError that carries its
-        flat index."""
-        x = np.asarray(x, dtype=float)
-        k0, k1, w = self._bracket(t)
-        for k in [k for k in self._splines if k not in (k0, k1)]:
+    def _share(self, ks, bracket):
+        """Drop the splines of the snapshots outside ``bracket``, and set
+        out what the snapshots ``ks`` share: the bounds of the knots their
+        runs share (empty without an interval), the inner and all of those
+        knots, and each spline's coefficients from the first shared
+        interval on, views of its own."""
+        self._ks, self._plan = (), None  # so that no view keeps a dropped spline
+        for k in [k for k in self._splines if k not in bracket]:
             del self._splines[k]
-        x_lo, x_hi = x.min(initial=np.inf), x.max(initial=-np.inf)
-        out = 0.0
-        for k, wk in ((k0, 1.0 - w), (k1, w)):
-            if wk == 0.0:
-                continue
+        for k in ks:
             if k not in self._splines:
                 snap = self.fseries.snapshots[k]
                 sp = snap.spline(np.stack([self._values(snap, name) for name in self.columns], 1))
-                self._splines[k] = sp, sp.x[0], sp.x[-1]
-            sp, lo, hi = self._splines[k]
-            if x_lo < lo or x_hi > hi:
-                i = int(np.flatnonzero((x < lo) | (x > hi))[0])
-                raise DomainError(float(x.flat[i]), t, index=i)
-            out = out + wk * evaluate(sp, x)
-        return out
+                # its coefficients as the spline holds them reshaped to
+                # (4, -1), its knots and its run's (start, stop) grid indices
+                self._splines[k] = (sp._flat, sp.x, *snap.largest_run())
+        splines = [self._splines[k] for k in ks]
+        lo = max(a for _, _, a, _ in splines)
+        hi = min(b for _, _, _, b in splines)
+        # the shared knots start the run that starts last
+        knots = next(x for _, x, a, _ in splines if a == lo)[:hi - lo]
+        bounds = (knots[0], knots[-1]) if hi - lo > 1 else (np.inf, -np.inf)
+        flats = tuple(flat[:, (lo - a) * self._n_cols:] for flat, _, a, _ in splines)
+        self._ks, self._plan = ks, (bounds, knots[1:-1], knots, flats)
+
+    def _local(self, x, t, cols):
+        """Local coordinate s of each of the flat points x in its interval,
+        and the coefficients c0 ... c3 of the cubics of its columns ``cols``
+        there, blended in time, of shape (4,) + the shape of x + cols.
+
+        The splines of the snapshots k and k + 1 bracketing t share the
+        grid, so each point lies on one interval of the knots their runs
+        share.  One interval search finds it, a gather from each spline's
+        own coefficients gives its two cubics there, and they are blended
+        as (1 - w) c_k + w c_k+1; a snapshot of weight 0 is left out.  The
+        first point outside the shared knots raises a DomainError that
+        carries its flat index."""
+        k0, k1, w = self._bracket(t)
+        ks = (k0, k1) if 0.0 < w < 1.0 else (k1,) if w else (k0,)
+        if ks != self._ks:
+            self._share(ks, (k0, k1))
+        (x_min, x_max), inner, knots, flats = self._plan
+        if x.min(initial=np.inf) < x_min or x.max(initial=-np.inf) > x_max:
+            i = int(np.flatnonzero((x < x_min) | (x > x_max))[0])
+            raise DomainError(float(x[i]), t, index=i)
+        i = inner.searchsorted(x, side="right")
+        s = x - knots.take(i)
+        at = i * self._n_cols + cols
+        coef = flats[0].take(at, axis=1)
+        if len(flats) == 2:
+            coef *= 1.0 - w
+            later = flats[1].take(at, axis=1)
+            later *= w
+            coef += later
+        return s, coef
 
     def fields(self, x, t):
         """Each flow's ``factor`` times its field at the points x of any
         shape, stacked along a new first axis: one interval search serves
         every flow."""
         x = np.asarray(x, dtype=float)
-        cols = self._v_cols[:, None]
-        out = self._blend(x.ravel(), t, lambda sp, x: sp.own_column(sp.locate(x), cols))
-        return (self._factors * out).reshape((-1,) + x.shape)
+        s, coef = self._local(x.ravel(), t, self._field_cols)
+        value = NotAKnotSpline._value(s, s * s, *coef)
+        return (self._factors * value).reshape((-1,) + x.shape)
 
     def velocity(self, x, t):
         """``factor`` times the field of a one-flow stack at the points x."""
@@ -169,9 +211,11 @@ class FieldStack:
         flat = x.ravel()
         if self._cols.shape[1] != k * n:
             self._cols = np.stack((self._v_cols.repeat(n), self._rate_cols.repeat(n)))
-        out = self._blend(flat, t, lambda sp, x: sp.own_column(sp.locate(x), self._cols, slope=True))
-        # [value, slope] x [field, rate] of every point
-        v, g, L = (a.reshape(k, n) for a in (out[0, 0], out[1, 0], out[0, 1]))
+        s, coef = self._local(flat, t, self._cols)
+        s2 = s * s
+        # the value of each point's field and rate, and the slope of its field
+        v, L = NotAKnotSpline._value(s, s2, *coef).reshape(2, k, n)
+        g = NotAKnotSpline._slope(s, s2, *coef[:, 0]).reshape(k, n)
         for j, (_, rate, factor) in enumerate(self.specs):
             if factor != 1.0:
                 v[j], g[j] = factor * v[j], factor * g[j]

@@ -103,22 +103,31 @@ class ClosedFormFlow:
 
 class SnapshotBlend:
     """Reference of one flow of a FieldStack, written out: the one-column
-    splines snapshot.spline(values) of the snapshots k and k + 1 around t,
-    summed as 0.0 + (1 - w) sp_k + w sp_k+1 without a term of weight 0, and
-    scaled by ``factor``."""
+    splines snapshot.spline(values) of the snapshots k and k + 1 around t.
+    A snapshot of weight 0 is left out.  Between snapshots each point takes
+    its interval on the knots both runs share, blends the two splines'
+    coefficients there as (1 - w) c_k + w c_k+1 and evaluates that cubic
+    once.  Value and slope are scaled by ``factor``."""
 
     def __init__(self, fs, name, factor=1.0):
         self.fs, self.factor = fs, factor
-        self.splines = [snap.spline(field_values(fs, snap, name)) for snap in fs.snapshots]
+        self.splines = [(snap.spline(field_values(fs, snap, name)), snap.largest_run())
+                        for snap in fs.snapshots]
 
     def _blend(self, x, t):
         k0, k1, w = bracket(self.fs, t)
-        out = 0.0
-        for k, wk in ((k0, 1.0 - w), (k1, w)):
-            if wk != 0.0:
-                sp = self.splines[k]
-                out = out + wk * sp.own_column(sp.locate(x), 0, slope=True)
-        return self.factor * out
+        if w in (0.0, 1.0):
+            sp, _ = self.splines[k1 if w else k0]
+            return self.factor * sp.own_column(sp.locate(x), 0, slope=True)
+        (sp0, (a0, b0)), (sp1, (a1, b1)) = self.splines[k0], self.splines[k1]
+        a, b = max(a0, a1), min(b0, b1)
+        knots = self.fs.grid.x[a:b]
+        i = np.searchsorted(knots[1:-1], x, side="right")
+        s = x - knots[i]
+        c = (1.0 - w) * sp0._c[:, i + a - a0] + w * sp1._c[:, i + a - a1]
+        value = ((c[3] + c[2] * s) + c[1] * (s * s)) + c[0] * ((s * s) * s)
+        slope = (c[2] + (c[1] * s) * 2.0) + (c[0] * (s * s)) * 3.0
+        return self.factor * np.stack((value, slope))
 
     def velocity(self, x, t):
         return self._blend(x, t)[0]
@@ -126,6 +135,31 @@ class SnapshotBlend:
     def sample(self, x, t):
         v, g = self._blend(x, t)
         return v, g, 0.0
+
+
+def held_float_bytes(obj):
+    """Bytes of the float arrays reachable from obj through its attributes,
+    dicts, tuples and lists, counted once per array that owns its data; a
+    field series (the ``fseries`` attribute) is left out."""
+    owners, seen = {}, set()
+    todo = [v for k, v in vars(obj).items() if k != "fseries"]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            if item.dtype.kind == "f":
+                owners[id(item)] = item.nbytes
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif hasattr(item, "__dict__"):
+            todo.extend(vars(item).values())
+    return sum(owners.values())
 
 
 @pytest.fixture(scope="module")
@@ -526,11 +560,19 @@ class TestFieldSource:
         flows = ("plus", "minus", "dbb")
         stack = FieldStack(fs, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0),
                                 ("v", "L", 1.0)], flows)
-        held, sample = [], stack.sample
+        # the float bytes a spline of the stack's columns holds, the
+        # largest over the snapshots, and those of the stack before a query
+        spline_bytes = max(
+            held_float_bytes(snap.spline(np.stack([field_values(fs, snap, name)
+                                                   for name in stack.columns], 1)))
+            for snap in fs.snapshots)
+        unqueried = held_float_bytes(stack)
+        held, held_bytes, sample = [], [], stack.sample
 
         def counted(x, t):
             out = sample(x, t)
             held.append(sorted(stack._splines))
+            held_bytes.append(held_float_bytes(stack) - unqueried)
             return out
 
         stack.sample = counted
@@ -539,6 +581,43 @@ class TestFieldSource:
         assert len(held) == 4 * 80 + 1
         assert max(len(keys) for keys in held) == 2
         assert sorted(set().union(*held)) == list(range(len(fs.times)))
+        # no table beyond the two splines' own: the blend gathers from each
+        assert 0 < max(held_bytes) <= 2 * spline_bytes
+
+    def test_coefficient_blend_is_the_value_blend_to_roundoff(self, harmonic_series):
+        # between snapshots, one cubic of blended coefficients against the
+        # blend 0.0 + (1 - w) sp_k(x) + w sp_k+1(x) of the two splines'
+        # values and slopes; at a snapshot time, that snapshot's spline alone
+        fs = harmonic_series
+        names = ("v_plus", "L_plus", "v_minus", "L_minus", "v", "L")
+        stack = FieldStack(fs, [("v_plus", "L_plus", 1.0), ("v_minus", "L_minus", 1.0),
+                                ("v", "L", 1.0)])
+        splines = [snap.spline(np.stack([field_values(fs, snap, name) for name in names], 1))
+                   for snap in fs.snapshots]
+        x = np.linspace(-2.0, 2.0, 201)
+        fields, rates = list(range(0, 6, 2)), list(range(1, 6, 2))
+
+        def stacked(t):
+            return np.stack(stack.sample(np.stack([x] * 3), t))
+
+        for k, t in enumerate(fs.times):
+            value, slope = splines[k](x).T, splines[k].own_column(
+                splines[k].locate(x), None, slope=True)[1].T
+            want = np.stack((value[fields], slope[fields], value[rates]))
+            assert stacked(t).tobytes() == want.tobytes()
+        for w in (0.37, 0.5, 0.9):
+            for k in range(len(fs.times) - 1):
+                t = fs.times[k] + w * fs.dt
+                k0, k1, wt = bracket(fs, t)
+                assert (k0, k1) == (k, k + 1) and 0.0 < wt < 1.0
+                blend = 0.0
+                for sp, wk in ((splines[k0], 1.0 - wt), (splines[k1], wt)):
+                    blend = blend + wk * sp.own_column(sp.locate(x), None, slope=True)
+                want = np.stack((blend[0].T[fields], blend[1].T[fields], blend[0].T[rates]))
+                got = stacked(t)
+                for quantity in range(3):
+                    scale = np.abs(want[quantity]).max()
+                    assert np.abs(got[quantity] - want[quantity]).max() <= 1e-15 * scale
 
     def test_velocity_is_the_value_of_sample(self, g, harmonic_series):
         # the two operations of every stack give one field, byte for byte,
@@ -580,6 +659,10 @@ class TestFieldSource:
         assert last[0] == pytest.approx(3.5716, abs=1e-4)
         assert stack.velocity(x, fs.times[-1]).tobytes() == last.tobytes()
         assert stack.sample(x[None], fs.times[-1])[0].tobytes() == last.tobytes()
+        # between the two snapshots only the knots both runs share count
+        with pytest.raises(DomainError) as err:
+            stack.velocity(np.r_[0.0, x], fs.times[-1] - 0.5 * fs.dt)
+        assert err.value.index == 1
 
     def test_queries_outside_span_raise(self, params):
         grid = SpatialGrid(-10.0, 10.0, 512)
