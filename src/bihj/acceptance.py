@@ -386,8 +386,9 @@ def check_time_reversal(ctx):
                    detail="max |v'_plusminus + v_minusplus| on the conjugate grid pair"),
            _result("eulerian_exchange_actions", rep.max_action_mismatch, 1e-4,
                    detail="max |S'_plusminus + S_minusplus| up to one global phase constant")]
-    conj_fwd, orig_back = exchange_pair(ctx.library.initial("plus"), ctx.library.initial("minus"),
-                                        ctx.runs["canonical"].labels, ctx.params, 2e-4, 1250)
+    labels = ctx.runs["canonical"].labels
+    conj_fwd, orig_back = exchange_pair(*ctx.library.initial_actions(("plus", "minus"), labels),
+                                        labels, ctx.params, 2e-4, 1250)
     out.append(_result("lagrangian_exchange", exchange_mismatch(conj_fwd, orig_back), 1e-3,
                        detail="conjugate-data forward run against original backward run"))
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congruence import Congruence, LabelSet, invert_labels
+from .congruence import Congruence, invert_labels
 from .errors import (
     CongruenceCrossingError,
     HullOverlapError,
@@ -39,13 +39,13 @@ from .kernels import NaturalSplines, NotAKnotSpline, fd_derivative
 
 @dataclass(frozen=True)
 class BiCongruence:
-    """The coupled pair sharing one label set and one time base."""
+    """The coupled pair sharing one label set and one time base.  The first
+    ``chi`` row of each congruence is its t = 0 action profile, and the pair
+    holds nothing else of the initial state."""
 
     params: object
     plus: Congruence
     minus: Congruence
-    S_plus0: np.ndarray
-    S_minus0: np.ndarray
     rho_ref: float = 1.0
     diagnostics: dict = field(default_factory=dict)
 
@@ -54,12 +54,6 @@ class BiCongruence:
             raise PreconditionError("the pair must share one label set")
         if not np.allclose(self.plus.times, self.minus.times, rtol=0, atol=1e-12):
             raise PreconditionError("the pair must share one time base")
-        for name in ("S_plus0", "S_minus0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (len(self.plus.labels),):
-                raise PreconditionError(f"{name} must be sampled on the labels")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def labels(self):
@@ -70,16 +64,10 @@ class BiCongruence:
         return self.plus.times
 
     def rho0(self, q):
-        s = NotAKnotSpline(self.labels.values, np.stack((self.S_plus0, self.S_minus0), 1))(q)
+        profiles = np.stack((self.plus.chi[0], self.minus.chi[0]), 1)
+        s = NotAKnotSpline(self.labels.values, profiles)(q)
         sp, sm = s[..., 0], s[..., 1]
         return self.rho_ref * np.exp((sp - sm) / self.params.hbar)
-
-    @staticmethod
-    def from_congruences(params, plus, minus, S_plus0, S_minus0, rho_ref=1.0):
-        labels = plus.labels.values
-        sp = S_plus0(labels) if callable(S_plus0) else np.asarray(S_plus0, dtype=float)
-        sm = S_minus0(labels) if callable(S_minus0) else np.asarray(S_minus0, dtype=float)
-        return BiCongruence(params, plus, minus, sp, sm, rho_ref)
 
 
 # ---------- coupled force evaluation ----------
@@ -116,10 +104,8 @@ class _CoupledStepper:
         self.mass = params.mass
         self.potential = params.potential
         self.partner_coef = 0.5 * params.hbar * _PARTNER_SIGN
-        self.labels = labels
-        self.h = labels[1] - labels[0]
-        if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
-            raise PreconditionError("autonomous propagation needs uniform labels")
+        self.labels = labels.values
+        self.h = labels.spacing
         self.max_extrap = max_extrapolation
         self.max_seen_extrap = 0.0
         self.min_spacing = np.inf
@@ -181,7 +167,8 @@ def _label_noise_filter(arr, alpha):
 
 def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
                          store_every=1, max_extrapolation=None, rho_ref=1.0):
-    """March the coupled pair from action profiles alone.
+    """March the coupled pair from action profiles alone: the t = 0 plus and
+    minus actions on the labels, a uniformly spaced LabelSet.
 
     Half-kick / drift / recompute / half-kick stepping on the coupled
     acceleration equations; actions accumulate by the trapezoid rule on the
@@ -211,16 +198,11 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
         raise PreconditionError("dt must be nonzero")
     if steps % store_every != 0:
         raise PreconditionError("store_every must divide steps")
-    label_set = labels if isinstance(labels, LabelSet) else LabelSet(np.asarray(labels, float))
-    q0 = label_set.values
-    h = q0[1] - q0[0]
+    q0 = labels.values
+    stepper = _CoupledStepper(params, labels, max_extrapolation)
+    h = stepper.h
 
-    sp0 = S_plus0(q0) if callable(S_plus0) else np.asarray(S_plus0, dtype=float).copy()
-    sm0 = S_minus0(q0) if callable(S_minus0) else np.asarray(S_minus0, dtype=float).copy()
-
-    stepper = _CoupledStepper(params, q0, max_extrapolation)
-
-    chi = np.stack((sp0, sm0), axis=1)
+    chi = np.stack((S_plus0, S_minus0), axis=1)
     q = np.stack((q0, q0), axis=1)
     v = fd_derivative(chi, h) / params.mass
     J = np.ones_like(q)
@@ -252,9 +234,9 @@ def propagate_autonomous(S_plus0, S_minus0, labels, params, dt, steps,
             times[j] = t
             hist[:, :, j] = state.transpose(0, 2, 1)
 
-    plus, minus = (Congruence(label_set, times, *hist[:, f]) for f in (0, 1))
+    plus, minus = (Congruence(labels, times, *hist[:, f]) for f in (0, 1))
     spacing = stepper.min_spacing
-    return BiCongruence(params, plus, minus, sp0, sm0, rho_ref, {
+    return BiCongruence(params, plus, minus, rho_ref, {
         "max_partner_extrapolation": stepper.max_seen_extrap,
         "min_path_spacing": spacing,
         "max_dt_hbar_over_m_h2": abs(dt) * params.hbar / (params.mass * spacing**2),
@@ -302,12 +284,8 @@ def exchange_pair(S_plus0, S_minus0, labels, params, dt, steps):
 
     which the returned pair of runs realises step by step.
     """
-    sp0 = S_plus0 if callable(S_plus0) else (lambda q: np.asarray(S_plus0))
-    sm0 = S_minus0 if callable(S_minus0) else (lambda q: np.asarray(S_minus0))
-    conj_forward = propagate_autonomous(
-        lambda q: -sm0(q), lambda q: -sp0(q), labels, params, abs(dt), steps)
-    original_backward = propagate_autonomous(
-        sp0, sm0, labels, params, -abs(dt), steps)
+    conj_forward = propagate_autonomous(-S_minus0, -S_plus0, labels, params, abs(dt), steps)
+    original_backward = propagate_autonomous(S_plus0, S_minus0, labels, params, -abs(dt), steps)
     return conj_forward, original_backward
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import LabelSet, invert_labels
+from .congruence import LabelSet
 from .errors import PreconditionError, SpanExhaustionError
 from .kernels import (
     NotAKnotSpline,
@@ -43,6 +43,7 @@ class CompositionSetup:
         if vals[0] < lo or vals[-1] > hi:
             raise PreconditionError(
                 "labels_C must start inside the host congruence label span")
+        self.labels_C.spacing  # raises unless labels_C is uniformly spaced
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,14 @@ def compose_trajectories(setup):
 
     The generator ODE is stepped with RK4 over pairs of stored host times so
     every stage lands on stored data (no interpolation in time); composed
-    output is therefore sampled at every second stored time.  The residual
-    column checks d(q_C)/dt against v_A + v_B along the composed path by
-    centred time differences.  V_B, and J_A and v_A at Q_B, are splined
-    over the host labels in blocks of BLOCK_TIMES stored times, so that no
-    table of every stored time is held beyond the composed output.
+    output is therefore sampled at every second stored time, and an odd
+    number of stored steps ends in one single step.  The residual column
+    checks d(q_C)/dt against v_A + v_B along the composed path by
+    second-order three-point time differences: centred where the two steps
+    are equal, and weighted for the unequal ones before an odd tail.  V_B,
+    and J_A and v_A at Q_B, are splined over the host labels in blocks of
+    BLOCK_TIMES stored times, so that no table of every stored time is held
+    beyond the composed output.
     """
     A = setup.congruence_A
     labels = A.labels.values
@@ -205,15 +209,10 @@ def compose_trajectories(setup):
         for table, out in ((A.J, JA_at), (A.qdot, vA)):
             out[rows] = _on_rows(NotAKnotSpline(labels, table[out_idx[rows]].T), QB[rows])
 
-    lc = setup.labels_C.values
-    h_lab = np.diff(lc)
-    if np.allclose(h_lab, h_lab[0], rtol=1e-9, atol=1e-15):
-        JC = fd_derivative(qC.T, h_lab[0]).T
-    else:
-        JC = np.gradient(qC, lc, axis=1)
+    JC = fd_derivative(qC.T, setup.labels_C.spacing).T
 
     # composed velocity v_A + v_B along the paths, and the theorem residual
-    # by centred differences on the composed samples
+    # by three-point differences on the composed samples
     velocity = np.empty_like(QB)
     residual = np.full_like(QB, np.nan)
     vscale = 0.0
@@ -223,8 +222,16 @@ def compose_trajectories(setup):
         vB = np.asarray(setup.field_B.velocity(qC[j], float(A.times[k])), dtype=float)
         velocity[j] = vA[j] + vB
         vscale = max(vscale, float(np.max(np.abs(velocity[j]))))
+    steps = np.diff(out_idx)
     for j in range(1, QB.shape[0] - 1):
-        dqdt = (qC[j + 1] - qC[j - 1]) / (times[j + 1] - times[j - 1])
+        if steps[j - 1] == steps[j]:
+            dqdt = (qC[j + 1] - qC[j - 1]) / (times[j + 1] - times[j - 1])
+        else:
+            # the row before the odd tail: steps of 2 dt then dt, so the
+            # second-order difference for unequal steps h1, h2
+            h1, h2 = times[j] - times[j - 1], times[j + 1] - times[j]
+            dqdt = ((h1 * h1) * (qC[j + 1] - qC[j]) + (h2 * h2) * (qC[j] - qC[j - 1])) \
+                / (h1 * h2 * (h1 + h2))
         residual[j] = dqdt - velocity[j]
 
     return CompositionResult(setup.labels_C, times, QB, qC, JA_at, JB, JC,
@@ -269,9 +276,7 @@ class _SourceRows:
 
     def __init__(self, A, rho0, rows):
         labels = A.labels.values
-        self.h = labels[1] - labels[0]
-        if not np.allclose(np.diff(labels), self.h, rtol=1e-9, atol=1e-15):
-            raise PreconditionError("a source table needs uniform labels")
+        self.h = A.labels.spacing
         self.A = A
         self.rows = np.asarray(rows, dtype=int)
         self.rho0 = np.asarray(rho0(labels), dtype=float)[None, :]
@@ -377,11 +382,8 @@ def mixture_check(bi, rho_u, r, probe_xs, probe_t):
     table_p, table_m = pair_source_terms(bi.plus, bi.minus, rho_u, rho0, [k])
 
     xs = np.atleast_1d(np.asarray(probe_xs, dtype=float))
-    qp0 = np.atleast_1d(invert_labels(bi.plus, xs, probe_t))
-    qm0 = np.atleast_1d(invert_labels(bi.minus, xs, probe_t))
-    labels = bi.labels.values
-    Jp = NotAKnotSpline(labels, bi.plus.J[k])(qp0)
-    Jm = NotAKnotSpline(labels, bi.minus.J[k])(qm0)
+    qp0, Jp = bi.plus.at(xs, probe_t, "J")
+    qm0, Jm = bi.minus.at(xs, probe_t, "J")
     rho_true = np.asarray(rho_u(xs, probe_t)[0], dtype=float)
 
     mix = r * rho0(qp0) / Jp + (1.0 - r) * rho0(qm0) / Jm

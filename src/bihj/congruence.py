@@ -41,6 +41,15 @@ class LabelSet:
     def __len__(self):
         return self.values.shape[0]
 
+    @property
+    def spacing(self):
+        """The gap between neighbouring labels, ``values[1] - values[0]``;
+        labels that are not uniformly spaced raise a PreconditionError."""
+        h = self.values[1] - self.values[0]
+        if not np.allclose(np.diff(self.values), h, rtol=1e-9, atol=1e-15):
+            raise PreconditionError("labels must be uniformly spaced")
+        return h
+
     @staticmethod
     def uniform(lo, hi, count):
         return LabelSet(np.linspace(lo, hi, count))
@@ -283,6 +292,16 @@ class Congruence:
             raise PreconditionError(f"label {q0} is not stored")
         return i
 
+    def at(self, x, t, *names):
+        """The labels q0 of the paths through x at the stored time t, then
+        the rows ``names`` ("J", "chi", ...) at t read at those labels: one
+        label inversion, and one not-a-knot spline over the labels with a
+        column per name, each with the bits of its own one-column spline."""
+        k = self.time_index(t)
+        q0 = np.atleast_1d(invert_labels(self, x, t))
+        rows = np.stack([getattr(self, name)[k] for name in names], 1)
+        return (q0, *NotAKnotSpline(self.labels.values, rows)(q0).T)
+
     def jacobian_fd_mismatch(self):
         """Max relative gap between stored J and a label finite difference."""
         q0 = self.labels.values
@@ -342,22 +361,19 @@ def integrate_congruence(source, labels, times, initial_actions=None):
       passes on as it is, since no label is at fault;
     - ``part(j)`` is the stack of flow j alone.
 
-    ``sample`` is called once per RK4 stage for all k flows.
-    ``initial_actions`` holds one entry per flow (or None for all zero).
+    ``sample`` is called once per RK4 stage for all k flows.  ``labels`` is
+    a LabelSet.  ``initial_actions`` holds one entry per flow, its action
+    profile on the labels or None for zero, or is None for all zero.
     Returns a tuple of k congruences; errors name the flow, and the first
     failure in time is the one raised, whichever flow it is in.
     """
     if initial_actions is None:
         initial_actions = (None,) * len(source.flows)
-    if isinstance(labels, LabelSet):
-        label_set = labels
-    else:
-        label_set = LabelSet(np.asarray(labels, dtype=float))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
         raise PreconditionError("need at least two time points")
 
-    q0 = label_set.values
+    q0 = labels.values
     flows = source.flows
     nf, nl, n = len(flows), q0.shape[0], times.shape[0]
     # one contiguous (n_times, n_labels) block per quantity and flow; q, J
@@ -365,12 +381,7 @@ def integrate_congruence(source, labels, times, initial_actions=None):
     history = np.empty((4, nf, n, nl))
     qs, Js, chis, qdots = history
     for j, actions in enumerate(initial_actions):
-        if actions is None:
-            chis[j, 0] = 0.0
-        elif callable(actions):
-            chis[j, 0] = np.asarray(actions(q0), dtype=float)
-        else:
-            chis[j, 0] = np.asarray(actions, dtype=float)
+        chis[j, 0] = 0.0 if actions is None else actions
     qs[:, 0], Js[:, 0] = q0, 1.0
     # the state (q, J, chi) of every flow and label, one (3, nf, nl) array
     y = history[:3, :, 0].copy()
@@ -422,7 +433,7 @@ def integrate_congruence(source, labels, times, initial_actions=None):
             except DomainError:
                 qdots[j, -1] = qdots[j, -2]
 
-    return tuple(Congruence(label_set, times, qs[j], qdots[j], Js[j], chis[j]) for j in range(nf))
+    return tuple(Congruence(labels, times, qs[j], qdots[j], Js[j], chis[j]) for j in range(nf))
 
 
 # ---------- label inversion and trajectory density ----------
@@ -450,8 +461,6 @@ def invert_labels(congruence, x, t):
 
 def trajectory_density(congruence, rho0, x, t):
     """rho0(q0(x, t)) / J(q0(x, t), t): the density carried by the flow alone."""
-    k = congruence.time_index(t)
-    q0 = np.atleast_1d(invert_labels(congruence, x, t))
-    J = NotAKnotSpline(congruence.labels.values, congruence.J[k])(q0)
+    q0, J = congruence.at(x, t, "J")
     out = np.asarray(rho0(q0), dtype=float) / J
     return out if np.ndim(x) else float(out[0])

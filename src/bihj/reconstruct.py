@@ -7,23 +7,14 @@ No wavefunction enters: only congruence data.
 """
 import numpy as np
 
-from .congruence import invert_labels
 from .errors import PreconditionError
-from .kernels import NotAKnotSpline
-
-
-def _action_at(congruence, x, t):
-    """Accumulated action at the label passing through x at stored time t."""
-    k = congruence.time_index(t)
-    q0 = np.atleast_1d(invert_labels(congruence, x, t))
-    return NotAKnotSpline(congruence.labels.values, congruence.chi[k])(q0)
 
 
 def bihj_wavefunction_at(bi, x, t):
     """Amplitude from the two accumulated actions at the query point."""
     hbar = bi.params.hbar
-    chi_p = _action_at(bi.plus, x, t)
-    chi_m = _action_at(bi.minus, x, t)
+    _, chi_p = bi.plus.at(x, t, "chi")
+    _, chi_m = bi.minus.at(x, t, "chi")
     out = (np.exp((1.0 + 1j) * chi_p / (2.0 * hbar))
            * np.exp((-1.0 + 1j) * chi_m / (2.0 * hbar)) * np.sqrt(bi.rho_ref))
     return out if np.ndim(x) else complex(out[0])
@@ -32,8 +23,8 @@ def bihj_wavefunction_at(bi, x, t):
 def probability_from_actions(bi, x, t):
     """Density from the difference of the accumulated actions."""
     hbar = bi.params.hbar
-    chi_p = _action_at(bi.plus, x, t)
-    chi_m = _action_at(bi.minus, x, t)
+    _, chi_p = bi.plus.at(x, t, "chi")
+    _, chi_m = bi.minus.at(x, t, "chi")
     out = bi.rho_ref * np.exp((chi_p - chi_m) / hbar)
     return out if np.ndim(x) else float(out[0])
 
@@ -45,10 +36,7 @@ def polar_wavefunction_at(congruence, rho0, x, t, params):
     with the polar Lagrangian rate and initial actions equal to the t=0
     phase action.
     """
-    k = congruence.time_index(t)
-    q0 = np.atleast_1d(invert_labels(congruence, x, t))
-    labels = congruence.labels.values
-    J, chi = NotAKnotSpline(labels, np.stack((congruence.J[k], congruence.chi[k]), 1))(q0).T
+    q0, J, chi = congruence.at(x, t, "J", "chi")
     if np.any(J <= 0):
         raise PreconditionError("need a positive expansion factor")
     rho = np.asarray(rho0(q0), dtype=float)

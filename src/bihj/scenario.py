@@ -33,7 +33,7 @@ from .compose import (
     pair_source_terms,
 )
 from .congruence import FieldStack, LabelSet, integrate_congruence
-from .errors import BihjError, ConfigurationError
+from .errors import BihjError, ConfigurationError, TrajectoryExitError
 from .fields import derive_series
 from .gaussian import GaussianStack
 from .reconstruct import reconstruction_probe
@@ -377,10 +377,19 @@ class FieldLibrary:
         as one stack to march together."""
         return self._stack([self.FLOWS[cid][:3] for cid in cids], cids)
 
-    def initial_actions(self, cids):
-        """The t = 0 action profile of each of the congruences ``cids`` (None
-        for zero)."""
-        return [None if self.FLOWS[cid][3] is None else self.initial(self.FLOWS[cid][3])
+    def initial_actions(self, cids, labels):
+        """The t = 0 action profile of each of the congruences ``cids`` on the
+        labels (None for zero).  On sampled runs the profiles are splines
+        over the t = 0 valid run, and the first label outside it raises the
+        TrajectoryExitError that a march of the first flow raises there."""
+        q0 = labels.values
+        if not self.analytic:
+            snap = self.fseries.snapshots[0]
+            a, b = snap.largest_run()
+            outside = (q0 < snap.grid.x[a]) | (q0 > snap.grid.x[b - 1])
+            if outside.any():
+                raise TrajectoryExitError(q0[outside.argmax()], 0.0, cids[0])
+        return [None if self.FLOWS[cid][3] is None else self.initial(self.FLOWS[cid][3])(q0)
                 for cid in cids]
 
     def initial(self, which):
@@ -569,7 +578,7 @@ class RunBundle:
             library, labels, times = self.library, self.labels, self.times
             with self.timed("congruences"):
                 built = integrate_congruence(library.congruence_sources(todo), labels, times,
-                                             initial_actions=library.initial_actions(todo))
+                                             initial_actions=library.initial_actions(todo, labels))
             for cid, c in zip(todo, built):
                 self._congruences[cid] = c
                 self.diagnostics[cid] = {"min_path_spacing": c.min_path_spacing,
@@ -579,18 +588,14 @@ class RunBundle:
     @cached_property
     def pair(self):
         """The coupled pair of the plus and minus congruences."""
-        (plus, minus), library, cfg = self.congruences("plus", "minus"), self.library, self.config
-        with self.timed("congruences"):
-            return BiCongruence.from_congruences(cfg.params, plus, minus,
-                                                 library.initial("plus"),
-                                                 library.initial("minus"),
-                                                 rho_ref=cfg.rho_ref)
+        plus, minus = self.congruences("plus", "minus")
+        return BiCongruence(self.config.params, plus, minus, rho_ref=self.config.rho_ref)
 
     @cached_property
     def autonomous(self):
         library, labels, cfg = self.library, self.labels, self.config
         with self.timed("autonomous"):
-            bi = propagate_autonomous(library.initial("plus"), library.initial("minus"),
+            bi = propagate_autonomous(*library.initial_actions(("plus", "minus"), labels),
                                       labels, cfg.params, cfg.dt_solver, cfg.solver_steps,
                                       store_every=cfg.store_every, rho_ref=cfg.rho_ref)
         self.diagnostics.update(bi.diagnostics)

@@ -88,24 +88,20 @@ def _congruence(g, labels, times, field, rate=None, action0=None):
 @pytest.fixture(scope="session")
 def plus_congruence(g, labels, times):
     return _congruence(g, labels, times, "v_plus", "L_plus",
-                       lambda q: gaussian.action_plus(g, q, 0.0))
+                       gaussian.action_plus(g, labels.values, 0.0))
 
 
 @pytest.fixture(scope="session")
 def minus_congruence(g, labels, times):
     return _congruence(g, labels, times, "v_minus", "L_minus",
-                       lambda q: gaussian.action_minus(g, q, 0.0))
+                       gaussian.action_minus(g, labels.values, 0.0))
 
 
 @pytest.fixture(scope="session")
 def dbb_congruence(g, labels, times):
-    return _congruence(g, labels, times, "v", "L",
-                       lambda q: gaussian.phase_action(g, q, 0.0))
+    return _congruence(g, labels, times, "v", "L", gaussian.phase_action(g, labels.values, 0.0))
 
 
 @pytest.fixture(scope="session")
-def bi_pair(params, g, plus_congruence, minus_congruence):
-    return BiCongruence.from_congruences(
-        params, plus_congruence, minus_congruence,
-        lambda q: gaussian.action_plus(g, q, 0.0),
-        lambda q: gaussian.action_minus(g, q, 0.0))
+def bi_pair(params, plus_congruence, minus_congruence):
+    return BiCongruence(params, plus_congruence, minus_congruence)

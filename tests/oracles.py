@@ -208,30 +208,26 @@ def oracle_congruences(g):
     """The plus, minus, mean-flow ("dbb") and half_plus congruences on the
     closed-form fields, 201 labels on [-4, 4] to t = 1 at dt 1e-3, marched
     together."""
+    labels = LabelSet.uniform(-4.0, 4.0, 201)
+    q0 = labels.values
     flows = {
-        "plus": (("v_plus", "L_plus", 1.0), lambda q: gaussian.action_plus(g, q, 0.0)),
-        "minus": (("v_minus", "L_minus", 1.0), lambda q: gaussian.action_minus(g, q, 0.0)),
-        "dbb": (("v", "L", 1.0), lambda q: gaussian.phase_action(g, q, 0.0)),
+        "plus": (("v_plus", "L_plus", 1.0), gaussian.action_plus(g, q0, 0.0)),
+        "minus": (("v_minus", "L_minus", 1.0), gaussian.action_minus(g, q0, 0.0)),
+        "dbb": (("v", "L", 1.0), gaussian.phase_action(g, q0, 0.0)),
         "half_plus": (("v_plus", None, 0.5), None)}
     stack = GaussianStack(g, [spec for spec, _ in flows.values()], tuple(flows))
     return dict(zip(flows, integrate_congruence(
-        stack, LabelSet.uniform(-4.0, 4.0, 201), np.linspace(0.0, 1.0, 1001),
+        stack, labels, np.linspace(0.0, 1.0, 1001),
         initial_actions=[act for _, act in flows.values()])))
-
-
-def oracle_pair(params, g, plus, minus):
-    return BiCongruence.from_congruences(params, plus, minus,
-                                         lambda q: gaussian.action_plus(g, q, 0.0),
-                                         lambda q: gaussian.action_minus(g, q, 0.0))
 
 
 def autonomous_pair(params, g):
     """The coupled pair from the closed-form actions, 201 labels on [-4, 4] to
     t = 0.5 at dt 2e-4, stored every 25 steps."""
+    labels = LabelSet.uniform(-4.0, 4.0, 201)
     return propagate_autonomous(
-        lambda q: gaussian.action_plus(g, q, 0.0),
-        lambda q: gaussian.action_minus(g, q, 0.0),
-        LabelSet.uniform(-4.0, 4.0, 201), params, 2e-4, 2500, store_every=25)
+        gaussian.action_plus(g, labels.values, 0.0), gaussian.action_minus(g, labels.values, 0.0),
+        labels, params, 2e-4, 2500, store_every=25)
 
 
 def superposition_run(params, sigma0):
@@ -247,11 +243,11 @@ def superposition_run(params, sigma0):
     keep = first.rho >= 1e-4 * first.rho.max()
     labels = LabelSet.uniform(grid.x[keep].min(), grid.x[keep].max(), 161)
     flows = ("plus", "minus")
-    actions = [first.spline(getattr(first, "S_" + flow)) for flow in flows]
+    actions = [first.spline(getattr(first, "S_" + flow))(labels.values) for flow in flows]
     plus, minus = integrate_congruence(
         FieldStack(fs, [("v_" + flow, "L_" + flow, 1.0) for flow in flows], flows),
         labels, np.linspace(0.0, 0.5, 501), initial_actions=actions)
-    return wave, fs, BiCongruence.from_congruences(params, plus, minus, *actions)
+    return wave, fs, BiCongruence(params, plus, minus)
 
 
 # ---------- test-only measures ----------

@@ -25,12 +25,17 @@ from bihj.reference import PhysicalParams, Potential
 SIGMA0 = np.sqrt(0.5)
 
 
+def _gaussian_pair(g, labels):
+    """The free Gaussian's t = 0 plus and minus actions on the labels, then
+    the labels: the first three arguments of propagate_autonomous."""
+    return (gaussian.action_plus(g, labels.values, 0.0),
+            gaussian.action_minus(g, labels.values, 0.0), labels)
+
+
 @pytest.fixture(scope="module")
 def auto_pair(g, params):
     return propagate_autonomous(
-        lambda q: gaussian.action_plus(g, q, 0.0),
-        lambda q: gaussian.action_minus(g, q, 0.0),
-        LabelSet.uniform(-4.0, 4.0, 201), params, 2e-4, 2500, store_every=50)
+        *_gaussian_pair(g, LabelSet.uniform(-4.0, 4.0, 201)), params, 2e-4, 2500, store_every=50)
 
 
 class TestPropagation:
@@ -68,9 +73,9 @@ class TestPropagation:
         omega = 1.3
         params = PhysicalParams(potential=Potential("harmonic", omega=omega))
         log_rho0 = lambda q: 0.5 * np.log(omega / np.pi) - omega * q**2
-        bi = propagate_autonomous(lambda q: 0.5 * log_rho0(q),
-                                  lambda q: -0.5 * log_rho0(q),
-                                  LabelSet.uniform(-2.0, 2.0, 81), params, 2e-4, 1000)
+        labels = LabelSet.uniform(-2.0, 2.0, 81)
+        bi = propagate_autonomous(0.5 * log_rho0(labels.values), -0.5 * log_rho0(labels.values),
+                                  labels, params, 2e-4, 1000)
         T = bi.times[-1]
         labels = bi.labels.values
         assert np.abs(bi.plus.q[-1] - labels * np.exp(-omega * T)).max() < 1e-6
@@ -85,35 +90,33 @@ class TestPropagation:
     def test_uniform_interior_is_static(self, params):
         """Constant action profiles: no relative velocity, no force, no motion."""
         labels = LabelSet.uniform(-1.0, 1.0, 41)
-        bi = propagate_autonomous(lambda q: 0.0 * q + 0.3, lambda q: 0.0 * q - 0.3,
+        bi = propagate_autonomous(np.full(len(labels), 0.3), np.full(len(labels), -0.3),
                                   labels, params, 1e-3, 200)
         assert np.abs(bi.plus.q - labels.values[None, :]).max() < 1e-12
         assert np.abs(bi.minus.q - labels.values[None, :]).max() < 1e-12
         assert np.abs(bi.plus.qdot).max() < 1e-12
 
     def test_validation(self, g, params, labels):
+        q0 = labels.values
         with pytest.raises(PreconditionError):
-            propagate_autonomous(lambda q: q, lambda q: -q, labels, params, 0.0, 10)
+            propagate_autonomous(q0, -q0, labels, params, 0.0, 10)
         with pytest.raises(PreconditionError):
-            propagate_autonomous(lambda q: q, lambda q: -q, labels, params, 1e-3, 0)
+            propagate_autonomous(q0, -q0, labels, params, 1e-3, 0)
         nonuniform = LabelSet(np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
-        with pytest.raises(PreconditionError):
-            propagate_autonomous(lambda q: q, lambda q: -q, nonuniform, params, 1e-3, 5)
+        with pytest.raises(PreconditionError, match="labels must be uniformly spaced"):
+            propagate_autonomous(nonuniform.values, -nonuniform.values, nonuniform, params,
+                                 1e-3, 5)
 
     def test_strict_extrapolation_bound_aborts(self, g, params):
         with pytest.raises(HullOverlapError):
             propagate_autonomous(
-                lambda q: gaussian.action_plus(g, q, 0.0),
-                lambda q: gaussian.action_minus(g, q, 0.0),
-                LabelSet.uniform(-4.0, 4.0, 101), params, 1e-3, 500,
+                *_gaussian_pair(g, LabelSet.uniform(-4.0, 4.0, 101)), params, 1e-3, 500,
                 max_extrapolation=0.05)
 
     def test_extrapolation_error_names_the_time(self, g, params):
         with pytest.raises(HullOverlapError, match=r"exceeds the allowed 1e-06 at t=0\.001$"):
             propagate_autonomous(
-                lambda q: gaussian.action_plus(g, q, 0.0),
-                lambda q: gaussian.action_minus(g, q, 0.0),
-                LabelSet.uniform(-4.0, 4.0, 41), params, 1e-3, 5,
+                *_gaussian_pair(g, LabelSet.uniform(-4.0, 4.0, 41)), params, 1e-3, 5,
                 max_extrapolation=1e-6)
 
     def test_crossing_error_names_flow_labels_and_time(self, g, params):
@@ -124,9 +127,7 @@ class TestPropagation:
             with pytest.raises(CongruenceCrossingError,
                                match=r"^plus paths of labels -3\.9 and -3\.88 crossed at t=0\.042$"):
                 propagate_autonomous(
-                    lambda q: gaussian.action_plus(g, q, 0.0),
-                    lambda q: gaussian.action_minus(g, q, 0.0),
-                    LabelSet.uniform(-4.0, 4.0, 401), params, 1e-3, 500)
+                    *_gaussian_pair(g, LabelSet.uniform(-4.0, 4.0, 401)), params, 1e-3, 500)
 
     def test_diagnostics_record_extrapolation(self, auto_pair):
         # the expanding flow leaves the contracting flow's hull immediately
@@ -155,10 +156,8 @@ class TestDiagnostics:
 
     def test_backward_stability_numbers_match_closed_forms_and_repeat(self, g, params):
         def run():
-            return propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
-                                        lambda q: gaussian.action_minus(g, q, 0.0),
-                                        LabelSet.uniform(-3.0, 3.0, 101), params, -5e-4, 400,
-                                        store_every=100)
+            return propagate_autonomous(*_gaussian_pair(g, LabelSet.uniform(-3.0, 3.0, 101)),
+                                        params, -5e-4, 400, store_every=100)
         bi = run()
         # backwards in time the minus flow contracts
         self._check(g, params, bi, -5e-4, 400)
@@ -175,9 +174,8 @@ class TestHistoryMemory:
         steps = 1000
         tracemalloc.start()
         try:
-            bi = propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
-                                      lambda q: gaussian.action_minus(g, q, 0.0),
-                                      labels, params, 2e-4, steps, store_every=1)
+            bi = propagate_autonomous(*_gaussian_pair(g, labels), params, 2e-4, steps,
+                                      store_every=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,7 +237,8 @@ class TestCoupledStepper:
     @pytest.mark.parametrize("potential", [Potential(), Potential("harmonic", omega=1.3)])
     def test_evaluate_equals_reference(self, g, potential):
         params = PhysicalParams(potential=potential)
-        labels = LabelSet.uniform(-3.0, 3.0, 61).values
+        label_set = LabelSet.uniform(-3.0, 3.0, 61)
+        labels = label_set.values
         h = labels[1] - labels[0]
         potential_fn = lambda x: potential.at(x, params.mass)
         for t in (0.0, 0.3, 1.0):
@@ -247,7 +246,7 @@ class TestCoupledStepper:
             # the wobble makes the velocity fields nonlinear in position
             qp = labels * gaussian.path_scale(g, "plus", t) + 0.01 * np.sin(labels)
             qm = labels * gaussian.path_scale(g, "minus", t)
-            stepper = _CoupledStepper(params, labels, None)
+            stepper = _CoupledStepper(params, label_set, None)
             pos = stepper.positions(np.column_stack((qp, qm)), t)
             # one positions object serves both force evaluations of a step:
             # two velocity fields, each against a fresh per-flow reference
@@ -304,9 +303,7 @@ class TestExchange:
         """For real initial data the conjugate pair coincides with the original,
         so the exchange runs retrace each other bitwise."""
         fwd, back = exchange_pair(
-            lambda q: gaussian.action_plus(g, q, 0.0),
-            lambda q: gaussian.action_minus(g, q, 0.0),
-            LabelSet.uniform(-3.0, 3.0, 101), params, 5e-4, 400)
+            *_gaussian_pair(g, LabelSet.uniform(-3.0, 3.0, 101)), params, 5e-4, 400)
         assert exchange_mismatch(fwd, back) == 0.0
 
     def test_exchange_symmetry_is_exact_for_generic_data(self, g, params):
@@ -314,23 +311,17 @@ class TestExchange:
         reverse symmetry (squares and sign flips are exact in floating
         point), so the exchange relation holds exactly even when the
         conjugated data differ from the original (nonzero mean phase)."""
-        extra = lambda q: 0.05 * q**2
-        sp0 = lambda q: gaussian.action_plus(g, q, 0.0) + extra(q)
-        sm0 = lambda q: gaussian.action_minus(g, q, 0.0) + extra(q)
-        fwd, back = exchange_pair(sp0, sm0, LabelSet.uniform(-3.0, 3.0, 101),
-                                  params, 5e-4, 300)
+        sp0, sm0, labels = _gaussian_pair(g, LabelSet.uniform(-3.0, 3.0, 101))
+        extra = 0.05 * labels.values**2
+        fwd, back = exchange_pair(sp0 + extra, sm0 + extra, labels, params, 5e-4, 300)
         assert exchange_mismatch(fwd, back) == 0.0
         # and the runs genuinely differ from the symmetric-data case
         assert np.abs(fwd.plus.q - back.plus.q).max() > 1e-3
 
     def test_backward_run_retraces_forward_run(self, g, params):
         labels = LabelSet.uniform(-3.0, 3.0, 101)
-        fwd = propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
-                                   lambda q: gaussian.action_minus(g, q, 0.0),
-                                   labels, params, 5e-4, 200)
-        back = propagate_autonomous(lambda q: gaussian.action_plus(g, q, 0.0),
-                                    lambda q: gaussian.action_minus(g, q, 0.0),
-                                    labels, params, -5e-4, 200)
+        fwd = propagate_autonomous(*_gaussian_pair(g, labels), params, 5e-4, 200)
+        back = propagate_autonomous(*_gaussian_pair(g, labels), params, -5e-4, 200)
         exact_fwd = labels.values[None, :] * gaussian.path_scale(g, "plus", fwd.times)[:, None]
         exact_back = labels.values[None, :] * gaussian.path_scale(g, "plus", back.times)[:, None]
         assert np.abs(fwd.plus.q - exact_fwd).max() < 1e-5
@@ -343,8 +334,7 @@ class TestBiCongruence:
             GaussianStack(g, [("v_minus", None, 1.0)]),
             LabelSet.uniform(-4.0, 4.0, 51), plus_congruence.times)
         with pytest.raises(PreconditionError):
-            BiCongruence.from_congruences(params, plus_congruence, other,
-                                          lambda q: q, lambda q: -q)
+            BiCongruence(params, plus_congruence, other)
 
     def test_rho0_from_action_profiles(self, g, bi_pair):
         qs = np.linspace(-2.0, 2.0, 11)

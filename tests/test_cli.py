@@ -365,3 +365,35 @@ def test_march_reaching_a_failing_snapshot_exits_2_naming_the_fields(tmp_path, c
     assert capsys.readouterr().err == (
         "error: [fields] every grid point is below the density threshold at t=0.4\n")
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_compose_of_an_odd_number_of_steps_passes_its_residual(tmp_path, capsys):
+    # 999 solver steps: the generators end in one single step, so the row
+    # before it spans a step of 2 dt and one of dt; a centred difference
+    # over both is only first order there, and read 2.8e-4 against 1.1e-4
+    doc = json.loads((Path(bihj.__file__).parent / "data" / "gaussian.json").read_text())
+    doc["time"] = {"dt_solver": 0.001, "dt_fields": 0.009, "t_final": 0.999}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["compose", "--config", str(path), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "manifest.json").read_text())["checks"]}
+    residual = checks["composition_i_residual"]
+    assert residual["passed"] and residual["measured"] < 1e-2 * residual["tolerance"]
+
+
+@pytest.mark.parametrize("argv, stage", [([], "congruences"),
+                                         (["--mode", "autonomous"], "autonomous")])
+def test_labels_beyond_the_initial_valid_run_exit_2_before_writing(tmp_path, config_path,
+                                                                   capsys, argv, stage):
+    # on the sampled grid the density is above its floor on |x| < 5.25 at
+    # t = 0: beyond it the initial profiles would be the splines continued
+    doc = json.loads(config_path.read_text())
+    doc.update(solver="crank_nicolson",
+               labels={"count": 41, "span": {"kind": "explicit", "lo": -9.0, "hi": 9.0}})
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: [{stage}] plus trajectory with label -9 left the valid region at t=0\n")
+    assert sorted(p.name for p in out.iterdir()) == []

@@ -115,6 +115,11 @@ class TestComposition:
         with pytest.raises(PreconditionError):
             CompositionSetup(plus_congruence, zero_source, LabelSet.uniform(-9.0, 9.0, 11))
 
+    def test_nonuniform_labels_rejected(self, plus_congruence, zero_source):
+        labels = LabelSet(np.array([-1.0, -0.5, -0.2, 0.0, 0.3, 0.5, 1.0]))
+        with pytest.raises(PreconditionError, match="labels must be uniformly spaced"):
+            CompositionSetup(plus_congruence, zero_source, labels)
+
 
 def along(congruence, f):
     """f(q, t) at the congruence's positions, one row per stored time."""

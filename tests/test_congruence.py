@@ -179,6 +179,12 @@ class TestLabelSet:
         with pytest.raises(PreconditionError):
             LabelSet(np.array([1.0]))
 
+    def test_spacing_is_the_first_gap_of_uniform_labels(self):
+        labels = LabelSet.uniform(-4.0, 4.0, 201)
+        assert labels.spacing == labels.values[1] - labels.values[0]
+        with pytest.raises(PreconditionError, match="labels must be uniformly spaced"):
+            LabelSet(np.array([0.0, 0.1, 0.3, 0.6, 1.0])).spacing
+
     def test_from_density_covers_floor_region(self, g):
         rho0 = lambda q: gaussian.rho(g, q, 0.0)
         labels = LabelSet.from_density(rho0, -10.0, 10.0, count=101, floor=1e-6)
@@ -207,7 +213,7 @@ class TestIntegration:
     def test_zero_velocity_field_is_static(self, labels, times):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
         src = FakeStack([(zero, zero, lambda x, t: 2.0 + 0.0 * np.asarray(x))])
-        c, = integrate_congruence(src, labels, times, initial_actions=[lambda q: 0.5 * q])
+        c, = integrate_congruence(src, labels, times, initial_actions=[0.5 * labels.values])
         assert np.abs(c.q - labels.values[None, :]).max() == 0.0
         assert np.abs(c.J - 1.0).max() == 0.0
         expected = 0.5 * labels.values[None, :] + 2.0 * times[:, None]
@@ -478,6 +484,24 @@ class TestInversion:
     def test_unknown_time_rejected(self, plus_congruence):
         with pytest.raises(PreconditionError):
             invert_labels(plus_congruence, 0.0, 0.12345678)
+
+
+class TestReadAtPoints:
+    def test_at_is_the_inversion_then_one_spline_per_row(self, minus_congruence):
+        """Each named row read through ``at`` has the bits of its own
+        one-column spline at the inverted labels."""
+        c = minus_congruence
+        k = len(c.times) - 1
+        xs = np.linspace(0.9 * c.q[k, 0], 0.9 * c.q[k, -1], 17)
+        q0, J, chi = c.at(xs, c.times[k], "J", "chi")
+        assert np.array_equal(q0, invert_labels(c, xs, c.times[k]))
+        for got, row in ((J, c.J[k]), (chi, c.chi[k])):
+            assert np.array_equal(got, CubicSpline(c.labels.values, row)(q0))
+
+    def test_at_a_scalar_point_reads_one_label(self, plus_congruence):
+        q0, chi = plus_congruence.at(0.3, 0.0, "chi")
+        assert q0.shape == chi.shape == (1,)
+        assert q0[0] == pytest.approx(0.3, abs=1e-10)
 
 
 class TestTrajectoryDensity:
